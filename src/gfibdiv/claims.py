@@ -15,7 +15,8 @@ from enum import Enum
 
 from .errors import InputError
 from .numtheory import divides, is_prime
-from .sequences import SequenceParams, g_exact, g_is_zero, g_mod
+# g_exact is not called here; it stays importable because perfbench/tracer.py wraps claims.g_exact.
+from .sequences import SequenceParams, g_exact, g_is_zero, g_mod, g_range
 
 # Scale factors used by the scaled-seed claim (seeds (0, alpha) give alpha*G_n).
 DEFAULT_SCALE_FACTORS = (-3, -1, 2, 5)
@@ -291,63 +292,92 @@ def applicable_claims(params: SequenceParams, s: int) -> list[ClaimId]:
     return [spec.claim for spec in REGISTRY if hypothesis_check(spec.claim, params, s).applicable]
 
 
-def _divides_g(params: SequenceParams, d: int, n: int, modular: bool) -> bool:
-    """Whether d | G_n, for d >= 1."""
-    if modular:
-        return g_mod(params, n, d) == 0
-    return divides(d, g_exact(params, n))
+def _equiv_failures(params: SequenceParams, d: int, ns, table: list[int] | None):
+    """(n, G_n mod d) at each n in ns where d | n <=> d | G_n fails.
+
+    The residue comes from the exact table, or from fast doubling when there
+    is none.
+    """
+    for n in ns:
+        residue = g_mod(params, n, d) if table is None else table[n] % d
+        if (n % d == 0) != (residue == 0):
+            yield n, residue
 
 
-def _mult_div_holds(params: SequenceParams, s: int, k: int, n: int, scale: int = 1) -> bool:
-    """scale*s^k*G_n | scale*G_{s^k*n}, decided via residues of the big index."""
-    sk = s**k
+def _equiv_witness(d: int, n: int, residue: int) -> dict:
+    return {"s_pow": d, "s_pow_divides_n": n % d == 0, "s_pow_divides_g": residue == 0, "g_residue": residue}
+
+
+def _divisibility_failure(params: SequenceParams, sk: int, n: int, g_n: int, scales) -> dict | None:
+    """Witness that a*s^k*G_n | a*G_{s^k*n} fails for some scale a, by residues of the big index."""
     big = sk * n
-    divisor = scale * sk * g_exact(params, n)
-    if divisor == 0:
-        return scale == 0 or g_is_zero(params, big)
-    rem = g_mod(params, big, abs(divisor)) * scale % abs(divisor)
-    return rem == 0
+    if g_n == 0:
+        if g_is_zero(params, big):
+            return None
+        return {"divisor": 0, "index": big, "g_n": g_n, "remainder": None}
+    for scale in scales:
+        divisor = scale * sk * g_n
+        rem = g_mod(params, big, abs(divisor)) * scale % abs(divisor)
+        if rem:
+            return {"divisor": divisor, "index": big, "g_n": g_n, "remainder": rem}
+    return None
 
 
-def _equiv_holds(params: SequenceParams, s: int, k: int, n: int, modular: bool) -> bool:
-    d = abs(s**k)
-    if d == 1:
-        return True
-    if d == 0:
-        return (n == 0) == g_is_zero(params, n)
-    return divides(d, n) == _divides_g(params, d, n, modular)
+def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, *, modular: bool = False):
+    """Yield (k, n, witness) wherever the claim's conclusion fails, in (k, n) order.
+
+    This is the one place a conclusion is decided.  ks and ns are ascending
+    sequences of exponents and indices, and s >= 1.  The hypothesis need not
+    hold, so relaxed searches can probe failures.  Points with s^k = 1 hold
+    trivially.  An equivalence failure has the witness {s_pow,
+    s_pow_divides_n, s_pow_divides_g, g_residue}; a divisibility failure has
+    {divisor, index, g_n, remainder}, and at a CLASSICAL point it is checked
+    first.  In modular mode G_n mod s^e comes from fast doubling; exact G_n
+    is used only as the divisor of the divisibility kinds.
+    """
+    if s < 1:
+        raise InputError(f"s must be >= 1, got {s}")
+    kind = _BY_ID[claim].conclusion
+    if kind in (ConclusionKind.EQUIV, ConclusionKind.BASE_EQUIV):
+        table = None if modular else g_range(params, max(ns, default=0))
+        # The exponent never decreases along ks, so the k sharing a modulus
+        # are adjacent: each distinct s^e is evaluated once and replayed.
+        last_d, last = 1, []  # d = 1 never fails
+        for k in ks:
+            # The base equivalence asserts only the exponent-1 instance.
+            d = s ** min(k, 1) if kind is ConclusionKind.BASE_EQUIV else s**k
+            if d == last_d:
+                for n, residue in last:
+                    yield k, n, _equiv_witness(d, n, residue)
+                continue
+            last_d, last = d, []
+            for n, residue in _equiv_failures(params, d, ns, table):
+                last.append((n, residue))
+                yield k, n, _equiv_witness(d, n, residue)
+        return
+
+    table = g_range(params, max(ns, default=0))
+    scales = DEFAULT_SCALE_FACTORS if kind is ConclusionKind.SCALED else (1,)
+    for k in ks:
+        sk = s**k
+        if sk == 1:
+            continue
+        for n in ns:
+            witness = _divisibility_failure(params, sk, n, table[n], scales)
+            if witness is None and kind is ConclusionKind.CLASSICAL:
+                failure = next(_equiv_failures(params, sk, (n,), None if modular else table), None)
+                witness = failure and _equiv_witness(sk, *failure)
+            if witness is not None:
+                yield k, n, witness
 
 
 def conclusion_holds(
-    claim: ClaimId,
-    params: SequenceParams,
-    s: int,
-    k: int,
-    n: int,
-    *,
-    modular: bool = False,
-    scale_factors: tuple[int, ...] = DEFAULT_SCALE_FACTORS,
+    claim: ClaimId, params: SequenceParams, s: int, k: int, n: int, *, modular: bool = False
 ) -> bool:
-    """Evaluate the claim's conclusion at (p, q, s, k, n).
-
-    The hypothesis need not hold, so relaxed searches can probe failures.
-    k = 0 and s = 1 are degenerate and always true.
-    """
+    """Evaluate the claim's conclusion at the one point (p, q, s, k, n); s >= 1."""
     if k < 0 or n < 0:
         raise InputError("k and n must be nonnegative")
-    kind = _BY_ID[claim].conclusion
-    if kind is ConclusionKind.MULT_DIV:
-        return _mult_div_holds(params, s, k, n)
-    if kind is ConclusionKind.EQUIV:
-        return _equiv_holds(params, s, k, n, modular)
-    if kind is ConclusionKind.BASE_EQUIV:
-        # The claim only asserts the exponent-1 equivalence.
-        return _equiv_holds(params, s, min(k, 1), n, modular)
-    if kind is ConclusionKind.CLASSICAL:
-        return _mult_div_holds(params, s, k, n) and _equiv_holds(params, s, k, n, modular)
-    if kind is ConclusionKind.SCALED:
-        return all(_mult_div_holds(params, s, k, n, scale=a) for a in scale_factors)
-    raise AssertionError(kind)
+    return next(conclusion_failures(claim, params, s, (k,), (n,), modular=modular), None) is None
 
 
 @dataclass(frozen=True)

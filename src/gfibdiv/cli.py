@@ -42,7 +42,10 @@ EXIT_RESOURCE = 4
 def _default_workers() -> int:
     env = os.environ.get("GFIBDIV_WORKERS")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise InputError(f"GFIBDIV_WORKERS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -106,20 +106,12 @@ def identities_to_dict(results: list[IdentityResult]) -> dict:
                 "identity": r.name,
                 "passed": r.passed,
                 "checked": r.checked,
-                "first_failure": _jsonable(r.first_failure),
+                "first_failure": r.first_failure,
             }
             for r in results
         ],
         "all_passed": all(r.passed for r in results),
     }
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def to_json(document: dict) -> str:

@@ -3,8 +3,7 @@ rank of apparition, and the exploratory converse survey.
 
 Sweeps are embarrassingly parallel over (p, q) cells; results are merged in
 canonical cell order so reports are byte-identical regardless of worker
-count.  In modular mode every divisibility question "d | G_n" is decided by
-a fast-doubling residue, never by exact values.
+count.  Every conclusion is decided by claims.conclusion_failures.
 """
 
 from __future__ import annotations
@@ -14,11 +13,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
+# conclusion_holds, g_mod and g_is_zero are not called here; they stay
+# importable because perfbench/tracer.py wraps them under these names.
 from .claims import (
     ClaimId,
-    ConclusionKind,
-    DEFAULT_SCALE_FACTORS,
     claim_spec,
+    conclusion_failures,
     conclusion_holds,
     hypothesis_check,
     thm12_lift_condition,
@@ -53,6 +53,13 @@ class SweepConfig:
     mode: Mode = Mode.EXACT
     worker_count: int = 1
     time_budget_s: float | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.s_source, str) and min(self.s_source, default=1) < 1:
+            raise InputError(f"s_source values must be >= 1, got {min(self.s_source)}")
+        for name, least in (("k_max", 0), ("n_max", 0), ("t_max", 1)):
+            if getattr(self, name) < least:
+                raise InputError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -100,31 +107,11 @@ def _resolve_s(config: SweepConfig, params: SequenceParams) -> list[int]:
     return sorted(set(source))
 
 
-def _equiv_point(params: SequenceParams, d: int, n: int, modular: bool) -> tuple[bool, int]:
-    """(holds, G_n mod d) for the exponent-d equivalence at index n; d >= 2."""
-    if modular:
-        residue = g_mod(params, n, d)
-    else:
-        residue = g_exact(params, n) % d
-    return (n % d == 0) == (residue == 0), residue
-
-
 def _sweep_cell(args) -> tuple[int, list[Counterexample]]:
     claim, config, p, q = args
     params = SequenceParams(p, q)
-    spec = claim_spec(claim)
-    modular = config.mode is Mode.MODULAR
     points = 0
     violations: list[Counterexample] = []
-    per_point = config.k_max + 1  # k axis size
-    gs: list[int] | None = None  # exact table, built once per cell when needed
-
-    def g_table() -> list[int]:
-        nonlocal gs
-        if gs is None:
-            gs = g_range(params, config.n_max)
-        return gs
-
     for s in _resolve_s(config, params):
         if not hypothesis_check(claim, params, s).applicable:
             continue
@@ -134,92 +121,12 @@ def _sweep_cell(args) -> tuple[int, list[Counterexample]]:
             and not thm12_lift_condition(params, s, config.t_max).holds
         ):
             continue
-
-        if spec.conclusion in (ConclusionKind.EQUIV, ConclusionKind.BASE_EQUIV):
-            if spec.conclusion is ConclusionKind.BASE_EQUIV:
-                exponents = [min(k, 1) for k in range(per_point)]
-            else:
-                exponents = list(range(per_point))
-            # Distinct moduli are evaluated once and reused across k.
-            failures: dict[int, list[tuple[int, int]]] = {}
-            for d in sorted({s**e for e in exponents}):
-                if d <= 1:
-                    failures[d] = []
-                    continue
-                bad = []
-                if modular:
-                    for n in range(config.n_max + 1):
-                        residue = g_mod(params, n, d)
-                        if (n % d == 0) != (residue == 0):
-                            bad.append((n, residue))
-                else:
-                    table = g_table()
-                    for n in range(config.n_max + 1):
-                        residue = table[n] % d
-                        if (n % d == 0) != (residue == 0):
-                            bad.append((n, residue))
-                failures[d] = bad
-            for k, e in enumerate(exponents):
-                points += config.n_max + 1
-                d = s**e
-                for n, residue in failures.get(d, []):
-                    violations.append(
-                        Counterexample(
-                            claim=claim,
-                            p=p,
-                            q=q,
-                            s=s,
-                            k=k,
-                            n=n,
-                            witness={
-                                "s_pow": d,
-                                "s_pow_divides_n": n % d == 0,
-                                "s_pow_divides_g": residue == 0,
-                                "g_residue": residue,
-                            },
-                        )
-                    )
-        else:
-            # MULT_DIV / CLASSICAL / SCALED all need exact G_n as the divisor.
-            table = g_table()
-            scales = DEFAULT_SCALE_FACTORS if spec.conclusion is ConclusionKind.SCALED else (1,)
-            for k in range(per_point):
-                sk = s**k
-                for n in range(config.n_max + 1):
-                    points += 1
-                    if k == 0 or s == 1:
-                        continue
-                    witness = None
-                    for scale in scales:
-                        divisor = scale * sk * table[n]
-                        big = sk * n
-                        if divisor == 0:
-                            if not g_is_zero(params, big):
-                                witness = {"divisor": 0, "index": big, "g_n": table[n], "remainder": None}
-                        else:
-                            rem = g_mod(params, big, abs(divisor)) * scale % abs(divisor)
-                            if rem != 0:
-                                witness = {
-                                    "divisor": divisor,
-                                    "index": big,
-                                    "g_n": table[n],
-                                    "remainder": rem,
-                                }
-                        if witness is not None:
-                            break
-                    if witness is None and spec.conclusion is ConclusionKind.CLASSICAL:
-                        ok, residue = _equiv_point(params, sk, n, modular)
-                        if not ok:
-                            witness = {
-                                "s_pow": sk,
-                                "s_pow_divides_n": n % sk == 0,
-                                "s_pow_divides_g": residue == 0,
-                                "g_residue": residue,
-                            }
-                    if witness is not None:
-                        violations.append(
-                            Counterexample(claim=claim, p=p, q=q, s=s, k=k, n=n, witness=witness)
-                        )
+        points += (config.k_max + 1) * (config.n_max + 1)
+        failures = conclusion_failures(
+            claim, params, s, range(config.k_max + 1), range(config.n_max + 1),
+            modular=config.mode is Mode.MODULAR,
+        )
+        violations.extend(Counterexample(claim, p, q, s, k, n, witness) for k, n, witness in failures)
     return points, violations
 
 
@@ -499,37 +406,29 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
                 if not _applicable(spec, reinstated):
                     continue
                 gs = g_range(params, bounds.n_max)
-                for n in range(bounds.n_max + 1):
-                    for k in range(bounds.k_max + 1):
-                        if conclusion_holds(claim, params, s, k, n):
-                            continue
-                        yield Counterexample(
-                            claim=claim,
-                            p=p,
-                            q=q,
-                            s=s,
-                            k=k,
-                            n=n,
-                            witness=_search_witness(spec, params, gs, s, k, n),
-                            relaxed_condition=relaxed_condition,
-                        )
+                failures = conclusion_failures(claim, params, s, range(bounds.k_max + 1), range(bounds.n_max + 1))
+                for k, n, witness in sorted(failures, key=lambda f: (f[1], f[0])):
+                    yield Counterexample(
+                        claim=claim,
+                        p=p,
+                        q=q,
+                        s=s,
+                        k=k,
+                        n=n,
+                        witness=_search_witness(params, gs[n], s**k, n, witness),
+                        relaxed_condition=relaxed_condition,
+                    )
 
 
-def _search_witness(spec, params: SequenceParams, gs: list[int], s: int, k: int, n: int) -> dict:
-    sk = s**k
-    if spec.conclusion in (ConclusionKind.EQUIV, ConclusionKind.BASE_EQUIV, ConclusionKind.CLASSICAL):
-        d = sk if spec.conclusion is not ConclusionKind.BASE_EQUIV else s ** min(k, 1)
-        return {
-            "s_pow": d,
-            "s_pow_divides_n": divides(d, n),
-            "s_pow_divides_g": divides(d, gs[n]),
-            "g_n": gs[n],
-        }
+def _search_witness(params: SequenceParams, g_n: int, sk: int, n: int, witness: dict) -> dict:
+    """Restate a failure with exact values, naming the half that failed."""
+    if "divisor" in witness:
+        return {"divisor": sk * g_n, "index": sk * n, "g_n": g_n, "dividend_g": g_exact(params, sk * n)}
     return {
-        "divisor": sk * gs[n],
-        "index": sk * n,
-        "g_n": gs[n],
-        "dividend_g": g_exact(params, sk * n),
+        "s_pow": witness["s_pow"],
+        "s_pow_divides_n": witness["s_pow_divides_n"],
+        "s_pow_divides_g": witness["s_pow_divides_g"],
+        "g_n": g_n,
     }
 
 
@@ -594,16 +493,13 @@ def converse_survey(bounds: SweepConfig) -> SurveyReport:
             if params.r == 0:
                 continue
             for s in _resolve_s(bounds, params):
-                if s < 2:
+                first = next(
+                    conclusion_failures(spec.claim, params, s, (1,), range(bounds.n_max + 1), modular=modular),
+                    None,
+                )
+                if first is None:
                     continue
-                smallest = None
-                for n in range(bounds.n_max + 1):
-                    ok, _ = _equiv_point(params, s, n, modular)
-                    if not ok:
-                        smallest = n
-                        break
-                if smallest is None:
-                    continue
+                smallest = first[1]
                 values = _evaluate_conditions(spec, p, q, s)
                 failing = tuple(name for name, held in values.items() if not held)
                 rows.append(SurveyRow(p, q, s, smallest, failing))

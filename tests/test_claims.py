@@ -14,9 +14,17 @@ from gfibdiv import (
     hypothesis_check,
     thm12_lift_condition,
 )
-from gfibdiv.claims import _CONDITIONS, REGISTRY, ConclusionKind, claim_spec
+from gfibdiv import claims
+from gfibdiv.claims import (
+    _CONDITIONS,
+    DEFAULT_SCALE_FACTORS,
+    REGISTRY,
+    ConclusionKind,
+    claim_spec,
+    conclusion_failures,
+)
 from gfibdiv.numtheory import is_prime
-from gfibdiv.sequences import g_exact
+from gfibdiv.sequences import g_exact, g_range
 
 
 class TestRegistry:
@@ -155,6 +163,93 @@ class TestConclusionHolds:
             assert divisor != 0
             expected = g_exact(params, 5 * n) % divisor == 0
             assert conclusion_holds(ClaimId.Remark_Scaled, params, 5, 1, n) == expected
+
+
+def _divides(a: int, b: int) -> bool:
+    """a | b, where 0 divides only 0."""
+    return b == 0 if a == 0 else b % a == 0
+
+
+def _direct_failures(kind: ConclusionKind, gs: list[int], s: int, k_max: int, n_max: int) -> set:
+    """Failing (k, n) of the conclusion, straight from the statement with %."""
+    scales = DEFAULT_SCALE_FACTORS if kind is ConclusionKind.SCALED else (1,)
+    failing = set()
+    for k in range(k_max + 1):
+        sk = s**k
+        d = s ** min(k, 1) if kind is ConclusionKind.BASE_EQUIV else sk
+        for n in range(n_max + 1):
+            mult_div = all(_divides(a * sk * gs[n], a * gs[sk * n]) for a in scales)
+            equiv = (n % d == 0) == (gs[n] % d == 0)
+            holds = {
+                ConclusionKind.MULT_DIV: mult_div,
+                ConclusionKind.SCALED: mult_div,
+                ConclusionKind.EQUIV: equiv,
+                ConclusionKind.BASE_EQUIV: equiv,
+                ConclusionKind.CLASSICAL: mult_div and equiv,
+            }[kind]
+            if not holds:
+                failing.add((k, n))
+    return failing
+
+
+class TestConclusionFailures:
+    @pytest.mark.parametrize("modular", [False, True])
+    @pytest.mark.parametrize("kind", list(ConclusionKind))
+    def test_matches_direct_divisibility(self, kind, modular):
+        claim = next(spec.claim for spec in REGISTRY if spec.conclusion is kind)
+        k_max, n_max = 2, 15
+        total = 0
+        for p in range(-4, 5):
+            for q in range(-4, 5):
+                params = SequenceParams(p, q)
+                gs = g_range(params, 8**k_max * n_max)
+                for s in range(1, 9):
+                    found = list(
+                        conclusion_failures(
+                            claim, params, s, range(k_max + 1), range(n_max + 1), modular=modular
+                        )
+                    )
+                    points = [(k, n) for k, n, _ in found]
+                    assert points == sorted(set(points)), (p, q, s)
+                    assert set(points) == _direct_failures(kind, gs, s, k_max, n_max), (p, q, s)
+                    total += len(points)
+        assert total > 0
+
+    def test_witness_shapes(self):
+        params = SequenceParams(1, 1)
+        _, _, equiv = next(conclusion_failures(ClaimId.Thm1_1_Equiv, params, 2, (1,), range(10)))
+        assert list(equiv) == ["s_pow", "s_pow_divides_n", "s_pow_divides_g", "g_residue"]
+        # Fibonacci at s = 2: 2*F_1 = 2 does not divide F_2 = 1, so the
+        # divisibility half fails first although 2 | 1 <=> 2 | F_1 holds.
+        k, n, classical = next(conclusion_failures(ClaimId.Cor_Fibonacci, params, 2, (1,), range(10)))
+        assert (k, n) == (1, 1)
+        assert classical == {"divisor": 2, "index": 2, "g_n": 1, "remainder": 1}
+
+    def test_each_modulus_evaluated_once_and_lazily(self, monkeypatch):
+        calls = []
+
+        def counting_g_mod(params, n, m):
+            calls.append(m)
+            return g_exact(params, n) % m
+
+        monkeypatch.setattr(claims, "g_mod", counting_g_mod)
+        params = SequenceParams(4, 1)  # 20 | G_10 but 20 does not divide 10
+        found = list(
+            conclusion_failures(ClaimId.Thm1_2_BaseEquiv, params, 20, range(4), range(31), modular=True)
+        )
+        assert calls == [20] * 31
+        assert [(k, n) for k, n, _ in found] == [(k, n) for k in (1, 2, 3) for n in (10, 30)]
+        calls.clear()
+        first = next(
+            conclusion_failures(ClaimId.Thm1_2_BaseEquiv, params, 20, (1,), range(1000), modular=True)
+        )
+        assert first[:2] == (1, 10)
+        assert len(calls) == 11
+
+    def test_s_below_one_rejected(self):
+        for s in (0, -5):
+            with pytest.raises(InputError, match="s must be >= 1"):
+                conclusion_holds(ClaimId.Thm1_1_Equiv, SequenceParams(1, 1), s, 1, 3)
 
 
 class TestSoundness:

@@ -175,6 +175,38 @@ class TestSweep:
         )
         assert code == cli.EXIT_INPUT
 
+    def test_violation_exit(self, capsys):
+        code, doc = run_json(
+            ["sweep", "--claim", "thm1.2-lifted-equiv", "--pmin", "-10", "--pmax", "-10",
+             "--qmin", "-1", "--qmax", "-1", "--s-source", "12", "--kmax", "2", "--nmax", "48",
+             "--tmax", "3", "--workers", "1"],
+            capsys,
+        )
+        assert code == cli.EXIT_VIOLATION
+        assert doc["verdict"] == "violations"
+        assert doc["violation_count"] == 1
+
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [
+            ("--s-source", "-5", "s_source"),
+            ("--s-source", "3,0", "s_source"),
+            ("--kmax", "-1", "k_max"),
+            ("--nmax", "-1", "n_max"),
+            ("--tmax", "0", "t_max"),
+        ],
+    )
+    def test_bad_bound_rejected(self, capsys, flag, value, field):
+        code, _, err = run_main(self.ARGS + [flag, value], capsys)
+        assert code == cli.EXIT_INPUT
+        assert field in err
+
+    def test_bad_workers_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("GFIBDIV_WORKERS", "abc")
+        code, _, err = run_main(self.ARGS[:-2], capsys)
+        assert code == cli.EXIT_INPUT
+        assert "GFIBDIV_WORKERS" in err
+
 
 class TestSearch:
     BOUNDS = ["--pmin", "-6", "--pmax", "6", "--qmin", "-6", "--qmax", "6",

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -55,6 +56,24 @@ class TestVerifyClaim:
             ClaimId.Thm1_2_LiftedEquiv, small_config(p_range=(5, 5), q_range=(2, 2))
         )
         assert report.verdict is Verdict.ALL_PASS
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_lifted_violation_pinned(self, mode):
+        # (p, q, s) = (-10, -1, 12): the lift condition holds for t <= 3 but
+        # not t <= 50, and 144 | G_48 although 144 does not divide 48.
+        config = SweepConfig(
+            p_range=(-10, -10), q_range=(-1, -1), s_source=(12,), k_max=2, n_max=48, t_max=3, mode=mode
+        )
+        report = verify_claim(ClaimId.Thm1_2_LiftedEquiv, config)
+        assert report.verdict is Verdict.VIOLATIONS
+        assert report.points_checked == 147
+        [violation] = report.violations
+        assert (violation.p, violation.q, violation.s, violation.k, violation.n) == (-10, -1, 12, 2, 48)
+        assert violation.witness == {
+            "s_pow": 144, "s_pow_divides_n": False, "s_pow_divides_g": True, "g_residue": 0,
+        }
+        gated = verify_claim(ClaimId.Thm1_2_LiftedEquiv, replace(config, t_max=50))
+        assert gated.verdict is Verdict.NEVER_APPLICABLE
 
     def test_worker_counts_agree(self):
         config1 = small_config(p_range=(-3, 3), q_range=(-3, 3))
@@ -156,6 +175,15 @@ class TestCounterexampleSearch:
     def test_none_when_out_of_bounds(self):
         tight = SweepConfig(p_range=(1, 1), q_range=(1, 1), s_source=(5,), k_max=1, n_max=5)
         assert search_counterexample(ClaimId.Thm1_1_Equiv, "gcd-pq", tight) is None
+
+    def test_classical_witness_names_failed_half(self):
+        # At Fibonacci with s = 2, n = 1 the equivalence 2 | 1 <=> 2 | F_1
+        # holds; the divisibility half fails: 2*F_1 = 2 does not divide F_2 = 1.
+        bounds = SweepConfig(p_range=(1, 1), q_range=(1, 1), s_source=(2,), k_max=1, n_max=6)
+        first = next(iter_counterexamples(ClaimId.Cor_Fibonacci, "s-eq-5", bounds))
+        assert (first.s, first.k, first.n) == (2, 1, 1)
+        assert set(first.witness) == {"divisor", "index", "g_n", "dividend_g"}
+        assert (first.witness["divisor"], first.witness["index"], first.witness["dividend_g"]) == (2, 2, 1)
 
     def test_witness_shapes(self):
         equiv = search_counterexample(ClaimId.Thm1_1_Equiv, "gcd-pq", self.BOUNDS)
