@@ -13,7 +13,7 @@ from .claims import (
 )
 from .errors import DomainError, InputError, ResourceLimitError
 from .numtheory import Valuation, binomial, divides, gcd, is_prime, positive_divisors, valuation
-from .sequences import ABPair, SequenceParams, ab_exact, ab_mod, g_exact, g_mod, g_range
+from .sequences import ABPair, SequenceParams, ab_exact, ab_mod, g_exact, g_mod, g_pairs_mod, g_range
 from .verify import (
     Counterexample,
     Mode,
@@ -55,6 +55,7 @@ __all__ = [
     "divides",
     "g_exact",
     "g_mod",
+    "g_pairs_mod",
     "g_range",
     "gcd",
     "hypothesis_check",

@@ -15,8 +15,9 @@ from enum import Enum
 
 from .errors import InputError
 from .numtheory import divides, is_prime
-# g_exact is not called here; it stays importable because perfbench/tracer.py wraps claims.g_exact.
-from .sequences import SequenceParams, g_exact, g_is_zero, g_mod, g_range
+# g_exact and g_is_zero are not called here; they stay importable because
+# perfbench/tracer.py wraps claims.g_exact and claims.g_is_zero.
+from .sequences import SequenceParams, g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
 
 # Scale factors used by the scaled-seed claim (seeds (0, alpha) give alpha*G_n).
 DEFAULT_SCALE_FACTORS = (-3, -1, 2, 5)
@@ -295,11 +296,12 @@ def applicable_claims(params: SequenceParams, s: int) -> list[ClaimId]:
 def _equiv_failures(params: SequenceParams, d: int, ns, table: list[int] | None):
     """(n, G_n mod d) at each n in ns where d | n <=> d | G_n fails.
 
-    The residue comes from the exact table, or from fast doubling when there
-    is none.
+    The residue comes from the exact table, or from one residue stream mod d
+    when there is none; either way it is drawn only as far as ns is consumed.
     """
+    stream = g_pairs_mod(params, ns, d) if table is None else None
     for n in ns:
-        residue = g_mod(params, n, d) if table is None else table[n] % d
+        residue = table[n] % d if stream is None else next(stream)[0]
         if (n % d == 0) != (residue == 0):
             yield n, residue
 
@@ -308,19 +310,25 @@ def _equiv_witness(d: int, n: int, residue: int) -> dict:
     return {"s_pow": d, "s_pow_divides_n": n % d == 0, "s_pow_divides_g": residue == 0, "g_residue": residue}
 
 
-def _divisibility_failure(params: SequenceParams, sk: int, n: int, g_n: int, scales) -> dict | None:
-    """Witness that a*s^k*G_n | a*G_{s^k*n} fails for some scale a, by residues of the big index."""
+def _divides_lifted(params: SequenceParams, sk: int, n: int, g_n: int, g_next: int) -> bool:
+    """Whether s^k*G_n | G_{s^k*n}, from G_n and G_{n+1} mod s^k.
+
+    Lucas (1878): G_n = U_n(p, -q) and U_{mn} = U_n * U_m(V_n, Q^n), where
+    Q = -q and V_n = 2*G_{n+1} - p*G_n.  So G_{s^k*n} / G_n is G_{s^k} of the
+    sequence <V_n, -(-q)^n>, and s^k divides it iff that term is 0 mod s^k.
+    Where G_n = 0 both sides are 0, and the test holds too: that sequence is
+    then <2x, -x^2> with x = G_{n+1}, whose term at m is m*x^(m-1).
+    """
+    lifted = SequenceParams((2 * g_next - params.p * g_n) % sk, -pow(-params.q, n, sk))
+    return g_mod(lifted, sk, sk) == 0
+
+
+def _divisibility_witness(params: SequenceParams, sk: int, n: int, g_n: int, scale: int) -> dict:
+    """Restate a failed a*s^k*G_n | a*G_{s^k*n} by the residue of the big index."""
     big = sk * n
-    if g_n == 0:
-        if g_is_zero(params, big):
-            return None
-        return {"divisor": 0, "index": big, "g_n": g_n, "remainder": None}
-    for scale in scales:
-        divisor = scale * sk * g_n
-        rem = g_mod(params, big, abs(divisor)) * scale % abs(divisor)
-        if rem:
-            return {"divisor": divisor, "index": big, "g_n": g_n, "remainder": rem}
-    return None
+    divisor = scale * sk * g_n
+    rem = g_mod(params, big, abs(divisor)) * scale % abs(divisor)
+    return {"divisor": divisor, "index": big, "g_n": g_n, "remainder": rem}
 
 
 def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, *, modular: bool = False):
@@ -332,8 +340,11 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
     trivially.  An equivalence failure has the witness {s_pow,
     s_pow_divides_n, s_pow_divides_g, g_residue}; a divisibility failure has
     {divisor, index, g_n, remainder}, and at a CLASSICAL point it is checked
-    first.  In modular mode G_n mod s^e comes from fast doubling; exact G_n
-    is used only as the divisor of the divisibility kinds.
+    first.  Divisibility is decided in arithmetic mod s^k by Lucas
+    composition; the residue of G_{s^k*n} modulo the full divisor is computed
+    only to state a witness.  In modular mode G_n mod s^e comes from one
+    residue stream per modulus; in exact mode equivalences read the exact
+    table, which the divisibility kinds also use to state G_n in a witness.
     """
     if s < 1:
         raise InputError(f"s must be >= 1, got {s}")
@@ -357,18 +368,20 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
         return
 
     table = g_range(params, max(ns, default=0))
-    scales = DEFAULT_SCALE_FACTORS if kind is ConclusionKind.SCALED else (1,)
+    # a*s^k*G_n | a*G_{s^k*n} does not depend on the scale a != 0, so the
+    # SCALED kind is decided once; its witness names the first scale.
+    scale = DEFAULT_SCALE_FACTORS[0] if kind is ConclusionKind.SCALED else 1
     for k in ks:
         sk = s**k
         if sk == 1:
             continue
-        for n in ns:
-            witness = _divisibility_failure(params, sk, n, table[n], scales)
-            if witness is None and kind is ConclusionKind.CLASSICAL:
-                failure = next(_equiv_failures(params, sk, (n,), None if modular else table), None)
-                witness = failure and _equiv_witness(sk, *failure)
-            if witness is not None:
-                yield k, n, witness
+        for n, (g, g_next) in zip(ns, g_pairs_mod(params, ns, sk)):
+            if not _divides_lifted(params, sk, n, g, g_next):
+                yield k, n, _divisibility_witness(params, sk, n, table[n], scale)
+            elif kind is ConclusionKind.CLASSICAL:
+                residue = g if modular else table[n] % sk
+                if (n % sk == 0) != (residue == 0):
+                    yield k, n, _equiv_witness(sk, n, residue)
 
 
 def conclusion_holds(

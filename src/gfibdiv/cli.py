@@ -19,7 +19,7 @@ import sys
 from . import claims as claims_mod
 from . import reporting
 from .errors import DomainError, InputError, ResourceLimitError
-from .sequences import DEFAULT_MAX_TERMS, SequenceParams, g_exact, g_mod, g_range
+from .sequences import DEFAULT_MAX_TERMS, SequenceParams, g_exact, g_mod, g_pairs_mod, g_range
 from .verify import (
     Mode,
     SweepConfig,
@@ -85,6 +85,13 @@ def _add_bounds(parser: argparse.ArgumentParser, *, k_max: int, n_max: int) -> N
     parser.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_s_source(text: str):
     if text in ("divisors-of-r", "divisors-of-r4"):
         return text
@@ -103,7 +110,7 @@ def _sweep_config(args, *, p_range=None, q_range=None, s_source=None) -> SweepCo
         n_max=args.nmax,
         t_max=args.tmax,
         mode=Mode(args.mode),
-        worker_count=args.workers if args.workers else _default_workers(),
+        worker_count=_default_workers() if args.workers is None else args.workers,
         time_budget_s=getattr(args, "time_budget", None),
     )
 
@@ -120,7 +127,7 @@ def _cmd_compute(args) -> int:
     params = SequenceParams(args.p, args.q)
     if args.mod is not None:
         if args.range is not None:
-            values = [g_mod(params, n, args.mod) for n in range(args.range + 1)]
+            values = [g for g, _ in g_pairs_mod(params, range(args.range + 1), args.mod)]
             doc = {"kind": "compute", "p": args.p, "q": args.q, "mod": args.mod, "values": values}
         else:
             residue = g_mod(params, args.n, args.mod)
@@ -317,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("-q", type=int, required=True)
     group = p_compute.add_mutually_exclusive_group(required=True)
     group.add_argument("-n", help="index (decimal string; arbitrary size with --mod)")
-    group.add_argument("--range", type=int, metavar="N_MAX", help="print G_0..G_N_MAX")
+    group.add_argument("--range", type=_nonnegative_int, metavar="N_MAX", help="print G_0..G_N_MAX")
     p_compute.add_argument("--mod", type=int, help="reduce modulo this integer")
     p_compute.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
     _add_common(p_compute)
@@ -369,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("-p", type=int, required=True)
     p_rank.add_argument("-q", type=int, required=True)
     p_rank.add_argument("-s", type=int, required=True)
-    p_rank.add_argument("--bound", type=int, default=10**6)
+    p_rank.add_argument("--bound", type=_nonnegative_int, default=10**6)
     _add_common(p_rank)
     p_rank.set_defaults(func=_cmd_rank)
 

@@ -7,7 +7,8 @@ we keep the companion integers A_n, B_n defined by
 
 which satisfy B_n = 2^(n-1) * G_n and A_n^2 - r*B_n^2 = (-4q)^n.  All exact
 arithmetic is arbitrary precision; the modular kernels are O(log n) in the
-index and accept indices given as decimal strings of any length.
+index and accept indices given as decimal strings of any length, and the
+residue stream g_pairs_mod walks many indices mod m at O(1) per step.
 """
 
 from __future__ import annotations
@@ -114,6 +115,36 @@ def _pair_mod(p: int, q: int, n: int, m: int) -> tuple[int, int]:
             a = even
             b = odd
     return a, b
+
+
+# Past this many linear steps forward, one fast-doubling seed is cheaper.
+_STEP_LIMIT = 64
+
+
+def g_pairs_mod(params: SequenceParams, ns, m: int):
+    """Lazily yield (G_n mod m, G_{n+1} mod m) for each nonnegative int n in ns.
+
+    The residue stream: one fast-doubling seed at the first n, then linear
+    steps forward, so a run of consecutive indices costs O(1) each.  An n that
+    is not a short step forward of the one before is seeded afresh, so ns may
+    come in any order and with any gaps.
+    """
+    if m < 1:
+        raise DomainError(f"modulus must be >= 1, got {m}")
+    return _stream_pairs(params.p % m, params.q % m, ns, m)
+
+
+def _stream_pairs(p: int, q: int, ns, m: int):
+    at = None
+    for n in ns:
+        if at is not None and 0 <= n - at <= _STEP_LIMIT:
+            for _ in range(n - at):
+                a, b = b, (p * b + q * a) % m
+        else:
+            n = _parse_index(n)
+            a, b = _pair_mod(p, q, n, m)
+        at = n
+        yield a, b
 
 
 def g_mod(params: SequenceParams, n, m: int) -> int:

@@ -27,7 +27,7 @@ from .claims import (
 )
 from .errors import InputError
 from .numtheory import binomial, divides, positive_divisors
-from .sequences import SequenceParams, ab_exact, g_exact, g_is_zero, g_mod, g_range
+from .sequences import SequenceParams, ab_exact, g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
 
 
 class Mode(Enum):
@@ -57,7 +57,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.s_source, str) and min(self.s_source, default=1) < 1:
             raise InputError(f"s_source values must be >= 1, got {min(self.s_source)}")
-        for name, least in (("k_max", 0), ("n_max", 0), ("t_max", 1)):
+        for name, least in (("k_max", 0), ("n_max", 0), ("t_max", 1), ("worker_count", 1)):
             if getattr(self, name) < least:
                 raise InputError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
@@ -448,13 +448,8 @@ def rank_of_apparition(params: SequenceParams, s: int, n_bound: int) -> int | No
     """Smallest n in [1, n_bound] with s | G_n, by a modular linear scan."""
     if s < 2:
         raise InputError(f"rank of apparition needs s >= 2, got {s}")
-    p, q = params.p % s, params.q % s
-    a, b = 0, 1 % s
-    for n in range(1, n_bound + 1):
-        a, b = b, (p * b + q * a) % s
-        if a == 0:
-            return n
-    return None
+    ns = range(1, n_bound + 1)
+    return next((n for n, (g, _) in zip(ns, g_pairs_mod(params, ns, s)) if g == 0), None)
 
 
 @dataclass

@@ -24,7 +24,7 @@ from gfibdiv.claims import (
     conclusion_failures,
 )
 from gfibdiv.numtheory import is_prime
-from gfibdiv.sequences import g_exact, g_range
+from gfibdiv.sequences import g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
 
 
 class TestRegistry:
@@ -192,7 +192,54 @@ def _direct_failures(kind: ConclusionKind, gs: list[int], s: int, k_max: int, n_
     return failing
 
 
+@pytest.fixture(scope="module")
+def direct_divisibility_failures():
+    """(p, q, s) -> failing (k, n) of s^k*G_n | G_{s^k*n} on |p|,|q| <= 6,
+    s <= 12, k <= 3, n <= 30, from the residue of the big index modulo the
+    whole divisor (and, where G_n = 0, from whether G_{s^k*n} = 0)."""
+    failing = {}
+    for p in range(-6, 7):
+        for q in range(-6, 7):
+            params = SequenceParams(p, q)
+            gs = g_range(params, 30)
+            for s in range(1, 13):
+                failing[p, q, s] = {
+                    (k, n)
+                    for k in range(4)
+                    for n in range(31)
+                    if not (
+                        g_is_zero(params, s**k * n)
+                        if gs[n] == 0
+                        else g_mod(params, s**k * n, s**k * abs(gs[n])) == 0
+                    )
+                }
+    return failing
+
+
 class TestConclusionFailures:
+    @pytest.mark.parametrize(
+        "kind", [ConclusionKind.MULT_DIV, ConclusionKind.SCALED, ConclusionKind.CLASSICAL]
+    )
+    def test_lucas_composition_matches_big_residue(self, kind, direct_divisibility_failures):
+        claim = next(spec.claim for spec in REGISTRY if spec.conclusion is kind)
+        zero_points = 0
+        for (p, q, s), divisibility in direct_divisibility_failures.items():
+            params = SequenceParams(p, q)
+            gs = g_range(params, 30)
+            zero_points += sum(g == 0 for g in gs[1:])
+            found = list(conclusion_failures(claim, params, s, range(4), range(31), modular=True))
+            expected = set(divisibility)
+            if kind is ConclusionKind.CLASSICAL:
+                expected |= {
+                    (k, n) for k in range(4) for n in range(31)
+                    if (n % s**k == 0) != (gs[n] % s**k == 0)
+                }
+            assert {(k, n) for k, n, _ in found} == expected, (p, q, s)
+            for k, n, witness in found:
+                assert ("divisor" in witness) == ((k, n) in divisibility), (p, q, s, k, n)
+        assert zero_points > 0
+        assert any(direct_divisibility_failures.values())
+
     @pytest.mark.parametrize("modular", [False, True])
     @pytest.mark.parametrize("kind", list(ConclusionKind))
     def test_matches_direct_divisibility(self, kind, modular):
@@ -226,25 +273,28 @@ class TestConclusionFailures:
         assert classical == {"divisor": 2, "index": 2, "g_n": 1, "remainder": 1}
 
     def test_each_modulus_evaluated_once_and_lazily(self, monkeypatch):
-        calls = []
+        streams = []  # [modulus, residues drawn] for each residue stream opened
 
-        def counting_g_mod(params, n, m):
-            calls.append(m)
-            return g_exact(params, n) % m
+        def counting_pairs(params, ns, m):
+            drawn = [m, 0]
+            streams.append(drawn)
+            for pair in g_pairs_mod(params, ns, m):
+                drawn[1] += 1
+                yield pair
 
-        monkeypatch.setattr(claims, "g_mod", counting_g_mod)
+        monkeypatch.setattr(claims, "g_pairs_mod", counting_pairs)
         params = SequenceParams(4, 1)  # 20 | G_10 but 20 does not divide 10
         found = list(
             conclusion_failures(ClaimId.Thm1_2_BaseEquiv, params, 20, range(4), range(31), modular=True)
         )
-        assert calls == [20] * 31
+        assert streams == [[20, 31]]
         assert [(k, n) for k, n, _ in found] == [(k, n) for k in (1, 2, 3) for n in (10, 30)]
-        calls.clear()
+        streams.clear()
         first = next(
             conclusion_failures(ClaimId.Thm1_2_BaseEquiv, params, 20, (1,), range(1000), modular=True)
         )
         assert first[:2] == (1, 10)
-        assert len(calls) == 11
+        assert streams == [[20, 11]]
 
     def test_s_below_one_rejected(self):
         for s in (0, -5):

@@ -82,6 +82,22 @@ class TestCompute:
         code, _, _ = run_main(["compute", "-p", "1", "-q", "1", "-n", "5", "--mod", "0"], capsys)
         assert code == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("mod", [1, 7, 20, 10**12 + 39])
+    def test_modular_range_matches_g_mod(self, capsys, mod):
+        code, out, _ = run_main(
+            ["compute", "-p", "-3", "-q", "5", "--range", "200", "--mod", str(mod)], capsys
+        )
+        assert code == 0
+        params = gfibdiv.SequenceParams(-3, 5)
+        assert out.split() == [str(gfibdiv.g_mod(params, n, mod)) for n in range(201)]
+
+    @pytest.mark.parametrize("mod", [[], ["--mod", "7"]])
+    def test_negative_range_rejected(self, capsys, mod):
+        code, out, err = run_main(["compute", "-p", "1", "-q", "1", "--range", "-1"] + mod, capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert "--range" in err
+
     def test_json_schema(self, capsys):
         code, doc = run_json(["compute", "-p", "1", "-q", "1", "-n", "10"], capsys)
         assert code == 0
@@ -194,6 +210,8 @@ class TestSweep:
             ("--kmax", "-1", "k_max"),
             ("--nmax", "-1", "n_max"),
             ("--tmax", "0", "t_max"),
+            ("--workers", "0", "worker_count"),
+            ("--workers", "-2", "worker_count"),
         ],
     )
     def test_bad_bound_rejected(self, capsys, flag, value, field):
@@ -206,6 +224,14 @@ class TestSweep:
         code, _, err = run_main(self.ARGS[:-2], capsys)
         assert code == cli.EXIT_INPUT
         assert "GFIBDIV_WORKERS" in err
+
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_workers_env(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GFIBDIV_WORKERS", value)
+        code, _, err = run_main(self.ARGS[:-2], capsys)
+        assert code == cli.EXIT_INPUT
+        assert "worker_count" in err
 
 
 class TestSearch:
@@ -275,6 +301,12 @@ class TestRank:
         code, doc = run_json(["rank", "-p", "1", "-q", "1", "-s", "7", "--bound", "5"], capsys)
         assert code == 0
         assert doc["rank"] is None
+
+    def test_negative_bound_rejected(self, capsys):
+        code, out, err = run_main(["rank", "-p", "1", "-q", "1", "-s", "7", "--bound", "-1"], capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert "--bound" in err
 
 
 class TestArgHandling:

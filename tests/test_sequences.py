@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from gfibdiv import (
     ab_mod,
     g_exact,
     g_mod,
+    g_pairs_mod,
     g_range,
 )
 from gfibdiv.sequences import g_is_zero
@@ -189,6 +191,37 @@ class TestGMod:
         direct = g_mod(params, n, m)
         stepped = (p * g_mod(params, n - 1, m) + q * g_mod(params, n - 2, m)) % m
         assert direct == stepped
+
+
+class TestGPairsMod:
+    @pytest.mark.parametrize("p,q", [(1, 1), (-3, 5), (4, -7), (-2, -2), (0, 3), (3, 0)])
+    @pytest.mark.parametrize("m", [1, 2, 7, 20, 10**9 + 7])
+    def test_matches_g_mod(self, p, q, m):
+        params = SequenceParams(p, q)
+        pairs = list(g_pairs_mod(params, range(80), m))
+        assert pairs == [(g_mod(params, n, m), g_mod(params, n + 1, m)) for n in range(80)]
+
+    def test_seeded_at_large_start(self):
+        params = SequenceParams(-5, 3)
+        ns = range(10**30, 10**30 + 50)
+        expected = [(matrix_g_mod(-5, 3, n, 97), matrix_g_mod(-5, 3, n + 1, 97)) for n in ns]
+        assert list(g_pairs_mod(params, ns, 97)) == expected
+
+    def test_gaps_and_order(self):
+        params = SequenceParams(3, -4)
+        ns = [5, 6, 6, 70, 200, 3, 10**20, 10**20 + 64, 10**20 + 129, 0]
+        expected = [(g_mod(params, n, 1000), g_mod(params, n + 1, 1000)) for n in ns]
+        assert list(g_pairs_mod(params, ns, 1000)) == expected
+
+    def test_lazy(self):
+        stream = g_pairs_mod(SequenceParams(1, 1), itertools.count(), 10)
+        assert [g for g, _ in itertools.islice(stream, 8)] == [0, 1, 1, 2, 3, 5, 8, 3]
+
+    def test_bad_inputs(self):
+        with pytest.raises(DomainError):
+            g_pairs_mod(SequenceParams(1, 1), range(3), 0)
+        with pytest.raises(InputError):
+            list(g_pairs_mod(SequenceParams(1, 1), [-1], 5))
 
 
 class TestABMod:
