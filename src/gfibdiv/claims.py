@@ -10,6 +10,7 @@ what makes relaxed-hypothesis counterexample search possible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -100,13 +101,9 @@ class ClaimSpec:
     cases: tuple[tuple[str, ...], ...]
     conclusion: ConclusionKind
 
-    @property
+    @functools.cached_property
     def condition_names(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for name in self.global_conditions + tuple(c for case in self.cases for c in case):
-            if name not in seen:
-                seen.append(name)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.global_conditions + tuple(c for case in self.cases for c in case)))
 
 
 _EQUIV_CASES_THM11 = (
@@ -293,42 +290,21 @@ def applicable_claims(params: SequenceParams, s: int) -> list[ClaimId]:
     return [spec.claim for spec in REGISTRY if hypothesis_check(spec.claim, params, s).applicable]
 
 
-def _equiv_failures(params: SequenceParams, d: int, ns, table: list[int] | None):
-    """(n, G_n mod d) at each n in ns where d | n <=> d | G_n fails.
-
-    The residue comes from the exact table, or from one residue stream mod d
-    when there is none; either way it is drawn only as far as ns is consumed.
-    """
-    stream = g_pairs_mod(params, ns, d) if table is None else None
-    for n in ns:
-        residue = table[n] % d if stream is None else next(stream)[0]
-        if (n % d == 0) != (residue == 0):
-            yield n, residue
-
-
 def _equiv_witness(d: int, n: int, residue: int) -> dict:
     return {"s_pow": d, "s_pow_divides_n": n % d == 0, "s_pow_divides_g": residue == 0, "g_residue": residue}
 
 
-def _divides_lifted(params: SequenceParams, sk: int, n: int, g_n: int, g_next: int) -> bool:
-    """Whether s^k*G_n | G_{s^k*n}, from G_n and G_{n+1} mod s^k.
+def _lifted_quotient(params: SequenceParams, sk: int, n: int, g_n: int, g_next: int) -> int:
+    """W mod s^k, where G_{s^k*n} = G_n * W, from G_n and G_{n+1} known mod s^k.
 
     Lucas (1878): G_n = U_n(p, -q) and U_{mn} = U_n * U_m(V_n, Q^n), where
-    Q = -q and V_n = 2*G_{n+1} - p*G_n.  So G_{s^k*n} / G_n is G_{s^k} of the
-    sequence <V_n, -(-q)^n>, and s^k divides it iff that term is 0 mod s^k.
-    Where G_n = 0 both sides are 0, and the test holds too: that sequence is
-    then <2x, -x^2> with x = G_{n+1}, whose term at m is m*x^(m-1).
+    Q = -q and V_n = 2*G_{n+1} - p*G_n.  So W is G_{s^k} of the sequence
+    <V_n, -(-q)^n>, and s^k*G_n | G_{s^k*n} iff W is 0 mod s^k.  Where
+    G_n = 0 both sides are 0, and W is 0 mod s^k too: that sequence is then
+    <2x, -x^2> with x = G_{n+1}, whose term at m is m*x^(m-1).
     """
     lifted = SequenceParams((2 * g_next - params.p * g_n) % sk, -pow(-params.q, n, sk))
-    return g_mod(lifted, sk, sk) == 0
-
-
-def _divisibility_witness(params: SequenceParams, sk: int, n: int, g_n: int, scale: int) -> dict:
-    """Restate a failed a*s^k*G_n | a*G_{s^k*n} by the residue of the big index."""
-    big = sk * n
-    divisor = scale * sk * g_n
-    rem = g_mod(params, big, abs(divisor)) * scale % abs(divisor)
-    return {"divisor": divisor, "index": big, "g_n": g_n, "remainder": rem}
+    return g_mod(lifted, sk, sk)
 
 
 def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, *, modular: bool = False):
@@ -336,52 +312,61 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
 
     This is the one place a conclusion is decided.  ks and ns are ascending
     sequences of exponents and indices, and s >= 1.  The hypothesis need not
-    hold, so relaxed searches can probe failures.  Points with s^k = 1 hold
-    trivially.  An equivalence failure has the witness {s_pow,
+    hold, so relaxed searches can probe failures.  Every kind is decided from
+    (G_n, G_{n+1}) mod d, where d = s^k (s for the base equivalence): from one
+    residue stream per modulus in modular mode, from the exact table in exact
+    mode (the cross-check).  An equivalence failure has the witness {s_pow,
     s_pow_divides_n, s_pow_divides_g, g_residue}; a divisibility failure has
     {divisor, index, g_n, remainder}, and at a CLASSICAL point it is checked
-    first.  Divisibility is decided in arithmetic mod s^k by Lucas
-    composition; the residue of G_{s^k*n} modulo the full divisor is computed
-    only to state a witness.  In modular mode G_n mod s^e comes from one
-    residue stream per modulus; in exact mode equivalences read the exact
-    table, which the divisibility kinds also use to state G_n in a witness.
+    first.  Modular mode builds the exact table only to state G_n in a
+    divisibility witness.
     """
     if s < 1:
         raise InputError(f"s must be >= 1, got {s}")
     kind = _BY_ID[claim].conclusion
-    if kind in (ConclusionKind.EQUIV, ConclusionKind.BASE_EQUIV):
-        table = None if modular else g_range(params, max(ns, default=0))
-        # The exponent never decreases along ks, so the k sharing a modulus
-        # are adjacent: each distinct s^e is evaluated once and replayed.
-        last_d, last = 1, []  # d = 1 never fails
-        for k in ks:
-            # The base equivalence asserts only the exponent-1 instance.
-            d = s ** min(k, 1) if kind is ConclusionKind.BASE_EQUIV else s**k
-            if d == last_d:
-                for n, residue in last:
-                    yield k, n, _equiv_witness(d, n, residue)
-                continue
-            last_d, last = d, []
-            for n, residue in _equiv_failures(params, d, ns, table):
-                last.append((n, residue))
-                yield k, n, _equiv_witness(d, n, residue)
-        return
-
-    table = g_range(params, max(ns, default=0))
+    equivalence = kind in (ConclusionKind.EQUIV, ConclusionKind.BASE_EQUIV)
     # a*s^k*G_n | a*G_{s^k*n} does not depend on the scale a != 0, so the
     # SCALED kind is decided once; its witness names the first scale.
     scale = DEFAULT_SCALE_FACTORS[0] if kind is ConclusionKind.SCALED else 1
+    table = functools.cache(lambda: g_range(params, max(ns, default=0) + 1))
+
+    def failures(d: int):
+        if modular:
+            pairs = zip(ns, g_pairs_mod(params, ns, d))
+        else:
+            gs = table()
+            pairs = ((n, (gs[n] % d, gs[n + 1])) for n in ns)  # G_{n+1} is reduced where used
+        if equivalence:
+            for n, (g, _) in pairs:
+                if (n % d == 0) != (g == 0):
+                    yield n, _equiv_witness(d, n, g)
+            return
+        for n, (g, g_next) in pairs:
+            w = _lifted_quotient(params, d, n, g, g_next)
+            if w:
+                # a*G_{d*n} = a*G_n*W with W = w (mod d), so modulo the
+                # divisor a*d*G_n its remainder is a*G_n*w.
+                g_n = table()[n]
+                divisor = scale * d * g_n
+                remainder = scale * g_n * w % abs(divisor)
+                yield n, {"divisor": divisor, "index": d * n, "g_n": g_n, "remainder": remainder}
+            elif kind is ConclusionKind.CLASSICAL and (n % d == 0) != (g == 0):
+                yield n, _equiv_witness(d, n, g)
+
+    # The modulus never decreases along ks, so the k sharing one are
+    # adjacent: each distinct d is evaluated once and replayed.
+    last_d, last = 1, []  # d = 1 never fails
     for k in ks:
-        sk = s**k
-        if sk == 1:
+        # The base equivalence asserts only the exponent-1 instance.
+        d = s ** min(k, 1) if kind is ConclusionKind.BASE_EQUIV else s**k
+        if d == last_d:
+            for n, witness in last:
+                yield k, n, dict(witness)
             continue
-        for n, (g, g_next) in zip(ns, g_pairs_mod(params, ns, sk)):
-            if not _divides_lifted(params, sk, n, g, g_next):
-                yield k, n, _divisibility_witness(params, sk, n, table[n], scale)
-            elif kind is ConclusionKind.CLASSICAL:
-                residue = g if modular else table[n] % sk
-                if (n % sk == 0) != (residue == 0):
-                    yield k, n, _equiv_witness(sk, n, residue)
+        last_d, last = d, []
+        for n, witness in failures(d):
+            last.append((n, witness))
+            yield k, n, witness
 
 
 def conclusion_holds(

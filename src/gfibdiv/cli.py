@@ -77,6 +77,10 @@ def _add_bounds(parser: argparse.ArgumentParser, *, k_max: int, n_max: int) -> N
         default="divisors-of-r",
         help='"divisors-of-r", "divisors-of-r4", or a comma-separated list of s values',
     )
+    _add_sweep_options(parser, k_max=k_max, n_max=n_max)
+
+
+def _add_sweep_options(parser: argparse.ArgumentParser, *, k_max: int, n_max: int) -> None:
     parser.add_argument("--kmax", type=int, default=k_max)
     parser.add_argument("--nmax", type=int, default=n_max)
     parser.add_argument("--tmax", type=int, default=50)
@@ -111,7 +115,7 @@ def _sweep_config(args, *, p_range=None, q_range=None, s_source=None) -> SweepCo
         t_max=args.tmax,
         mode=Mode(args.mode),
         worker_count=_default_workers() if args.workers is None else args.workers,
-        time_budget_s=getattr(args, "time_budget", None),
+        time_budget_s=args.time_budget,
     )
 
 
@@ -340,12 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("-p", type=int, required=True)
     p_check.add_argument("-q", type=int, required=True)
     p_check.add_argument("-s", type=int, required=True)
-    p_check.add_argument("--kmax", type=int, default=3)
-    p_check.add_argument("--nmax", type=int, default=200)
-    p_check.add_argument("--tmax", type=int, default=50)
-    p_check.add_argument("--mode", choices=["exact", "modular"], default="exact")
-    p_check.add_argument("--workers", type=int, default=None)
-    p_check.add_argument("--time-budget", type=float, default=None)
+    _add_sweep_options(p_check, k_max=3, n_max=200)
     _add_common(p_check)
     p_check.set_defaults(func=_cmd_check)
 

@@ -1,5 +1,6 @@
 """Integer utilities: divisibility (with the 0|0 convention), gcd, s-adic
-valuation, divisor enumeration, deterministic 64-bit primality, binomials."""
+valuation, divisor enumeration, deterministic primality below psi_12 (about
+3.2e23), binomials."""
 
 from __future__ import annotations
 
@@ -67,17 +68,26 @@ def positive_divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
-# Strong-probable-prime witnesses proven sufficient below 2^64.
+# The first 12 primes as strong-probable-prime bases; psi_12 is the least
+# strong pseudoprime to all of them, so they decide primality exactly below it
+# (Sorenson and Webster, Math. Comp. 86 (2017)).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318665857834031151167461
 
 
 def is_prime(s: int) -> bool:
-    """Deterministic primality for 0 <= s < 2^64 (Miller-Rabin, fixed bases)."""
+    """Deterministic primality for s < psi_12 (Miller-Rabin, fixed bases).
+
+    Above that it still answers for s with a factor among the bases, and
+    raises DomainError otherwise.
+    """
     if s < 2:
         return False
     for p in _MR_BASES:
         if s % p == 0:
             return s == p
+    if s >= _PSI_12:
+        raise DomainError(f"primality of {s} is not decided: the test is proven only below {_PSI_12}")
     d = s - 1
     r = 0
     while d % 2 == 0:

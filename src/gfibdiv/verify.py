@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,7 +26,7 @@ from .claims import (
     _applicable,
     _evaluate_conditions,
 )
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .numtheory import binomial, divides, positive_divisors
 from .sequences import SequenceParams, ab_exact, g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
 
@@ -138,24 +139,27 @@ def verify_claim(claim: ClaimId, config: SweepConfig) -> VerificationReport:
         for p in _cell_values(*config.p_range)
         for q in _cell_values(*config.q_range)
     ]
-    if config.worker_count > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
-            results = list(pool.map(_sweep_cell, cells, chunksize=max(1, len(cells) // (4 * config.worker_count))))
-    else:
-        results = [_sweep_cell(cell) for cell in cells]
-
     points = 0
     violations: list[Counterexample] = []
-    for cell_points, cell_violations in results:
-        points += cell_points
-        violations.extend(cell_violations)
+    parallel = config.worker_count > 1 and len(cells) > 1
+    with ProcessPoolExecutor(max_workers=config.worker_count) if parallel else nullcontext() as pool:
+        if pool is None:
+            results = map(_sweep_cell, cells)
+        else:
+            results = pool.map(_sweep_cell, cells, chunksize=max(1, len(cells) // (4 * config.worker_count)))
+        # The budget is checked after each cell, so a sweep stops soon after it passes.
+        for done, (cell_points, cell_violations) in enumerate(results, 1):
+            points += cell_points
+            violations.extend(cell_violations)
+            elapsed = time.monotonic() - start
+            if config.time_budget_s is not None and elapsed > config.time_budget_s:
+                if pool is not None:
+                    pool.shutdown(cancel_futures=True)
+                raise ResourceLimitError(
+                    f"sweep stopped after {elapsed:.1f}s and {done} of {len(cells)} cells, "
+                    f"over the {config.time_budget_s:.1f}s budget"
+                )
     elapsed = time.monotonic() - start
-    if config.time_budget_s is not None and elapsed > config.time_budget_s:
-        from .errors import ResourceLimitError
-
-        raise ResourceLimitError(
-            f"sweep took {elapsed:.1f}s, over the {config.time_budget_s:.1f}s budget"
-        )
     if points == 0:
         verdict = Verdict.NEVER_APPLICABLE
     elif violations:

@@ -235,10 +235,33 @@ class TestConclusionFailures:
                     if (n % s**k == 0) != (gs[n] % s**k == 0)
                 }
             assert {(k, n) for k, n, _ in found} == expected, (p, q, s)
+            scale = DEFAULT_SCALE_FACTORS[0] if kind is ConclusionKind.SCALED else 1
             for k, n, witness in found:
                 assert ("divisor" in witness) == ((k, n) in divisibility), (p, q, s, k, n)
+                if "divisor" in witness:
+                    # The remainder of a*G_{s^k*n} modulo the whole divisor,
+                    # from the residue of the big index.
+                    divisor = scale * s**k * gs[n]
+                    remainder = g_mod(params, s**k * n, abs(divisor)) * scale % abs(divisor)
+                    assert witness == {
+                        "divisor": divisor, "index": s**k * n, "g_n": gs[n], "remainder": remainder
+                    }, (p, q, s, k, n)
         assert zero_points > 0
         assert any(direct_divisibility_failures.values())
+
+    @pytest.mark.parametrize(
+        "claim", [ClaimId.Thm1_1_MultDiv, ClaimId.Cor_Fibonacci, ClaimId.Remark_Scaled]
+    )
+    def test_modular_holding_point_builds_no_table(self, claim, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("exact table built")
+
+        monkeypatch.setattr(claims, "g_range", no_table)
+        n = 10**30  # 5 | n, so the Fibonacci equivalence holds as well
+        assert conclusion_holds(claim, SequenceParams(1, 1), 5, 3, n, modular=True)
+        # A failing point states G_n exactly, so only it builds the table.
+        with pytest.raises(AssertionError, match="exact table built"):
+            conclusion_holds(claim, SequenceParams(1, 1), 2, 1, 1, modular=True)
 
     @pytest.mark.parametrize("modular", [False, True])
     @pytest.mark.parametrize("kind", list(ConclusionKind))

@@ -147,6 +147,27 @@ class TestCheck:
         assert code == cli.EXIT_INPUT
         assert "unknown claim" in err
 
+    def test_primality_beyond_proven_range_rejected(self, capsys):
+        # r = 1 + 4q = s = psi_12, a strong pseudoprime to all twelve bases.
+        psi12 = "318665857834031151167461"
+        code, out, err = run_main(
+            ["check", "--claim", "cor-prime-r", "-p", "1", "-q", "79666464458507787791865",
+             "-s", psi12, "--kmax", "1", "--nmax", "10"],
+            capsys,
+        )
+        assert code == cli.EXIT_INPUT
+        assert psi12 in err and out == ""
+
+    def test_sweep_option_defaults(self):
+        parser = cli.build_parser()
+        check = parser.parse_args(["check", "--claim", "x", "-p", "1", "-q", "1", "-s", "5"])
+        sweep = parser.parse_args(
+            ["sweep", "--claim", "x", "--pmin", "0", "--pmax", "0", "--qmin", "0", "--qmax", "0"]
+        )
+        for args, k_max, n_max in ((check, 3, 200), (sweep, 3, 40)):
+            assert (args.kmax, args.nmax, args.tmax, args.mode) == (k_max, n_max, 50, "exact")
+            assert args.workers is None and args.time_budget is None
+
 
 class TestSweep:
     ARGS = [

@@ -113,6 +113,19 @@ class TestIsPrime:
         assert not is_prime(1)
         assert not is_prime(-7)
 
+    def test_refuses_above_proven_range(self):
+        # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to all
+        # twelve bases: the least number the test would call prime wrongly.
+        psi12 = 318665857834031151167461
+        assert psi12 == 399165290221 * 798330580441
+        with pytest.raises(DomainError, match=str(psi12)):
+            is_prime(psi12)
+        with pytest.raises(DomainError):
+            is_prime(psi12 + 6)  # no factor among the bases
+        assert not is_prime(psi12 - 2)
+        assert not is_prime(psi12 + 1)  # even: decided by a base
+        assert not is_prime(3 * psi12)
+
 
 class TestBinomial:
     def test_examples(self):

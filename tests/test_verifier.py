@@ -23,7 +23,7 @@ from gfibdiv import (
     search_counterexample,
     verify_claim,
 )
-from gfibdiv import reporting
+from gfibdiv import reporting, verify
 
 
 def small_config(**overrides) -> SweepConfig:
@@ -98,6 +98,25 @@ class TestVerifyClaim:
     def test_time_budget(self):
         with pytest.raises(ResourceLimitError):
             verify_claim(ClaimId.Thm1_1_Equiv, small_config(time_budget_s=0.0))
+
+    def test_time_budget_stops_the_sweep(self, monkeypatch):
+        cells = []
+
+        def counting_cell(args):
+            cells.append(args[2:])
+            return sweep_cell(args)
+
+        sweep_cell = verify._sweep_cell
+        monkeypatch.setattr(verify, "_sweep_cell", counting_cell)
+        config = small_config(p_range=(-3, 3), q_range=(-3, 3), time_budget_s=0.0)
+        with pytest.raises(ResourceLimitError, match="1 of 49 cells"):
+            verify_claim(ClaimId.Thm1_1_Equiv, config)
+        assert cells == [(-3, -3)]
+
+    def test_time_budget_stops_the_pool(self):
+        config = small_config(worker_count=2, time_budget_s=0.0)
+        with pytest.raises(ResourceLimitError, match="1 of 81 cells"):
+            verify_claim(ClaimId.Thm1_1_Equiv, config)
 
     def test_empty_range_rejected(self):
         with pytest.raises(InputError):
