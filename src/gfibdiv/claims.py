@@ -11,11 +11,12 @@ what makes relaxed-hypothesis counterexample search possible.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InputError
-from .numtheory import divides, is_prime
+from .numtheory import divides, is_prime, prime_factors
 # g_exact and g_is_zero are not called here; they stay importable because
 # perfbench/tracer.py wraps claims.g_exact and claims.g_is_zero.
 from .sequences import SequenceParams, g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
@@ -41,8 +42,6 @@ class ClaimId(Enum):
 
 
 def _safe_coprime(a: int, b: int) -> bool:
-    import math
-
     if a == 0 and b == 0:
         return False
     return math.gcd(a, b) == 1
@@ -307,6 +306,19 @@ def _lifted_quotient(params: SequenceParams, sk: int, n: int, g_n: int, g_next: 
     return g_mod(lifted, sk, sk)
 
 
+def _rank_is_modulus(params: SequenceParams, d: int, primes: list[int]) -> bool:
+    """Whether the rank of apparition of d is d itself, so d | n <=> d | G_n for all n.
+
+    Requires gcd(q, d) = 1; primes are the primes dividing d.  If d | G_d,
+    let a be the least a >= 1 with d | G_a.  Cassini gives G_{a+1}^2 = (-q)^a
+    (mod d), so G_{a+1} is a unit, and G_{a+n} = G_{a+1}*G_n + q*G_a*G_{n-1}
+    = G_{a+1}*G_n (mod d): the zeros of G mod d are exactly the multiples of a
+    (Lucas 1878; Carmichael 1913).  So a | d, and G_{d/l} != 0 (mod d) for
+    each prime l | d rules out every proper divisor of d: a = d.
+    """
+    return g_mod(params, d, d) == 0 and all(g_mod(params, d // ell, d) for ell in primes)
+
+
 def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, *, modular: bool = False):
     """Yield (k, n, witness) wherever the claim's conclusion fails, in (k, n) order.
 
@@ -319,7 +331,9 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
     s_pow_divides_n, s_pow_divides_g, g_residue}; a divisibility failure has
     {divisor, index, g_n, remainder}, and at a CLASSICAL point it is checked
     first.  Modular mode builds the exact table only to state G_n in a
-    divisibility witness.
+    divisibility witness, and skips the stream of an equivalence modulus whose
+    rank of apparition it certifies (_rank_is_modulus) where gcd(q, s) = 1 and
+    s factors within len(ns) trial divisions; exact mode never does.
     """
     if s < 1:
         raise InputError(f"s must be >= 1, got {s}")
@@ -329,8 +343,13 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
     # SCALED kind is decided once; its witness names the first scale.
     scale = DEFAULT_SCALE_FACTORS[0] if kind is ConclusionKind.SCALED else 1
     table = functools.cache(lambda: g_range(params, max(ns, default=0) + 1))
+    primes = None  # the primes of s, where a modulus may be certified
+    if modular and equivalence and math.gcd(params.q, s) == 1:
+        primes = prime_factors(s, max_trials=len(ns))
 
     def failures(d: int):
+        if primes is not None and _rank_is_modulus(params, d, primes):
+            return
         if modular:
             pairs = zip(ns, g_pairs_mod(params, ns, d))
         else:

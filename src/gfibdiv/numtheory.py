@@ -1,6 +1,6 @@
 """Integer utilities: divisibility (with the 0|0 convention), gcd, s-adic
-valuation, divisor enumeration, deterministic primality below psi_12 (about
-3.2e23), binomials."""
+valuation, divisor enumeration, prime factors by trial division,
+deterministic primality below psi_12 (about 3.2e23), binomials."""
 
 from __future__ import annotations
 
@@ -66,6 +66,27 @@ def positive_divisors(m: int) -> list[int]:
                 large.append(m // d)
         d += 1
     return small + large[::-1]
+
+
+def prime_factors(m: int, *, max_trials: int | None = None) -> list[int] | None:
+    """Ascending distinct primes dividing |m|, by trial division.
+
+    With max_trials, None when factoring would take more trial divisors.
+    """
+    if m == 0:
+        raise DomainError("0 has infinitely many prime factors")
+    m = abs(m)
+    primes, d, tried = [], 2, 0
+    while d * d <= m:
+        if tried == max_trials:
+            return None
+        tried += 1
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1 if d == 2 else 2
+    return primes + [m] if m > 1 else primes
 
 
 # The first 12 primes as strong-probable-prime bases; psi_12 is the least

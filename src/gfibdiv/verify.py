@@ -8,8 +8,8 @@ count.  Every conclusion is decided by claims.conclusion_failures.
 
 from __future__ import annotations
 
+import functools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
@@ -131,6 +131,22 @@ def _sweep_cell(args) -> tuple[int, list[Counterexample]]:
     return points, violations
 
 
+def _check_budget(config: SweepConfig, start: float, what: str, where, pool=None) -> None:
+    """Raise ResourceLimitError once more than time_budget_s has passed since start.
+
+    where() says how far the run got; a process pool is cancelled first.
+    """
+    if config.time_budget_s is None:
+        return
+    elapsed = time.monotonic() - start
+    if elapsed > config.time_budget_s:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        raise ResourceLimitError(
+            f"{what} stopped after {elapsed:.1f}s {where()}, over the {config.time_budget_s:.1f}s budget"
+        )
+
+
 def verify_claim(claim: ClaimId, config: SweepConfig) -> VerificationReport:
     """Sweep the grid; evaluate the conclusion wherever the hypothesis holds."""
     start = time.monotonic()
@@ -142,6 +158,9 @@ def verify_claim(claim: ClaimId, config: SweepConfig) -> VerificationReport:
     points = 0
     violations: list[Counterexample] = []
     parallel = config.worker_count > 1 and len(cells) > 1
+    if parallel:
+        # Imported only here, so a serial run does not load the pool's modules.
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=config.worker_count) if parallel else nullcontext() as pool:
         if pool is None:
             results = map(_sweep_cell, cells)
@@ -151,14 +170,7 @@ def verify_claim(claim: ClaimId, config: SweepConfig) -> VerificationReport:
         for done, (cell_points, cell_violations) in enumerate(results, 1):
             points += cell_points
             violations.extend(cell_violations)
-            elapsed = time.monotonic() - start
-            if config.time_budget_s is not None and elapsed > config.time_budget_s:
-                if pool is not None:
-                    pool.shutdown(cancel_futures=True)
-                raise ResourceLimitError(
-                    f"sweep stopped after {elapsed:.1f}s and {done} of {len(cells)} cells, "
-                    f"over the {config.time_budget_s:.1f}s budget"
-                )
+            _check_budget(config, start, "sweep", lambda: f"and {done} of {len(cells)} cells", pool)
     elapsed = time.monotonic() - start
     if points == 0:
         verdict = Verdict.NEVER_APPLICABLE
@@ -388,7 +400,8 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
 
     A point qualifies when every hypothesis condition of some case holds
     except the relaxed one (which must fail), the full hypothesis is not
-    applicable, and the conclusion is false.
+    applicable, and the conclusion is false.  Past bounds.time_budget_s,
+    checked after each s, it raises ResourceLimitError.
     """
     spec = claim_spec(claim)
     if relaxed_condition not in spec.condition_names:
@@ -396,22 +409,25 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
             f"{relaxed_condition!r} is not a condition of {claim.value}; "
             f"conditions: {list(spec.condition_names)}"
         )
+    start = time.monotonic()
     for p in _scan_values(*bounds.p_range):
         for q in _scan_values(*bounds.q_range):
             params = SequenceParams(p, q)
+            table = functools.cache(functools.partial(g_range, params, bounds.n_max))  # one per cell
             for s in _resolve_s(bounds, params):
                 values = _evaluate_conditions(spec, p, q, s)
-                if values[relaxed_condition]:
-                    continue
-                if _applicable(spec, values):
-                    continue
-                reinstated = dict(values)
-                reinstated[relaxed_condition] = True
-                if not _applicable(spec, reinstated):
-                    continue
-                gs = g_range(params, bounds.n_max)
-                failures = conclusion_failures(claim, params, s, range(bounds.k_max + 1), range(bounds.n_max + 1))
-                for k, n, witness in sorted(failures, key=lambda f: (f[1], f[0])):
+                failures = []
+                if (
+                    not values[relaxed_condition]
+                    and not _applicable(spec, values)
+                    and _applicable(spec, {**values, relaxed_condition: True})
+                ):
+                    failures = sorted(
+                        conclusion_failures(claim, params, s, range(bounds.k_max + 1), range(bounds.n_max + 1)),
+                        key=lambda f: (f[1], f[0]),
+                    )
+                _check_budget(bounds, start, "search", lambda: f"at (p, q, s) = ({p}, {q}, {s})")
+                for k, n, witness in failures:
                     yield Counterexample(
                         claim=claim,
                         p=p,
@@ -419,7 +435,7 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
                         s=s,
                         k=k,
                         n=n,
-                        witness=_search_witness(params, gs[n], s**k, n, witness),
+                        witness=_search_witness(params, table()[n], s**k, n, witness),
                         relaxed_condition=relaxed_condition,
                     )
 
@@ -482,10 +498,14 @@ _SURVEY_NOTE = (
 
 
 def converse_survey(bounds: SweepConfig) -> SurveyReport:
-    """Catalog where the base equivalence fails although s divides r (or r/4)."""
+    """Catalog where the base equivalence fails although s divides r (or r/4).
+
+    Past bounds.time_budget_s, checked after each s, it raises ResourceLimitError.
+    """
     spec = claim_spec(ClaimId.Thm1_2_BaseEquiv)
     modular = bounds.mode is Mode.MODULAR
     rows = []
+    start = time.monotonic()
     for p in _cell_values(*bounds.p_range):
         for q in _cell_values(*bounds.q_range):
             params = SequenceParams(p, q)
@@ -496,10 +516,9 @@ def converse_survey(bounds: SweepConfig) -> SurveyReport:
                     conclusion_failures(spec.claim, params, s, (1,), range(bounds.n_max + 1), modular=modular),
                     None,
                 )
-                if first is None:
-                    continue
-                smallest = first[1]
-                values = _evaluate_conditions(spec, p, q, s)
-                failing = tuple(name for name, held in values.items() if not held)
-                rows.append(SurveyRow(p, q, s, smallest, failing))
+                if first is not None:
+                    values = _evaluate_conditions(spec, p, q, s)
+                    failing = tuple(name for name, held in values.items() if not held)
+                    rows.append(SurveyRow(p, q, s, first[1], failing))
+                _check_budget(bounds, start, "survey", lambda: f"at (p, q, s) = ({p}, {q}, {s})")
     return SurveyReport(note=_SURVEY_NOTE, config=bounds, rows=tuple(rows))

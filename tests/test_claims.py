@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from gfibdiv import (
 from gfibdiv import claims
 from gfibdiv.claims import (
     _CONDITIONS,
+    _rank_is_modulus,
     DEFAULT_SCALE_FACTORS,
     REGISTRY,
     ConclusionKind,
@@ -323,6 +325,84 @@ class TestConclusionFailures:
         for s in (0, -5):
             with pytest.raises(InputError, match="s must be >= 1"):
                 conclusion_holds(ClaimId.Thm1_1_Equiv, SequenceParams(1, 1), s, 1, 3)
+
+
+class TestRankCertificate:
+    """Modular mode skips the residue stream of an equivalence modulus d whose
+    rank of apparition it certifies to be d; exact mode never certifies."""
+
+    @pytest.mark.parametrize(
+        "claim", [ClaimId.Thm1_1_Equiv, ClaimId.Thm1_2_BaseEquiv, ClaimId.Thm1_2_LiftedEquiv]
+    )
+    def test_modular_matches_exact(self, claim, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("exact mode used the certificate")
+
+        grid = [(p, q, s) for p in range(-6, 7) for q in range(-6, 7) for s in range(1, 25)]
+        ks, ns = range(4), range(121)
+        monkeypatch.setattr(claims, "_rank_is_modulus", forbidden)
+        exact = {
+            (p, q, s): list(conclusion_failures(claim, SequenceParams(p, q), s, ks, ns)) for p, q, s in grid
+        }
+        asked = []  # (q, d, certified) for each modulus the certificate decided
+
+        def recording(params, d, primes):
+            held = _rank_is_modulus(params, d, primes)
+            asked.append((params.q, d, held))
+            return held
+
+        monkeypatch.setattr(claims, "_rank_is_modulus", recording)
+        for p, q, s in grid:
+            modular = list(conclusion_failures(claim, SequenceParams(p, q), s, ks, ns, modular=True))
+            assert modular == exact[p, q, s], (p, q, s)
+        assert all(math.gcd(q, d) == 1 for q, d, _ in asked)
+        assert {held for _, _, held in asked} == {True, False}
+        # The grid holds failures at q = 0, at p = 0 and where gcd(q, s) > 1,
+        # which the certificate never decides.
+        assert any(exact[p, 0, s] for p in range(-6, 7) for s in range(2, 25))
+        assert any(exact[0, q, s] for q in range(-6, 7) for s in range(2, 25))
+        assert any(exact[p, q, s] for p, q, s in grid if math.gcd(q, s) > 1)
+
+    @staticmethod
+    def _streams(monkeypatch):
+        streams = []  # the modulus of each residue stream opened
+
+        def counting_pairs(params, ns, m):
+            streams.append(m)
+            return g_pairs_mod(params, ns, m)
+
+        monkeypatch.setattr(claims, "g_pairs_mod", counting_pairs)
+        return streams
+
+    def test_certified_modulus_opens_no_stream(self, monkeypatch):
+        streams = self._streams(monkeypatch)
+        fibonacci = SequenceParams(1, 1)  # alpha(5^k) = 5^k
+        assert list(conclusion_failures(ClaimId.Thm1_1_Equiv, fibonacci, 5, range(4), range(500), modular=True)) == []
+        assert list(conclusion_failures(ClaimId.Thm1_2_BaseEquiv, fibonacci, 5, range(4), range(500), modular=True)) == []
+        assert streams == []
+
+    def test_declined_modulus_keeps_its_stream(self, monkeypatch):
+        streams = self._streams(monkeypatch)
+        # alpha(20) = 10 at (4, 1): 20 | G_10, so 20 is not certified.
+        found = list(conclusion_failures(ClaimId.Thm1_1_Equiv, SequenceParams(4, 1), 20, (1,), range(31), modular=True))
+        assert [n for _, n, _ in found] == [10, 30]
+        assert streams == [20]
+        streams.clear()
+        # gcd(q, s) = 2 at (2, 2), s = 2: no certificate is tried.
+        ns = range(31)
+        found = list(conclusion_failures(ClaimId.Thm1_1_Equiv, SequenceParams(2, 2), 2, range(3), ns, modular=True))
+        assert found == list(conclusion_failures(ClaimId.Thm1_1_Equiv, SequenceParams(2, 2), 2, range(3), ns))
+        assert streams == [2, 4]
+
+    def test_unfactored_modulus_keeps_its_stream(self, monkeypatch):
+        streams = self._streams(monkeypatch)
+        # s = 10^18 + 9 = r at (1, 250000000000000002) is prime, so its rank
+        # is certifiable, but trial division would take about 10^9 steps: far
+        # more than the 201 indices, so the stream decides it.
+        s = 10**18 + 9
+        params = SequenceParams(1, (s - 1) // 4)
+        assert list(conclusion_failures(ClaimId.Thm1_1_Equiv, params, s, range(3), range(201), modular=True)) == []
+        assert streams == [s, s * s]
 
 
 class TestSoundness:

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ from importlib import resources
 import jsonschema
 
 import gfibdiv
+from gfibdiv import claims as claims_mod
 from gfibdiv import cli
+from gfibdiv.numtheory import prime_factors
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -158,6 +161,29 @@ class TestCheck:
         assert code == cli.EXIT_INPUT
         assert psi12 in err and out == ""
 
+    def test_large_prime_s_keeps_the_stream(self, capsys, monkeypatch):
+        # s = r = 10^18 + 9 is prime; factoring it by trial division would take
+        # about 10^9 steps, so the check gives up after len(ns) of them and
+        # streams residues.
+        factored = []
+
+        def recording(m, *, max_trials):
+            assert max_trials <= 201  # the check's indices 0..200
+            factored.append(prime_factors(m, max_trials=max_trials))
+            return factored[-1]
+
+        monkeypatch.setattr(claims_mod, "prime_factors", recording)
+        s = 10**18 + 9
+        start = time.perf_counter()
+        code, doc = run_json(
+            ["check", "--claim", "thm1.1-equiv", "-p", "1", "-q", str((s - 1) // 4), "-s", str(s),
+             "--mode", "modular", "--workers", "1"],
+            capsys,
+        )
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and doc["verdict"] == "all-pass"
+        assert factored == [None]
+
     def test_sweep_option_defaults(self):
         parser = cli.build_parser()
         check = parser.parse_args(["check", "--claim", "x", "-p", "1", "-q", "1", "-s", "5"])
@@ -279,6 +305,16 @@ class TestSearch:
         assert code == cli.EXIT_VIOLATION
         assert doc["found"] is False
 
+    @pytest.mark.parametrize("every", [[], ["--all"]])
+    def test_time_budget_exit(self, capsys, every):
+        code, out, err = run_main(
+            ["search", "--claim", "thm1.1-equiv", "--relax", "gcd-pq", "--pmin", "-3", "--pmax", "3",
+             "--qmin", "-3", "--qmax", "3", "--time-budget", "0"] + every,
+            capsys,
+        )
+        assert code == cli.EXIT_RESOURCE
+        assert "search stopped after" in err and "budget" in err and out == ""
+
     def test_unknown_condition(self, capsys):
         code, _, err = run_main(
             ["search", "--claim", "thm1.1-equiv", "--relax", "bogus"] + self.BOUNDS, capsys
@@ -310,6 +346,15 @@ class TestSurvey:
         assert code == 0
         rows = {(r["p"], r["q"], r["s"]): r for r in doc["rows"]}
         assert rows[(4, 1, 20)]["smallest_violating_n"] == 10
+
+
+    def test_time_budget_exit(self, capsys):
+        code, out, err = run_main(
+            ["survey", "--pmin", "-3", "--pmax", "3", "--qmin", "-3", "--qmax", "3", "--time-budget", "0"],
+            capsys,
+        )
+        assert code == cli.EXIT_RESOURCE
+        assert "survey stopped after" in err and "budget" in err and out == ""
 
 
 class TestRank:
@@ -398,6 +443,21 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert "12/12 pass" in proc.stdout
+
+    def test_serial_run_loads_no_pool(self):
+        # The process pool's modules load only when a sweep runs in parallel.
+        code = (
+            "import sys\n"
+            "from gfibdiv import cli\n"
+            "cli.main(['check', '--claim', 'cor-fibonacci', '-p', '1', '-q', '1', '-s', '5', '--workers', '1'])\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
+        )
+        src_dir = str(Path(gfibdiv.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     @pytest.mark.skipif(
         shutil.which("gfibdiv") is None, reason="gfibdiv console script not installed"

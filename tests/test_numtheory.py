@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gfibdiv import DomainError, binomial, divides, gcd, is_prime, positive_divisors, valuation
-from gfibdiv.numtheory import INFINITE, Valuation
+from gfibdiv.numtheory import INFINITE, Valuation, prime_factors
 
 
 class TestDivides:
@@ -89,6 +89,27 @@ class TestPositiveDivisors:
         am = abs(m)
         assert all(am % d == 0 for d in ds)
         assert sorted(am // d for d in ds) == ds
+
+
+class TestPrimeFactors:
+    def test_agrees_with_divisors_to_2000(self):
+        for m in range(1, 2001):
+            expected = [d for d in positive_divisors(m) if is_prime(d)]
+            assert prime_factors(m) == expected, m
+            assert prime_factors(-m) == expected, m
+
+    def test_zero(self):
+        with pytest.raises(DomainError):
+            prime_factors(0)
+
+    def test_trial_limit(self):
+        # The trial divisors are 2 and the odd numbers: 97 is settled by
+        # 2, 3, 5, 7, 9 (11^2 > 97), and 2^40 by 2 alone.
+        assert prime_factors(97, max_trials=5) == [97]
+        assert prime_factors(97, max_trials=4) is None
+        assert prime_factors(2**40, max_trials=1) == [2]
+        assert prime_factors(1, max_trials=0) == []
+        assert prime_factors(10**18 + 9, max_trials=1000) is None
 
 
 class TestIsPrime:

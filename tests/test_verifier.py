@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -210,6 +211,35 @@ class TestCounterexampleSearch:
         multdiv = search_counterexample(ClaimId.Thm1_1_MultDiv, "s-div-r", self.BOUNDS)
         if multdiv is not None:
             assert {"divisor", "index", "g_n", "dividend_g"} <= set(multdiv.witness)
+
+
+    def test_one_exact_table_per_cell(self, monkeypatch):
+        built = Counter()  # (p, q) -> exact tables built by the search
+
+        def counting_range(params, n_max, **kwargs):
+            built[params.p, params.q] += 1
+            return g_range(params, n_max, **kwargs)
+
+        monkeypatch.setattr(verify, "g_range", counting_range)
+        bounds = SweepConfig(p_range=(-10, 10), q_range=(-10, 10), s_source=tuple(range(1, 21)), k_max=2, n_max=12)
+        found = list(iter_counterexamples(ClaimId.Thm1_1_Equiv, "gcd-pq", bounds))
+        assert found and set(built) == {(ce.p, ce.q) for ce in found}
+        assert set(built.values()) == {1}
+        for ce in found:
+            assert ce.witness["g_n"] == g_exact(SequenceParams(ce.p, ce.q), ce.n)
+
+    def test_time_budget_stops_the_search(self):
+        bounds = small_config(p_range=(-3, 3), q_range=(-3, 3), time_budget_s=0.0)
+        # Scan order starts at p = 0: q = 0 has no s (r = 0), q = 1 has r = 4.
+        stopped = r"search stopped after .* at \(p, q, s\) = \(0, 1, 1\), over the 0.0s budget"
+        with pytest.raises(ResourceLimitError, match=stopped):
+            list(iter_counterexamples(ClaimId.Thm1_1_Equiv, "gcd-pq", bounds))
+        with pytest.raises(ResourceLimitError, match=stopped):
+            search_counterexample(ClaimId.Thm1_1_Equiv, "gcd-pq", bounds)
+
+    def test_time_budget_stops_the_survey(self):
+        with pytest.raises(ResourceLimitError, match=r"survey stopped after .* at \(p, q, s\) = \(-3, -3, 1\)"):
+            converse_survey(small_config(p_range=(-3, 3), q_range=(-3, 3), time_budget_s=0.0))
 
 
 class TestRankOfApparition:
