@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from gfibdiv import cli
 from gfibdiv.numtheory import prime_factors
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+GOLDEN = Path(__file__).resolve().parent / "cli_golden"
 
 
 def load_schema():
@@ -373,6 +375,58 @@ class TestRank:
         assert code == cli.EXIT_INPUT
         assert out == ""
         assert "--bound" in err
+
+
+class TestWriters:
+    """Exact text and CSV output of every command, pinned in tests/cli_golden/<case>.<format>."""
+
+    CASES = {
+        "compute-n": (["compute", "-p", "1", "-q", "1", "-n", "10"], 0),
+        "compute-range": (["compute", "-p", "3", "-q", "2", "--range", "6"], 0),
+        "compute-mod": (["compute", "-p", "1", "-q", "1", "-n", "100", "--mod", "7"], 0),
+        "compute-range-mod": (["compute", "-p", "1", "-q", "1", "--range", "8", "--mod", "5"], 0),
+        "claims-list": (["claims", "list"], 0),
+        "check-pass": (["check", "--claim", "cor-fibonacci", "-p", "1", "-q", "1", "-s", "5", "--nmax", "30", "--workers", "1"], 0),
+        "check-violations": (
+            ["check", "--claim", "thm1.2-lifted-equiv", "-p", "-10", "-q", "-1", "-s", "12",
+             "--kmax", "2", "--nmax", "1500", "--tmax", "3", "--workers", "1"],
+            1,
+        ),
+        "sweep": (
+            ["sweep", "--claim", "thm1.2-lifted-equiv", "--pmin", "-10", "--pmax", "-10", "--qmin", "-1",
+             "--qmax", "-1", "--s-source", "12", "--kmax", "2", "--nmax", "100", "--tmax", "3", "--workers", "1"],
+            1,
+        ),
+        "search-found": (
+            ["search", "--claim", "thm1.1-equiv", "--relax", "gcd-pq", "--pmin", "2", "--pmax", "3",
+             "--qmin", "6", "--qmax", "9", "--s-source", "3", "--kmax", "1", "--nmax", "6", "--all"],
+            0,
+        ),
+        "search-divisibility": (
+            ["search", "--claim", "cor-fibonacci", "--relax", "s-eq-5", "--pmin", "1", "--pmax", "1",
+             "--qmin", "1", "--qmax", "1", "--s-source", "2", "--kmax", "1", "--nmax", "4", "--all"],
+            0,
+        ),
+        "search-not-found": (
+            ["search", "--claim", "thm1.1-equiv", "--relax", "gcd-pq", "--pmin", "1", "--pmax", "1",
+             "--qmin", "1", "--qmax", "1", "--s-source", "5", "--kmax", "1", "--nmax", "5"],
+            1,
+        ),
+        "examples": (["examples"], 0),
+        "survey": (["survey", "--pmin", "4", "--pmax", "4", "--qmin", "1", "--qmax", "2", "--nmax", "30"], 0),
+        "rank": (["rank", "-p", "1", "-q", "1", "-s", "8", "--bound", "100"], 0),
+        "rank-none": (["rank", "-p", "1", "-q", "1", "-s", "7", "--bound", "5"], 0),
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_output_pinned(self, capsys, case, fmt):
+        argv, want_code = self.CASES[case]
+        code, out, err = run_main(argv + ["--format", fmt], capsys)
+        assert (code, err) == (want_code, "")
+        # The text report's elapsed time is the one line that is not reproducible.
+        out = re.sub(r"^elapsed: \d+\.\d\ds$", "elapsed: <seconds>", out, flags=re.M)
+        assert out == (GOLDEN / f"{case}.{fmt}").read_text(encoding="utf-8")
 
 
 class TestArgHandling:
