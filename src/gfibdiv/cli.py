@@ -19,7 +19,7 @@ import sys
 from . import claims as claims_mod
 from . import reporting
 from .errors import DomainError, InputError, ResourceLimitError
-from .sequences import DEFAULT_MAX_TERMS, SequenceParams, g_exact, g_mod, g_pairs_mod, g_range
+from .sequences import DEFAULT_MAX_TERMS, SequenceParams, _parse_index, g_exact, g_mod, g_pairs_mod, g_range
 from .verify import (
     Mode,
     SweepConfig,
@@ -38,6 +38,8 @@ EXIT_INPUT = 2
 EXIT_NEVER_APPLICABLE = 3
 EXIT_RESOURCE = 4
 
+FORMATS = ("text", "json", "csv")
+
 
 def _default_workers() -> int:
     env = os.environ.get("GFIBDIV_WORKERS")
@@ -50,19 +52,29 @@ def _default_workers() -> int:
 
 
 def _default_format() -> str:
-    return os.environ.get("GFIBDIV_FORMAT", "text")
+    env = os.environ.get("GFIBDIV_FORMAT") or "text"
+    if env not in FORMATS:
+        raise InputError(f"GFIBDIV_FORMAT must be one of {', '.join(FORMATS)}, got {env!r}")
+    return env
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _render(args, doc: dict, csv, text) -> None:
+    """Write doc as JSON, csv() as CSV, or the lines of text(), to --output or stdout."""
+    if args.format == "json":
+        out = reporting.to_json(doc)
+    elif args.format == "csv":
+        out = csv()
     else:
-        sys.stdout.write(text)
+        out = "\n".join(text()) + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(out)
+    else:
+        sys.stdout.write(out)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=["text", "json", "csv"], default=_default_format())
+    parser.add_argument("--format", choices=FORMATS, help="default: $GFIBDIV_FORMAT, else text")
     parser.add_argument("--output", help="write the report to this file instead of stdout")
     parser.add_argument("--timing", action="store_true", help="include elapsed time in JSON output")
 
@@ -119,95 +131,83 @@ def _sweep_config(args, *, p_range=None, q_range=None, s_source=None) -> SweepCo
     )
 
 
-def _verdict_exit(verdict: Verdict) -> int:
-    return {
-        Verdict.ALL_PASS: EXIT_OK,
-        Verdict.VIOLATIONS: EXIT_VIOLATION,
-        Verdict.NEVER_APPLICABLE: EXIT_NEVER_APPLICABLE,
-    }[verdict]
-
-
 def _cmd_compute(args) -> int:
     params = SequenceParams(args.p, args.q)
+    doc = {"kind": "compute", "p": args.p, "q": args.q}
     if args.mod is not None:
-        if args.range is not None:
+        doc["mod"] = args.mod
+    if args.range is not None:
+        if args.mod is not None:
             values = [g for g, _ in g_pairs_mod(params, range(args.range + 1), args.mod)]
-            doc = {"kind": "compute", "p": args.p, "q": args.q, "mod": args.mod, "values": values}
         else:
-            residue = g_mod(params, args.n, args.mod)
-            doc = {"kind": "compute", "p": args.p, "q": args.q, "n": args.n, "mod": args.mod, "value": residue}
-    else:
-        if args.range is not None:
             values = g_range(params, args.range, max_terms=args.max_terms)
-            doc = {"kind": "compute", "p": args.p, "q": args.q, "values": values}
+        doc["values"] = values
+        rows = list(enumerate(values))
+    else:
+        if args.mod is not None:
+            value = g_mod(params, args.n, args.mod)
         else:
-            from .sequences import _parse_index
-
             n = _parse_index(args.n)
             if n + 1 > args.max_terms:
                 raise ResourceLimitError(
                     f"exact evaluation at n={n} exceeds the {args.max_terms}-term ceiling; use --mod"
                 )
-            doc = {"kind": "compute", "p": args.p, "q": args.q, "n": args.n, "value": g_exact(params, n)}
-    if args.format == "json":
-        _emit(reporting.to_json(doc), args.output)
-    elif args.format == "csv":
-        if "values" in doc:
-            rows = "\n".join(f"{i},{v}" for i, v in enumerate(doc["values"]))
-            _emit("n,value\n" + rows + "\n", args.output)
-        else:
-            _emit(f"n,value\n{doc['n']},{doc['value']}\n", args.output)
-    else:
-        if "values" in doc:
-            _emit("\n".join(str(v) for v in doc["values"]) + "\n", args.output)
-        else:
-            _emit(f"{doc['value']}\n", args.output)
+            value = g_exact(params, n)
+        doc["n"], doc["value"] = args.n, value
+        rows = [(args.n, value)]
+    _render(
+        args,
+        doc,
+        lambda: "n,value\n" + "".join(f"{n},{v}\n" for n, v in rows),
+        lambda: [str(v) for _, v in rows],
+    )
     return EXIT_OK
 
 
 def _cmd_claims(args) -> int:
     catalog = claims_mod.catalog()
-    doc = {"kind": "claim-catalog", "claims": catalog}
-    if args.format == "json":
-        _emit(reporting.to_json(doc), args.output)
-    elif args.format == "csv":
-        import csv as _csv
-        import io as _io
 
-        buf = _io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(["id", "name", "citation", "statement"])
+    def text():
         for entry in catalog:
-            writer.writerow([entry["id"], entry["name"], entry["citation"], entry["statement"]])
-        _emit(buf.getvalue(), args.output)
-    else:
-        lines = []
-        for entry in catalog:
-            lines.append(f"{entry['name']}  [{entry['id']}]  ({entry['citation']})")
-            lines.append(f"  {entry['statement']}")
-            lines.append(f"  conditions: {entry['global_conditions']} + any of {entry['cases']}")
-        _emit("\n".join(lines) + "\n", args.output)
+            yield f"{entry['name']}  [{entry['id']}]  ({entry['citation']})"
+            yield f"  {entry['statement']}"
+            yield f"  conditions: {entry['global_conditions']} + any of {entry['cases']}"
+
+    fields = ["id", "name", "citation", "statement"]
+    _render(
+        args,
+        {"kind": "claim-catalog", "claims": catalog},
+        lambda: reporting.to_csv(fields, ([entry[f] for f in fields] for entry in catalog)),
+        text,
+    )
     return EXIT_OK
 
 
-def _report_out(report, args) -> None:
-    if args.format == "json":
-        _emit(reporting.to_json(reporting.report_to_dict(report, include_timing=args.timing)), args.output)
-    elif args.format == "csv":
-        _emit(reporting.violations_to_csv(report.violations), args.output)
-    else:
-        lines = [
-            f"claim: {report.claim.value}",
-            f"points checked: {report.points_checked}",
-            f"violations: {len(report.violations)}",
-            f"verdict: {report.verdict.value}",
-            f"elapsed: {report.elapsed_s:.2f}s",
-        ]
+def _report_out(report, args) -> int:
+    """Write a sweep's report; the exit code follows its verdict."""
+
+    def text():
+        yield f"claim: {report.claim.value}"
+        yield f"points checked: {report.points_checked}"
+        yield f"violations: {len(report.violations)}"
+        yield f"verdict: {report.verdict.value}"
+        yield f"elapsed: {report.elapsed_s:.2f}s"
         for ce in report.violations[:20]:
-            lines.append(f"  p={ce.p} q={ce.q} s={ce.s} k={ce.k} n={ce.n} witness={ce.witness}")
+            yield f"  p={ce.p} q={ce.q} s={ce.s} k={ce.k} n={ce.n} witness={ce.witness}"
         if len(report.violations) > 20:
-            lines.append(f"  ... {len(report.violations) - 20} more")
-        _emit("\n".join(lines) + "\n", args.output)
+            yield f"  ... {len(report.violations) - 20} more"
+
+    _render(
+        args,
+        reporting.report_to_dict(report, include_timing=args.timing),
+        lambda: reporting.violations_to_csv(report.violations),
+        text,
+    )
+    return {
+        Verdict.ALL_PASS: EXIT_OK,
+        Verdict.VIOLATIONS: EXIT_VIOLATION,
+        Verdict.NEVER_APPLICABLE: EXIT_NEVER_APPLICABLE,
+    }[report.verdict]
 
 
 def _cmd_check(args) -> int:
@@ -218,16 +218,12 @@ def _cmd_check(args) -> int:
         q_range=(args.q, args.q),
         s_source=(args.s,),
     )
-    report = verify_claim(spec.claim, config)
-    _report_out(report, args)
-    return _verdict_exit(report.verdict)
+    return _report_out(verify_claim(spec.claim, config), args)
 
 
 def _cmd_sweep(args) -> int:
     spec = claims_mod.claim_by_name(args.claim)
-    report = verify_claim(spec.claim, _sweep_config(args))
-    _report_out(report, args)
-    return _verdict_exit(report.verdict)
+    return _report_out(verify_claim(spec.claim, _sweep_config(args)), args)
 
 
 def _cmd_search(args) -> int:
@@ -246,73 +242,58 @@ def _cmd_search(args) -> int:
         "counterexamples": [reporting.counterexample_to_dict(ce) for ce in found],
         "found": bool(found),
     }
-    if args.format == "json":
-        _emit(reporting.to_json(doc), args.output)
-    elif args.format == "csv":
-        _emit(reporting.violations_to_csv(found), args.output)
-    else:
-        if found:
-            lines = [
-                f"p={ce.p} q={ce.q} s={ce.s} k={ce.k} n={ce.n} relaxed={ce.relaxed_condition} "
-                f"witness={ce.witness}"
-                for ce in found
-            ]
-            _emit("\n".join(lines) + "\n", args.output)
-        else:
-            _emit("no counterexample within bounds\n", args.output)
+    _render(
+        args,
+        doc,
+        lambda: reporting.violations_to_csv(found),
+        lambda: [
+            f"p={ce.p} q={ce.q} s={ce.s} k={ce.k} n={ce.n} relaxed={ce.relaxed_condition} witness={ce.witness}"
+            for ce in found
+        ]
+        or ["no counterexample within bounds"],
+    )
     return EXIT_OK if found else EXIT_VIOLATION
 
 
 def _cmd_examples(args) -> int:
     results = reproduce_examples()
-    if args.format == "json":
-        _emit(reporting.to_json(reporting.examples_to_dict(results)), args.output)
-    elif args.format == "csv":
-        _emit(reporting.examples_to_csv(results), args.output)
-    else:
-        lines = [
-            f"example {r.example} (p={r.p}, q={r.q}): {'pass' if r.passed else 'FAIL'}"
-            for r in results
-        ]
-        passed = sum(r.passed for r in results)
-        lines.append(f"{passed}/{len(results)} pass")
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VIOLATION
+    passed = sum(r.passed for r in results)
+    _render(
+        args,
+        reporting.examples_to_dict(results),
+        lambda: reporting.examples_to_csv(results),
+        lambda: [f"example {r.example} (p={r.p}, q={r.q}): {'pass' if r.passed else 'FAIL'}" for r in results]
+        + [f"{passed}/{len(results)} pass"],
+    )
+    return EXIT_OK if passed == len(results) else EXIT_VIOLATION
 
 
 def _cmd_survey(args) -> int:
     report = converse_survey(_sweep_config(args))
-    if args.format == "json":
-        _emit(reporting.to_json(reporting.survey_to_dict(report)), args.output)
-    elif args.format == "csv":
-        _emit(reporting.survey_to_csv(report), args.output)
-    else:
-        lines = [report.note, ""]
-        for row in report.rows:
-            lines.append(
-                f"p={row.p} q={row.q} s={row.s} first violating n={row.smallest_violating_n} "
-                f"failing: {', '.join(row.failing_conditions) or '(none)'}"
-            )
-        _emit("\n".join(lines) + "\n", args.output)
+    _render(
+        args,
+        reporting.survey_to_dict(report),
+        lambda: reporting.survey_to_csv(report),
+        lambda: [report.note, ""]
+        + [
+            f"p={row.p} q={row.q} s={row.s} first violating n={row.smallest_violating_n} "
+            f"failing: {', '.join(row.failing_conditions) or '(none)'}"
+            for row in report.rows
+        ],
+    )
     return EXIT_OK
 
 
 def _cmd_rank(args) -> int:
     rank = rank_of_apparition(SequenceParams(args.p, args.q), args.s, args.bound)
-    doc = {
-        "kind": "rank-of-apparition",
-        "p": args.p,
-        "q": args.q,
-        "s": args.s,
-        "bound": args.bound,
-        "rank": rank,
-    }
-    if args.format == "json":
-        _emit(reporting.to_json(doc), args.output)
-    elif args.format == "csv":
-        _emit(f"p,q,s,bound,rank\n{args.p},{args.q},{args.s},{args.bound},{'' if rank is None else rank}\n", args.output)
-    else:
-        _emit(f"{'none' if rank is None else rank}\n", args.output)
+    doc = {"kind": "rank-of-apparition", "p": args.p, "q": args.q, "s": args.s, "bound": args.bound, "rank": rank}
+    fields = ["p", "q", "s", "bound", "rank"]
+    _render(
+        args,
+        doc,
+        lambda: reporting.to_csv(fields, [[doc[f] for f in fields]]),
+        lambda: ["none" if rank is None else str(rank)],
+    )
     return EXIT_OK
 
 
@@ -330,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("-n", help="index (decimal string; arbitrary size with --mod)")
     group.add_argument("--range", type=_nonnegative_int, metavar="N_MAX", help="print G_0..G_N_MAX")
     p_compute.add_argument("--mod", type=int, help="reduce modulo this integer")
-    p_compute.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
+    p_compute.add_argument("--max-terms", type=_nonnegative_int, default=DEFAULT_MAX_TERMS)
     _add_common(p_compute)
     p_compute.set_defaults(func=_cmd_compute)
 
@@ -383,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        args.format = args.format or _default_format()
         return args.func(args)
     except (InputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

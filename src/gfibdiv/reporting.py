@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import asdict
 
 from .verify import (
     Counterexample,
@@ -67,33 +68,14 @@ def survey_to_dict(report: SurveyReport) -> dict:
         "kind": "converse-survey",
         "note": report.note,
         "config": config_to_dict(report.config),
-        "rows": [
-            {
-                "p": row.p,
-                "q": row.q,
-                "s": row.s,
-                "smallest_violating_n": row.smallest_violating_n,
-                "failing_conditions": list(row.failing_conditions),
-            }
-            for row in report.rows
-        ],
+        "rows": [asdict(row) for row in report.rows],
     }
 
 
 def examples_to_dict(results: list[ExampleResult]) -> dict:
     return {
         "kind": "example-reproduction",
-        "results": [
-            {
-                "example": r.example,
-                "p": r.p,
-                "q": r.q,
-                "expected": r.expected,
-                "observed": r.observed,
-                "passed": r.passed,
-            }
-            for r in results
-        ],
+        "results": [asdict(r) for r in results],
         "all_passed": all(r.passed for r in results),
     }
 
@@ -118,42 +100,38 @@ def to_json(document: dict) -> str:
     return json.dumps(document, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+def to_csv(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 _VIOLATION_FIELDS = ["claim", "p", "q", "s", "k", "n", "relaxed_condition", "witness"]
 
 
 def violations_to_csv(violations) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_VIOLATION_FIELDS, lineterminator="\n")
-    writer.writeheader()
+    rows = []
     for ce in violations:
         row = counterexample_to_dict(ce)
         row["witness"] = json.dumps(row["witness"], sort_keys=True)
-        writer.writerow(row)
-    return buf.getvalue()
+        rows.append([row[field] for field in _VIOLATION_FIELDS])
+    return to_csv(_VIOLATION_FIELDS, rows)
 
 
 def survey_to_csv(report: SurveyReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["p", "q", "s", "smallest_violating_n", "failing_conditions"])
-    for row in report.rows:
-        writer.writerow([row.p, row.q, row.s, row.smallest_violating_n, ";".join(row.failing_conditions)])
-    return buf.getvalue()
+    return to_csv(
+        ["p", "q", "s", "smallest_violating_n", "failing_conditions"],
+        ([row.p, row.q, row.s, row.smallest_violating_n, ";".join(row.failing_conditions)] for row in report.rows),
+    )
 
 
 def examples_to_csv(results: list[ExampleResult]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["example", "p", "q", "passed", "expected", "observed"])
-    for r in results:
-        writer.writerow(
-            [
-                r.example,
-                r.p,
-                r.q,
-                r.passed,
-                json.dumps(r.expected, sort_keys=True),
-                json.dumps(r.observed, sort_keys=True),
-            ]
-        )
-    return buf.getvalue()
+    return to_csv(
+        ["example", "p", "q", "passed", "expected", "observed"],
+        (
+            [r.example, r.p, r.q, r.passed, json.dumps(r.expected, sort_keys=True), json.dumps(r.observed, sort_keys=True)]
+            for r in results
+        ),
+    )

@@ -98,22 +98,17 @@ def ab_exact(params: SequenceParams, n: int) -> ABPair:
 def _pair_mod(p: int, q: int, n: int, m: int) -> tuple[int, int]:
     """(U_n, U_{n+1}) mod m for U_0=0, U_1=1, U_j = p*U_{j-1} + q*U_{j-2}.
 
-    Fast doubling: U_{2j} = U_j*(2*U_{j+1} - p*U_j), U_{2j+1} = U_{j+1}^2 + q*U_j^2.
+    Fast doubling: U_{2j} = U_j*(2*U_{j+1} - p*U_j), U_{2j+1} = U_{j+1}^2 + q*U_j^2,
+    and U_{2j+2} = U_{j+1}*(p*U_{j+1} + 2*q*U_j) for a set bit of n.
     """
     p %= m
     q %= m
     a, b = 0, 1 % m
-    if n == 0:
-        return a, b
-    for i in range(n.bit_length() - 1, -1, -1):
-        even = a * ((2 * b - p * a) % m) % m
-        odd = (b * b + q * a * a) % m
-        if (n >> i) & 1:
-            a = odd
-            b = (p * odd + q * even) % m
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            a, b = (b * b + q * a * a) % m, b * (p * b + 2 * q * a) % m
         else:
-            a = even
-            b = odd
+            a, b = a * (2 * b - p * a) % m, (b * b + q * a * a) % m
     return a, b
 
 

@@ -56,11 +56,16 @@ class SweepConfig:
     time_budget_s: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("p_range", "q_range"):
+            lo, hi = getattr(self, name)
+            if lo > hi:
+                raise InputError(f"{name} must not be empty, got [{lo}, {hi}]")
         if not isinstance(self.s_source, str) and min(self.s_source, default=1) < 1:
             raise InputError(f"s_source values must be >= 1, got {min(self.s_source)}")
-        for name, least in (("k_max", 0), ("n_max", 0), ("t_max", 1), ("worker_count", 1)):
-            if getattr(self, name) < least:
-                raise InputError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name, least in (("k_max", 0), ("n_max", 0), ("t_max", 1), ("worker_count", 1), ("time_budget_s", 0)):
+            value = getattr(self, name)
+            if value is not None and not value >= least:  # NaN fails too
+                raise InputError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -85,15 +90,18 @@ class VerificationReport:
     verdict: Verdict
 
 
-def _cell_values(lo: int, hi: int) -> list[int]:
-    if lo > hi:
-        raise InputError(f"empty range [{lo}, {hi}]")
-    return list(range(lo, hi + 1))
+def _cells(config: SweepConfig, *, scan: bool = False) -> list[tuple[int, int]]:
+    """The grid's (p, q) cells, p-major.
 
+    Canonical order is ascending.  Scan order sorts p and q by absolute value,
+    positive before negative, so a search meets the smallest examples first.
+    """
 
-def _scan_values(lo: int, hi: int) -> list[int]:
-    """Range values ordered by absolute value, positive before negative."""
-    return sorted(range(lo, hi + 1), key=lambda v: (abs(v), v < 0))
+    def values(lo: int, hi: int):
+        span = range(lo, hi + 1)
+        return sorted(span, key=lambda v: (abs(v), v < 0)) if scan else span
+
+    return [(p, q) for p in values(*config.p_range) for q in values(*config.q_range)]
 
 
 def _resolve_s(config: SweepConfig, params: SequenceParams) -> list[int]:
@@ -147,14 +155,25 @@ def _check_budget(config: SweepConfig, start: float, what: str, where, pool=None
         )
 
 
+def _grid(config: SweepConfig, what: str, *, scan: bool = False):
+    """Yield (params, s) for each cell in _cells order and each of its s values.
+
+    The clock starts at the first request.  Past config.time_budget_s, checked
+    each time the caller asks for the next s, it raises ResourceLimitError
+    naming the (p, q, s) it yielded last.
+    """
+    start = time.monotonic()
+    for p, q in _cells(config, scan=scan):
+        params = SequenceParams(p, q)
+        for s in _resolve_s(config, params):
+            yield params, s
+            _check_budget(config, start, what, lambda: f"at (p, q, s) = ({p}, {q}, {s})")
+
+
 def verify_claim(claim: ClaimId, config: SweepConfig) -> VerificationReport:
     """Sweep the grid; evaluate the conclusion wherever the hypothesis holds."""
     start = time.monotonic()
-    cells = [
-        (claim, config, p, q)
-        for p in _cell_values(*config.p_range)
-        for q in _cell_values(*config.q_range)
-    ]
+    cells = [(claim, config, p, q) for p, q in _cells(config)]
     points = 0
     violations: list[Counterexample] = []
     parallel = config.worker_count > 1 and len(cells) > 1
@@ -401,7 +420,8 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
     A point qualifies when every hypothesis condition of some case holds
     except the relaxed one (which must fail), the full hypothesis is not
     applicable, and the conclusion is false.  Past bounds.time_budget_s,
-    checked after each s, it raises ResourceLimitError.
+    checked after each s before its counterexamples are yielded, it raises
+    ResourceLimitError.
     """
     spec = claim_spec(claim)
     if relaxed_condition not in spec.condition_names:
@@ -409,35 +429,37 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
             f"{relaxed_condition!r} is not a condition of {claim.value}; "
             f"conditions: {list(spec.condition_names)}"
         )
-    start = time.monotonic()
-    for p in _scan_values(*bounds.p_range):
-        for q in _scan_values(*bounds.q_range):
-            params = SequenceParams(p, q)
-            table = functools.cache(functools.partial(g_range, params, bounds.n_max))  # one per cell
-            for s in _resolve_s(bounds, params):
-                values = _evaluate_conditions(spec, p, q, s)
-                failures = []
-                if (
-                    not values[relaxed_condition]
-                    and not _applicable(spec, values)
-                    and _applicable(spec, {**values, relaxed_condition: True})
-                ):
-                    failures = sorted(
-                        conclusion_failures(claim, params, s, range(bounds.k_max + 1), range(bounds.n_max + 1)),
-                        key=lambda f: (f[1], f[0]),
-                    )
-                _check_budget(bounds, start, "search", lambda: f"at (p, q, s) = ({p}, {q}, {s})")
-                for k, n, witness in failures:
-                    yield Counterexample(
-                        claim=claim,
-                        p=p,
-                        q=q,
-                        s=s,
-                        k=k,
-                        n=n,
-                        witness=_search_witness(params, table()[n], s**k, n, witness),
-                        relaxed_condition=relaxed_condition,
-                    )
+    table = functools.lru_cache(maxsize=1)(lambda params: g_range(params, bounds.n_max))  # one per cell
+    found: list[Counterexample] = []
+    # _grid checks the budget when asked for the next s, so each s's
+    # counterexamples are held until then.
+    for params, s in _grid(bounds, "search", scan=True):
+        yield from found
+        values = _evaluate_conditions(spec, params.p, params.q, s)
+        found = []
+        if (
+            not values[relaxed_condition]
+            and not _applicable(spec, values)
+            and _applicable(spec, {**values, relaxed_condition: True})
+        ):
+            failures = conclusion_failures(
+                claim, params, s, range(bounds.k_max + 1), range(bounds.n_max + 1),
+                modular=bounds.mode is Mode.MODULAR,
+            )
+            found = [
+                Counterexample(
+                    claim=claim,
+                    p=params.p,
+                    q=params.q,
+                    s=s,
+                    k=k,
+                    n=n,
+                    witness=_search_witness(params, table(params)[n], s**k, n, witness),
+                    relaxed_condition=relaxed_condition,
+                )
+                for k, n, witness in sorted(failures, key=lambda f: (f[1], f[0]))
+            ]
+    yield from found
 
 
 def _search_witness(params: SequenceParams, g_n: int, sk: int, n: int, witness: dict) -> dict:
@@ -505,20 +527,15 @@ def converse_survey(bounds: SweepConfig) -> SurveyReport:
     spec = claim_spec(ClaimId.Thm1_2_BaseEquiv)
     modular = bounds.mode is Mode.MODULAR
     rows = []
-    start = time.monotonic()
-    for p in _cell_values(*bounds.p_range):
-        for q in _cell_values(*bounds.q_range):
-            params = SequenceParams(p, q)
-            if params.r == 0:
-                continue
-            for s in _resolve_s(bounds, params):
-                first = next(
-                    conclusion_failures(spec.claim, params, s, (1,), range(bounds.n_max + 1), modular=modular),
-                    None,
-                )
-                if first is not None:
-                    values = _evaluate_conditions(spec, p, q, s)
-                    failing = tuple(name for name, held in values.items() if not held)
-                    rows.append(SurveyRow(p, q, s, first[1], failing))
-                _check_budget(bounds, start, "survey", lambda: f"at (p, q, s) = ({p}, {q}, {s})")
+    for params, s in _grid(bounds, "survey"):
+        if params.r == 0:
+            continue
+        first = next(
+            conclusion_failures(spec.claim, params, s, (1,), range(bounds.n_max + 1), modular=modular),
+            None,
+        )
+        if first is not None:
+            values = _evaluate_conditions(spec, params.p, params.q, s)
+            failing = tuple(name for name, held in values.items() if not held)
+            rows.append(SurveyRow(params.p, params.q, s, first[1], failing))
     return SurveyReport(note=_SURVEY_NOTE, config=bounds, rows=tuple(rows))

@@ -103,6 +103,11 @@ class TestCompute:
         assert out == ""
         assert "--range" in err
 
+    def test_negative_max_terms_rejected(self, capsys):
+        code, out, err = run_main(["compute", "-p", "1", "-q", "1", "-n", "10", "--max-terms", "-5"], capsys)
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert "--max-terms" in err
+
     def test_json_schema(self, capsys):
         code, doc = run_json(["compute", "-p", "1", "-q", "1", "-n", "10"], capsys)
         assert code == 0
@@ -261,6 +266,10 @@ class TestSweep:
             ("--tmax", "0", "t_max"),
             ("--workers", "0", "worker_count"),
             ("--workers", "-2", "worker_count"),
+            ("--pmax", "-4", "p_range"),
+            ("--qmax", "-4", "q_range"),
+            ("--time-budget", "-1", "time_budget_s"),
+            ("--time-budget", "nan", "time_budget_s"),
         ],
     )
     def test_bad_bound_rejected(self, capsys, flag, value, field):
@@ -317,6 +326,14 @@ class TestSearch:
         assert code == cli.EXIT_RESOURCE
         assert "search stopped after" in err and "budget" in err and out == ""
 
+    @pytest.mark.parametrize("flag,field", [("--pmax", "p_range"), ("--qmax", "q_range")])
+    def test_empty_range_rejected(self, capsys, flag, field):
+        code, out, err = run_main(
+            ["search", "--claim", "thm1.1-equiv", "--relax", "gcd-pq"] + self.BOUNDS + [flag, "-7"], capsys
+        )
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert f"{field} must not be empty" in err
+
     def test_unknown_condition(self, capsys):
         code, _, err = run_main(
             ["search", "--claim", "thm1.1-equiv", "--relax", "bogus"] + self.BOUNDS, capsys
@@ -357,6 +374,22 @@ class TestSurvey:
         )
         assert code == cli.EXIT_RESOURCE
         assert "survey stopped after" in err and "budget" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [
+            ("--pmax", "-4", "p_range"),
+            ("--qmax", "-4", "q_range"),
+            ("--time-budget", "-1", "time_budget_s"),
+            ("--time-budget", "nan", "time_budget_s"),
+        ],
+    )
+    def test_bad_bound_rejected(self, capsys, flag, value, field):
+        code, out, err = run_main(
+            ["survey", "--pmin", "-3", "--pmax", "3", "--qmin", "-3", "--qmax", "3", flag, value], capsys
+        )
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert field in err
 
 
 class TestRank:
@@ -449,6 +482,14 @@ class TestArgHandling:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["value"] == 55
+
+    def test_bad_format_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("GFIBDIV_FORMAT", "xml")
+        code, out, err = run_main(["examples"], capsys)
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert "GFIBDIV_FORMAT" in err
+        # An explicit --format does not read the variable.
+        assert run_main(["examples", "--format", "csv"], capsys)[0] == 0
 
     def test_format_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("GFIBDIV_FORMAT", "json")

@@ -25,6 +25,7 @@ from gfibdiv import (
     verify_claim,
 )
 from gfibdiv import reporting, verify
+from gfibdiv.claims import conclusion_failures
 
 
 def small_config(**overrides) -> SweepConfig:
@@ -122,6 +123,34 @@ class TestVerifyClaim:
     def test_empty_range_rejected(self):
         with pytest.raises(InputError):
             verify_claim(ClaimId.Thm1_1_MultDiv, small_config(p_range=(3, 1)))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("p_range", (3, 1)), ("q_range", (0, -1)), ("time_budget_s", -1.0), ("time_budget_s", float("nan"))],
+    )
+    def test_bad_config_names_the_field(self, field, value):
+        with pytest.raises(InputError, match=field):
+            small_config(**{field: value})
+
+
+class TestGrid:
+    CONFIG = SweepConfig(p_range=(-1, 2), q_range=(-1, 0))
+
+    def test_canonical_order(self):
+        assert verify._cells(self.CONFIG) == [
+            (-1, -1), (-1, 0), (0, -1), (0, 0), (1, -1), (1, 0), (2, -1), (2, 0),
+        ]
+
+    def test_scan_order(self):
+        assert verify._cells(self.CONFIG, scan=True) == [
+            (0, 0), (0, -1), (1, 0), (1, -1), (-1, 0), (-1, -1), (2, 0), (2, -1),
+        ]
+
+    def test_grid_yields_each_cells_s_values(self):
+        config = SweepConfig(p_range=(1, 2), q_range=(1, 1))
+        assert [(params.p, params.q, s) for params, s in verify._grid(config, "test")] == [
+            (1, 1, 1), (1, 1, 5), (2, 1, 1), (2, 1, 2), (2, 1, 4), (2, 1, 8),
+        ]
 
 
 class TestDivisibilitySequence:
@@ -227,6 +256,23 @@ class TestCounterexampleSearch:
         assert set(built.values()) == {1}
         for ce in found:
             assert ce.witness["g_n"] == g_exact(SequenceParams(ce.p, ce.q), ce.n)
+
+    def test_modular_mode_reaches_the_evaluator(self, monkeypatch):
+        modes = Counter()
+
+        def spy(*args, modular=False, **kwargs):
+            modes[modular] += 1
+            return conclusion_failures(*args, modular=modular, **kwargs)
+
+        monkeypatch.setattr(verify, "conclusion_failures", spy)
+        # Example 2.2 under criterion 6's bounds
+        bounds = SweepConfig(p_range=(-10, 10), q_range=(-10, 10), s_source=tuple(range(1, 21)), k_max=2, n_max=12)
+        exact = list(iter_counterexamples(ClaimId.Thm1_1_Equiv, "gcd-pq", bounds))
+        calls = modes[False]
+        modular = list(iter_counterexamples(ClaimId.Thm1_1_Equiv, "gcd-pq", replace(bounds, mode=Mode.MODULAR)))
+        assert calls > 0 and modes == {False: calls, True: calls}
+        assert any((ce.p, ce.q, ce.s) == (3, 9, 3) for ce in exact)
+        assert modular == exact
 
     def test_time_budget_stops_the_search(self):
         bounds = small_config(p_range=(-3, 3), q_range=(-3, 3), time_budget_s=0.0)
