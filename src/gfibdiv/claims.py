@@ -47,28 +47,29 @@ def _safe_coprime(a: int, b: int) -> bool:
     return math.gcd(a, b) == 1
 
 
-# Atomic hypothesis conditions, evaluated at (p, q, s).
+# Atomic hypothesis conditions.  A condition that does not read s takes
+# (p, q), so hypothesis_gate decides it once per cell; the rest take (p, q, s).
 _CONDITIONS = {
-    "r-nonzero": lambda p, q, s: p * p + 4 * q != 0,
-    "p-odd": lambda p, q, s: p % 2 == 1,
-    "p-even": lambda p, q, s: p % 2 == 0,
-    "p-nonzero": lambda p, q, s: p != 0,
-    "p-eq-1": lambda p, q, s: p == 1,
-    "p-eq-2": lambda p, q, s: p == 2,
-    "q-eq-1": lambda p, q, s: q == 1,
-    "q-eq-2": lambda p, q, s: q == 2,
-    "q-positive": lambda p, q, s: q >= 1,
-    "gcd-pq": lambda p, q, s: _safe_coprime(p, q),
-    "gcd-p2-q": lambda p, q, s: p % 2 == 0 and _safe_coprime(p // 2, q),
+    "r-nonzero": lambda p, q: p * p + 4 * q != 0,
+    "p-odd": lambda p, q: p % 2 == 1,
+    "p-even": lambda p, q: p % 2 == 0,
+    "p-nonzero": lambda p, q: p != 0,
+    "p-eq-1": lambda p, q: p == 1,
+    "p-eq-2": lambda p, q: p == 2,
+    "q-eq-1": lambda p, q: q == 1,
+    "q-eq-2": lambda p, q: q == 2,
+    "q-positive": lambda p, q: q >= 1,
+    "gcd-pq": lambda p, q: _safe_coprime(p, q),
+    "gcd-p2-q": lambda p, q: p % 2 == 0 and _safe_coprime(p // 2, q),
     "s-div-r": lambda p, q, s: divides(s, p * p + 4 * q),
     "s-div-r4": lambda p, q, s: (p * p + 4 * q) % 4 == 0 and divides(s, (p * p + 4 * q) // 4),
     "s2-div-r": lambda p, q, s: divides(s * s, p * p + 4 * q),
     "s2-div-r4": lambda p, q, s: (p * p + 4 * q) % 4 == 0 and divides(s * s, (p * p + 4 * q) // 4),
-    "4-div-r": lambda p, q, s: (p * p + 4 * q) % 4 == 0,
+    "4-div-r": lambda p, q: (p * p + 4 * q) % 4 == 0,
     "s-prime": lambda p, q, s: s >= 0 and is_prime(s),
     "s-ge-3": lambda p, q, s: s >= 3,
-    "r-prime": lambda p, q, s: p * p + 4 * q >= 2 and is_prime(p * p + 4 * q),
-    "r4-prime": lambda p, q, s: (p * p + 4 * q) % 4 == 0
+    "r-prime": lambda p, q: p * p + 4 * q >= 2 and is_prime(p * p + 4 * q),
+    "r4-prime": lambda p, q: (p * p + 4 * q) % 4 == 0
     and (p * p + 4 * q) // 4 >= 2
     and is_prime((p * p + 4 * q) // 4),
     "s-eq-r": lambda p, q, s: s == p * p + 4 * q,
@@ -81,6 +82,7 @@ _CONDITIONS = {
     # (3 does not divide q+1) or (3 does not divide s)
     "mod3-guard": lambda p, q, s: (q + 1) % 3 != 0 or s % 3 != 0,
 }
+_S_FREE = frozenset(name for name, fn in _CONDITIONS.items() if fn.__code__.co_argcount == 2)
 
 
 class ConclusionKind(Enum):
@@ -264,7 +266,10 @@ class HypothesisReport:
 
 
 def _evaluate_conditions(spec: ClaimSpec, p: int, q: int, s: int) -> dict[str, bool]:
-    return {name: _CONDITIONS[name](p, q, s) for name in spec.condition_names}
+    return {
+        name: _CONDITIONS[name](p, q) if name in _S_FREE else _CONDITIONS[name](p, q, s)
+        for name in spec.condition_names
+    }
 
 
 def _applicable(spec: ClaimSpec, values: dict[str, bool]) -> bool:
@@ -282,6 +287,62 @@ def hypothesis_check(claim: ClaimId, params: SequenceParams, s: int) -> Hypothes
         conditions=tuple(values.items()),
         applicable=_applicable(spec, values),
     )
+
+
+def hypothesis_gate(claim: ClaimId, params: SequenceParams, relaxed: str | None = None):
+    """The claim's hypothesis on the cell (p, q): None if no s qualifies, else a predicate on s.
+
+    Without relaxed, s qualifies where the hypothesis holds, as in
+    hypothesis_check(...).applicable.  With a relaxed condition, s qualifies
+    where that condition fails and the hypothesis fails, but holds once the
+    condition is forced true: the points a relaxed search probes.  Conditions
+    that do not read s are decided here, once per cell; the predicate
+    evaluates only the rest, lazily, each case in declared order.
+    """
+    spec = _BY_ID[claim]
+    p, q = params.p, params.q
+
+    def rest(names):
+        """The conditions among names that read s, or None if one that does not fails."""
+        out = []
+        for name in names:
+            if name == relaxed:
+                continue  # forced true; its failure is checked on its own
+            if name not in _S_FREE:
+                out.append(_CONDITIONS[name])
+            elif not _CONDITIONS[name](p, q):
+                return None
+        return out
+
+    if relaxed in _S_FREE and _CONDITIONS[relaxed](p, q):
+        return None
+    common = rest(spec.global_conditions)
+    if common is None:
+        return None
+    # A relaxed case (one the relaxed condition belongs to, or every case when
+    # it is global) must hold; any other case holding makes the hypothesis hold.
+    every_case = relaxed is None or relaxed in spec.global_conditions
+    relaxed_cases, other_cases = [], []
+    for case in spec.cases:
+        residue = rest(case)
+        if residue is not None:
+            (relaxed_cases if every_case or relaxed in case else other_cases).append(residue)
+    if not relaxed_cases:
+        return None
+    must_fail = _CONDITIONS[relaxed] if relaxed is not None and relaxed not in _S_FREE else None
+
+    def holds(conditions, s: int) -> bool:
+        return all(condition(p, q, s) for condition in conditions)
+
+    def qualifies(s: int) -> bool:
+        return (
+            not (must_fail is not None and must_fail(p, q, s))
+            and holds(common, s)
+            and not any(holds(case, s) for case in other_cases)
+            and any(holds(case, s) for case in relaxed_cases)
+        )
+
+    return qualifies
 
 
 def applicable_claims(params: SequenceParams, s: int) -> list[ClaimId]:
@@ -319,7 +380,9 @@ def _rank_is_modulus(params: SequenceParams, d: int, primes: list[int]) -> bool:
     return g_mod(params, d, d) == 0 and all(g_mod(params, d // ell, d) for ell in primes)
 
 
-def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, *, modular: bool = False):
+def conclusion_failures(
+    claim: ClaimId, params: SequenceParams, s: int, ks, ns, *, modular: bool = False, table=None
+):
     """Yield (k, n, witness) wherever the claim's conclusion fails, in (k, n) order.
 
     This is the one place a conclusion is decided.  ks and ns are ascending
@@ -333,7 +396,10 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
     first.  Modular mode builds the exact table only to state G_n in a
     divisibility witness, and skips the stream of an equivalence modulus whose
     rank of apparition it certifies (_rank_is_modulus) where gcd(q, s) = 1 and
-    s factors within len(ns) trial divisions; exact mode never does.
+    s factors within len(ns) trial divisions; exact mode never does.  table,
+    if given, returns [G_0, ..., G_N] with N > max(ns), so a caller can share
+    one exact table between the s of a cell; by default one is built here,
+    at most once and only when needed.
     """
     if s < 1:
         raise InputError(f"s must be >= 1, got {s}")
@@ -342,7 +408,8 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
     # a*s^k*G_n | a*G_{s^k*n} does not depend on the scale a != 0, so the
     # SCALED kind is decided once; its witness names the first scale.
     scale = DEFAULT_SCALE_FACTORS[0] if kind is ConclusionKind.SCALED else 1
-    table = functools.cache(lambda: g_range(params, max(ns, default=0) + 1))
+    if table is None:
+        table = functools.cache(lambda: g_range(params, max(ns, default=0) + 1))
     primes = None  # the primes of s, where a modulus may be certified
     if modular and equivalence and math.gcd(params.q, s) == 1:
         primes = prime_factors(s, max_trials=len(ns))

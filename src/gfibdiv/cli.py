@@ -19,7 +19,16 @@ import sys
 from . import claims as claims_mod
 from . import reporting
 from .errors import DomainError, InputError, ResourceLimitError
-from .sequences import DEFAULT_MAX_TERMS, SequenceParams, _parse_index, g_exact, g_mod, g_pairs_mod, g_range
+from .sequences import (
+    DEFAULT_MAX_TERMS,
+    SequenceParams,
+    _index_digits,
+    _parse_index,
+    g_exact,
+    g_mod,
+    g_pairs_mod,
+    g_range,
+)
 from .verify import (
     Mode,
     SweepConfig,
@@ -144,17 +153,17 @@ def _cmd_compute(args) -> int:
         doc["values"] = values
         rows = list(enumerate(values))
     else:
+        # n is echoed as parsed, in canonical digits: str() of an int refuses
+        # more than 4,300 digits.
+        n = _index_digits(args.n)
         if args.mod is not None:
-            value = g_mod(params, args.n, args.mod)
+            value = g_mod(params, n, args.mod)
+        elif _parse_index(n) + 1 > args.max_terms:
+            raise ResourceLimitError(f"exact evaluation at n={n} exceeds the {args.max_terms}-term ceiling; use --mod")
         else:
-            n = _parse_index(args.n)
-            if n + 1 > args.max_terms:
-                raise ResourceLimitError(
-                    f"exact evaluation at n={n} exceeds the {args.max_terms}-term ceiling; use --mod"
-                )
             value = g_exact(params, n)
-        doc["n"], doc["value"] = args.n, value
-        rows = [(args.n, value)]
+        doc["n"], doc["value"] = n, value
+        rows = [(n, value)]
     _render(
         args,
         doc,

@@ -41,26 +41,49 @@ class ABPair:
     b: int
 
 
+def _index_digits(text: str) -> str:
+    """The canonical digits of a nonnegative decimal index string, of any width.
+
+    Surrounding blanks, a sign and leading zeros are dropped, and decimal
+    digits of other scripts become ASCII, so " +07" gives "7".
+    """
+    digits = text.strip()
+    negative = digits[:1] == "-"
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not digits.isdecimal():
+        raise InputError(f"malformed decimal index: {text!r}")
+    if not digits.isascii():
+        digits = "".join(str(int(ch)) for ch in digits)
+    digits = digits.lstrip("0") or "0"
+    if negative and digits != "0":
+        raise InputError(f"index must be nonnegative, got -{digits}")
+    return digits
+
+
+# int(str) refuses more digits than sys.get_int_max_str_digits() (4,300 by
+# default, never below 640 when set), so longer strings are read in parts.
+_DIGIT_CHUNK = 640
+
+
+def _decimal_value(digits: str) -> int:
+    if len(digits) <= _DIGIT_CHUNK:
+        return int(digits)
+    low = len(digits) // 2
+    return _decimal_value(digits[:-low]) * 10**low + _decimal_value(digits[-low:])
+
+
 def _parse_index(n) -> int:
     """Accept a nonnegative int or decimal string, arbitrary width."""
     if isinstance(n, bool):
         raise InputError("index must be an integer, not bool")
     if isinstance(n, str):
-        text = n.strip()
-        sign = 1
-        if text[:1] in ("+", "-"):
-            sign = -1 if text[0] == "-" else 1
-            text = text[1:]
-        if not text.isdigit():
-            raise InputError(f"malformed decimal index: {n!r}")
-        value = sign * int(text)
-    elif isinstance(n, int):
-        value = n
-    else:
+        return _decimal_value(_index_digits(n))
+    if not isinstance(n, int):
         raise InputError(f"index must be int or decimal string, got {type(n).__name__}")
-    if value < 0:
-        raise InputError(f"index must be nonnegative, got {value}")
-    return value
+    if n < 0:
+        raise InputError(f"index must be nonnegative, got {n}")
+    return n
 
 
 def g_exact(params: SequenceParams, n: int) -> int:

@@ -14,14 +14,16 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 
-# conclusion_holds, g_mod and g_is_zero are not called here; they stay
-# importable because perfbench/tracer.py wraps them under these names.
+# conclusion_holds, hypothesis_check, _applicable, g_mod and g_is_zero are
+# not called here; they stay importable because perfbench/tracer.py wraps
+# them under these names.
 from .claims import (
     ClaimId,
     claim_spec,
     conclusion_failures,
     conclusion_holds,
     hypothesis_check,
+    hypothesis_gate,
     thm12_lift_condition,
     _applicable,
     _evaluate_conditions,
@@ -119,10 +121,15 @@ def _resolve_s(config: SweepConfig, params: SequenceParams) -> list[int]:
 def _sweep_cell(args) -> tuple[int, list[Counterexample]]:
     claim, config, p, q = args
     params = SequenceParams(p, q)
+    s_values = _resolve_s(config, params)
+    qualifies = hypothesis_gate(claim, params) if s_values else None  # no s, no condition evaluated
+    if qualifies is None:
+        return 0, []
+    table = functools.cache(lambda: g_range(params, config.n_max + 1))  # shared by the cell's s
     points = 0
     violations: list[Counterexample] = []
-    for s in _resolve_s(config, params):
-        if not hypothesis_check(claim, params, s).applicable:
+    for s in s_values:
+        if not qualifies(s):
             continue
         if (
             claim is ClaimId.Thm1_2_LiftedEquiv
@@ -133,7 +140,7 @@ def _sweep_cell(args) -> tuple[int, list[Counterexample]]:
         points += (config.k_max + 1) * (config.n_max + 1)
         failures = conclusion_failures(
             claim, params, s, range(config.k_max + 1), range(config.n_max + 1),
-            modular=config.mode is Mode.MODULAR,
+            modular=config.mode is Mode.MODULAR, table=table,
         )
         violations.extend(Counterexample(claim, p, q, s, k, n, witness) for k, n, witness in failures)
     return points, violations
@@ -419,7 +426,8 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
 
     A point qualifies when every hypothesis condition of some case holds
     except the relaxed one (which must fail), the full hypothesis is not
-    applicable, and the conclusion is false.  Past bounds.time_budget_s,
+    applicable, and the conclusion is false.  The hypothesis is decided per
+    cell first (hypothesis_gate), then per s.  Past bounds.time_budget_s,
     checked after each s before its counterexamples are yielded, it raises
     ResourceLimitError.
     """
@@ -429,22 +437,23 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
             f"{relaxed_condition!r} is not a condition of {claim.value}; "
             f"conditions: {list(spec.condition_names)}"
         )
-    table = functools.lru_cache(maxsize=1)(lambda params: g_range(params, bounds.n_max))  # one per cell
+
+    @functools.lru_cache(maxsize=1)  # _grid walks one cell at a time
+    def cell(params: SequenceParams):
+        table = functools.cache(lambda: g_range(params, bounds.n_max + 1))  # also the evaluator's
+        return hypothesis_gate(claim, params, relaxed_condition), table
+
     found: list[Counterexample] = []
     # _grid checks the budget when asked for the next s, so each s's
     # counterexamples are held until then.
     for params, s in _grid(bounds, "search", scan=True):
         yield from found
-        values = _evaluate_conditions(spec, params.p, params.q, s)
         found = []
-        if (
-            not values[relaxed_condition]
-            and not _applicable(spec, values)
-            and _applicable(spec, {**values, relaxed_condition: True})
-        ):
+        qualifies, table = cell(params)
+        if qualifies is not None and qualifies(s):
             failures = conclusion_failures(
                 claim, params, s, range(bounds.k_max + 1), range(bounds.n_max + 1),
-                modular=bounds.mode is Mode.MODULAR,
+                modular=bounds.mode is Mode.MODULAR, table=table,
             )
             found = [
                 Counterexample(
@@ -454,7 +463,7 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
                     s=s,
                     k=k,
                     n=n,
-                    witness=_search_witness(params, table(params)[n], s**k, n, witness),
+                    witness=_search_witness(params, table()[n], s**k, n, witness),
                     relaxed_condition=relaxed_condition,
                 )
                 for k, n, witness in sorted(failures, key=lambda f: (f[1], f[0]))

@@ -18,12 +18,14 @@ from gfibdiv import (
 from gfibdiv import claims
 from gfibdiv.claims import (
     _CONDITIONS,
+    _applicable,
     _rank_is_modulus,
     DEFAULT_SCALE_FACTORS,
     REGISTRY,
     ConclusionKind,
     claim_spec,
     conclusion_failures,
+    hypothesis_gate,
 )
 from gfibdiv.numtheory import is_prime
 from gfibdiv.sequences import g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
@@ -93,6 +95,81 @@ class TestHypothesisCheck:
         for spec in REGISTRY:
             report = hypothesis_check(spec.claim, SequenceParams(1, 1), 5)
             assert tuple(name for name, _ in report.conditions) == spec.condition_names
+
+
+class TestHypothesisGate:
+    """hypothesis_gate against the full per-point evaluation it replaces."""
+
+    @pytest.mark.parametrize("claim", list(ClaimId))
+    def test_matches_the_full_evaluation(self, claim):
+        # p = 0, q = 0, r = 0 (p = 2, q = -1) and negative r are all on the grid.
+        spec = claim_spec(claim)
+        qualifying = 0
+        for p in range(-12, 13):
+            for q in range(-12, 13):
+                params = SequenceParams(p, q)
+                sweep = hypothesis_gate(claim, params)
+                search = {name: hypothesis_gate(claim, params, name) for name in spec.condition_names}
+                for s in range(1, 41):
+                    report = hypothesis_check(claim, params, s)
+                    assert (sweep is not None and sweep(s)) == report.applicable, (p, q, s)
+                    values = dict(report.conditions)
+                    for name, gate in search.items():
+                        want = (
+                            not values[name]
+                            and not report.applicable
+                            and _applicable(spec, {**values, name: True})
+                        )
+                        assert (gate is not None and gate(s)) == want, (name, p, q, s)
+                        qualifying += want
+        assert qualifying > 0
+
+    # Criterion 6's searches on |p|,|q| <= 10, s <= 20: (claim, relaxed
+    # condition, qualifying points).  Examples 2.5 and 2.6(a) share a search,
+    # and so do 2.6(b) and 2.9.
+    CRITERION_6 = (
+        (ClaimId.Thm1_1_Equiv, "gcd-pq", 182),
+        (ClaimId.Thm1_1_Equiv, "s-prime", 140),
+        (ClaimId.Thm1_1_Equiv, "s-ge-3", 42),
+        (ClaimId.Thm1_1_Equiv, "gcd-p2-q", 274),
+        (ClaimId.Cor_Square, "gcd-p2-q", 120),
+        (ClaimId.Thm1_1_Equiv, "mod3-guard", 112),
+        (ClaimId.Cor_P1P2, "mod3-guard", 26),
+        (ClaimId.Cor_PrimeR, "r-prime", 17),
+        (ClaimId.Cor_P1P2, "s-div-q1", 322),
+        (ClaimId.Cor_PrimeRover4, "r4-prime", 38),
+        (ClaimId.Cor_PrimeRover4, "p-nonzero", 4),
+        (ClaimId.Cor_PrimeR, "q-positive", 12),
+        (ClaimId.Cor_PrimeRover4, "q-positive", 22),
+    )
+
+    @pytest.mark.parametrize("claim,relaxed,points", CRITERION_6)
+    def test_criterion_6_qualifying_points(self, claim, relaxed, points):
+        count = 0
+        for p in range(-10, 11):
+            for q in range(-10, 11):
+                gate = hypothesis_gate(claim, SequenceParams(p, q), relaxed)
+                count += gate is not None and sum(map(gate, range(1, 21)))
+        assert count == points
+
+    def test_cell_decides_s_free_conditions(self):
+        # (3, 9): gcd(p, q) = 3 rules out every case of Theorem 1.1(2) ...
+        assert hypothesis_gate(ClaimId.Thm1_1_Equiv, SequenceParams(3, 9)) is None
+        # ... and relaxing gcd-pq leaves only conditions on s.
+        gate = hypothesis_gate(ClaimId.Thm1_1_Equiv, SequenceParams(3, 9), "gcd-pq")
+        assert [s for s in range(1, 50) if gate(s)] == [1, 3, 5, 9, 15, 45]  # s | r = 45
+        # A relaxed condition that holds on the cell leaves nothing to relax.
+        assert hypothesis_gate(ClaimId.Thm1_1_Equiv, SequenceParams(1, 1), "gcd-pq") is None
+
+    def test_undecidable_primality_not_reached(self, monkeypatch):
+        # s is never tested for primality where an s-free condition already
+        # rules out the case that reads s-prime.
+        def no_primality(m):
+            raise AssertionError(f"is_prime({m}) reached")
+
+        monkeypatch.setattr(claims, "is_prime", no_primality)
+        gate = hypothesis_gate(ClaimId.Thm1_1_Equiv, SequenceParams(2, 2))  # gcd(2, 2) = 2
+        assert gate(1) and not gate(318665857834031151167461)  # s | r/4 = 3 decides
 
 
 class TestApplicableClaims:

@@ -83,6 +83,30 @@ class TestCompute:
         assert code == cli.EXIT_INPUT
         assert "error" in err
 
+    def test_index_of_any_width(self, capsys):
+        nines = "9" * 5000  # past int()'s 4,300-digit limit on strings
+        code, out, _ = run_main(["compute", "-p", "1", "-q", "1", "-n", nines, "--mod", "7"], capsys)
+        assert (code, out) == (0, "1\n")  # the Pisano period of 7 is 16, and 10^5000 - 1 = 15 (mod 16)
+        code, out, _ = run_main(["compute", "-p", "1", "-q", "1", "-n", "0" + nines, "--mod", "7", "--format", "csv"], capsys)
+        assert (code, out) == (0, f"n,value\n{nines},1\n")
+        code, out, err = run_main(["compute", "-p", "1", "-q", "1", "-n", nines], capsys)
+        assert (code, out) == (cli.EXIT_RESOURCE, "")
+        assert f"n={nines} exceeds" in err
+
+    @pytest.mark.parametrize("typed,parsed", [(" +07", "7"), ("0", "0"), ("-000", "0"), ("\u0663", "3")])
+    def test_echoes_the_parsed_index(self, capsys, typed, parsed):
+        value = {"7": 13, "0": 0, "3": 2}[parsed]
+        code, out, _ = run_main(["compute", "-p", "1", "-q", "1", "-n", typed, "--format", "csv"], capsys)
+        assert (code, out) == (0, f"n,value\n{parsed},{value}\n")
+        code, doc = run_json(["compute", "-p", "1", "-q", "1", "-n", typed, "--mod", "100"], capsys)
+        assert (code, doc["n"], doc["value"]) == (0, parsed, value)
+
+    @pytest.mark.parametrize("typed", ["\u00b2", "-7", "1_000", ""])
+    def test_bad_index_rejected(self, capsys, typed):
+        code, out, err = run_main(["compute", "-p", "1", "-q", "1", "-n", typed], capsys)
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert "index" in err
+
     def test_zero_modulus(self, capsys):
         code, _, _ = run_main(["compute", "-p", "1", "-q", "1", "-n", "5", "--mod", "0"], capsys)
         assert code == cli.EXIT_INPUT
@@ -167,6 +191,22 @@ class TestCheck:
         )
         assert code == cli.EXIT_INPUT
         assert psi12 in err and out == ""
+
+    @pytest.mark.parametrize(
+        "p,q,verdict",
+        [
+            ("1", "79666464458507787791865", "all-pass"),  # s = r, p odd, (p, q) = 1: case 1 holds
+            ("2", "2", "hypothesis-never-applicable"),  # (p, q) = 2 rules out the prime case
+        ],
+    )
+    def test_primality_not_needed_is_not_tested(self, capsys, p, q, verdict):
+        psi12 = "318665857834031151167461"
+        code, doc = run_json(
+            ["check", "--claim", "thm1.1-equiv", "-p", p, "-q", q, "-s", psi12, "--kmax", "1", "--nmax", "10"],
+            capsys,
+        )
+        assert doc["verdict"] == verdict
+        assert code == (cli.EXIT_OK if verdict == "all-pass" else cli.EXIT_NEVER_APPLICABLE)
 
     def test_large_prime_s_keeps_the_stream(self, capsys, monkeypatch):
         # s = r = 10^18 + 9 is prime; factoring it by trial division would take

@@ -18,7 +18,7 @@ from gfibdiv import (
     g_pairs_mod,
     g_range,
 )
-from gfibdiv.sequences import g_is_zero
+from gfibdiv.sequences import _parse_index, g_is_zero
 
 
 def naive_g(p: int, q: int, n: int) -> int:
@@ -177,6 +177,17 @@ class TestGMod:
             m = rng.randint(1, 10**9)
             n = rng.randint(10**17, 10**18)
             assert g_mod(SequenceParams(p, q), str(n), m) == matrix_g_mod(p, q, n, m)
+
+    @pytest.mark.parametrize("width", [639, 640, 641, 4301, 5000, 20000])
+    def test_index_string_of_any_width(self, width):
+        rng = random.Random(width)
+        digits = "".join(rng.choice("0123456789") for _ in range(width))
+        n = 0
+        for d in digits:  # digit by digit, where int() would refuse the string
+            n = 10 * n + int(d)
+        m = rng.randint(2, 10**9)
+        assert _parse_index(" +00" + digits) == n
+        assert g_mod(SequenceParams(3, -2), digits, m) == matrix_g_mod(3, -2, n, m)
 
     @given(
         p=st.integers(-8, 8),

@@ -24,7 +24,7 @@ from gfibdiv import (
     search_counterexample,
     verify_claim,
 )
-from gfibdiv import reporting, verify
+from gfibdiv import claims, reporting, verify
 from gfibdiv.claims import conclusion_failures
 
 
@@ -47,6 +47,28 @@ class TestVerifyClaim:
         )
         assert report.verdict is Verdict.NEVER_APPLICABLE
         assert report.points_checked == 0
+
+    def test_one_exact_table_per_cell(self, monkeypatch):
+        built = Counter()  # (p, q) -> exact tables built by the sweep and the evaluator
+
+        def counting_range(params, n_max, **kwargs):
+            built[params.p, params.q] += 1
+            return g_range(params, n_max, **kwargs)
+
+        monkeypatch.setattr(verify, "g_range", counting_range)
+        monkeypatch.setattr(claims, "g_range", counting_range)
+        report = verify_claim(ClaimId.Thm1_1_MultDiv, small_config())  # exact mode
+        assert report.verdict is Verdict.ALL_PASS
+        # The hypothesis holds at every s | r, r != 0, and s = 1 needs no table.
+        assert set(built.values()) == {1}
+        assert set(built) == {(p, q) for p in range(-4, 5) for q in range(-4, 5) if abs(p * p + 4 * q) > 1}
+
+    def test_cell_without_s_evaluates_no_condition(self):
+        # r = psi_12 is odd, so the cell has no divisor of r/4 to try, and the
+        # undecidable r-prime is never evaluated.
+        q = (318665857834031151167461 - 1) // 4
+        config = small_config(p_range=(1, 1), q_range=(q, q), s_source="divisors-of-r4")
+        assert verify_claim(ClaimId.Cor_PrimeR, config).verdict is Verdict.NEVER_APPLICABLE
 
     def test_lift_gate_excludes_failing_cell(self):
         # At (p, q, s) = (5, 2, 3) the base hypothesis applies but the lift
@@ -243,19 +265,35 @@ class TestCounterexampleSearch:
 
 
     def test_one_exact_table_per_cell(self, monkeypatch):
-        built = Counter()  # (p, q) -> exact tables built by the search
+        built = Counter()  # (p, q) -> exact tables built by the search and the evaluator
 
         def counting_range(params, n_max, **kwargs):
             built[params.p, params.q] += 1
             return g_range(params, n_max, **kwargs)
 
         monkeypatch.setattr(verify, "g_range", counting_range)
+        monkeypatch.setattr(claims, "g_range", counting_range)
+        # Example 2.2 under criterion 6's bounds
         bounds = SweepConfig(p_range=(-10, 10), q_range=(-10, 10), s_source=tuple(range(1, 21)), k_max=2, n_max=12)
+        spec = claims.claim_spec(ClaimId.Thm1_1_Equiv)
+        qualifying = set()
+        for params, s in verify._grid(bounds, "search"):
+            values = claims._evaluate_conditions(spec, params.p, params.q, s)
+            relaxed = {**values, "gcd-pq": True}
+            if not values["gcd-pq"] and not claims._applicable(spec, values) and claims._applicable(spec, relaxed):
+                qualifying.add((params.p, params.q))
+        # Exact mode decides every qualifying point from the cell's one table;
+        # the parent commit built 216 here, one per s in the evaluator.
         found = list(iter_counterexamples(ClaimId.Thm1_1_Equiv, "gcd-pq", bounds))
-        assert found and set(built) == {(ce.p, ce.q) for ce in found}
+        assert len(qualifying) == 92 and set(built) == qualifying
         assert set(built.values()) == {1}
         for ce in found:
             assert ce.witness["g_n"] == g_exact(SequenceParams(ce.p, ce.q), ce.n)
+        # Modular mode builds it only where a witness states G_n.
+        built.clear()
+        found = list(iter_counterexamples(ClaimId.Thm1_1_Equiv, "gcd-pq", replace(bounds, mode=Mode.MODULAR)))
+        assert len(built) == 78 and set(built) == {(ce.p, ce.q) for ce in found}
+        assert set(built.values()) == {1}
 
     def test_modular_mode_reaches_the_evaluator(self, monkeypatch):
         modes = Counter()
