@@ -13,6 +13,7 @@ Text output is human-oriented; JSON and CSV are the stable formats.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -67,14 +68,36 @@ def _default_format() -> str:
     return env
 
 
+@contextlib.contextmanager
+def _any_int_digits():
+    """Lift Python's limit on int/str conversion (4,300 digits by default) inside the block.
+
+    Pythons older than 3.10.7 have no such limit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _render(args, doc: dict, csv, text) -> None:
-    """Write doc as JSON, csv() as CSV, or the lines of text(), to --output or stdout."""
-    if args.format == "json":
-        out = reporting.to_json(doc)
-    elif args.format == "csv":
-        out = csv()
-    else:
-        out = "\n".join(text()) + "\n"
+    """Write doc as JSON, csv() as CSV, or the lines of text(), to --output or stdout.
+
+    Exact integers of any length are written in full; arguments are parsed
+    under the limit.
+    """
+    with _any_int_digits():
+        if args.format == "json":
+            out = reporting.to_json(doc)
+        elif args.format == "csv":
+            out = csv()
+        else:
+            out = "\n".join(text()) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out)

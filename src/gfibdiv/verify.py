@@ -9,6 +9,7 @@ count.  Every conclusion is decided by claims.conclusion_failures.
 from __future__ import annotations
 
 import functools
+import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -118,31 +119,51 @@ def _resolve_s(config: SweepConfig, params: SequenceParams) -> list[int]:
     return sorted(set(source))
 
 
+def _cell_table(config: SweepConfig, params: SequenceParams):
+    """The cell's exact table [G_0, ..., G_{n_max+1}], built on first call and then kept."""
+    return functools.cache(lambda: g_range(params, config.n_max + 1))
+
+
+def _cell_evaluator(claim: ClaimId, config: SweepConfig, params: SequenceParams, relaxed: str | None = None):
+    """The claim on the cell (p, q): None where hypothesis_gate rules it out, else (evaluate, table).
+
+    evaluate(s) is None where s does not qualify: the gate's predicate fails,
+    or, for the lifted equivalence at s >= 2, the lift condition fails up to
+    t_max.  Otherwise it yields the conclusion's failures at s, k <= k_max and
+    n <= n_max (conclusion_failures).  table is _cell_table's, shared by the
+    evaluator at every s of the cell; sweep and search both decide a cell here.
+    """
+    qualifies = hypothesis_gate(claim, params, relaxed)
+    if qualifies is None:
+        return None
+    table = _cell_table(config, params)
+    lifted = claim is ClaimId.Thm1_2_LiftedEquiv
+    ks, ns = range(config.k_max + 1), range(config.n_max + 1)
+    modular = config.mode is Mode.MODULAR
+
+    def evaluate(s: int):
+        if not qualifies(s) or (lifted and s >= 2 and not thm12_lift_condition(params, s, config.t_max).holds):
+            return None
+        return conclusion_failures(claim, params, s, ks, ns, modular=modular, table=table)
+
+    return evaluate, table
+
+
 def _sweep_cell(args) -> tuple[int, list[Counterexample]]:
     claim, config, p, q = args
     params = SequenceParams(p, q)
     s_values = _resolve_s(config, params)
-    qualifies = hypothesis_gate(claim, params) if s_values else None  # no s, no condition evaluated
-    if qualifies is None:
+    cell = _cell_evaluator(claim, config, params) if s_values else None  # no s, no condition evaluated
+    if cell is None:
         return 0, []
-    table = functools.cache(lambda: g_range(params, config.n_max + 1))  # shared by the cell's s
+    evaluate, _ = cell
     points = 0
     violations: list[Counterexample] = []
     for s in s_values:
-        if not qualifies(s):
-            continue
-        if (
-            claim is ClaimId.Thm1_2_LiftedEquiv
-            and s >= 2
-            and not thm12_lift_condition(params, s, config.t_max).holds
-        ):
-            continue
-        points += (config.k_max + 1) * (config.n_max + 1)
-        failures = conclusion_failures(
-            claim, params, s, range(config.k_max + 1), range(config.n_max + 1),
-            modular=config.mode is Mode.MODULAR, table=table,
-        )
-        violations.extend(Counterexample(claim, p, q, s, k, n, witness) for k, n, witness in failures)
+        failures = evaluate(s)
+        if failures is not None:
+            points += (config.k_max + 1) * (config.n_max + 1)
+            violations.extend(Counterexample(claim, p, q, s, k, n, witness) for k, n, witness in failures)
     return points, violations
 
 
@@ -183,15 +204,16 @@ def verify_claim(claim: ClaimId, config: SweepConfig) -> VerificationReport:
     cells = [(claim, config, p, q) for p, q in _cells(config)]
     points = 0
     violations: list[Counterexample] = []
-    parallel = config.worker_count > 1 and len(cells) > 1
-    if parallel:
+    # More processes than cells or CPUs would only add start-up cost.
+    workers = min(config.worker_count, len(cells), os.cpu_count() or 1)
+    if workers > 1:
         # Imported only here, so a serial run does not load the pool's modules.
         from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=config.worker_count) if parallel else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         if pool is None:
             results = map(_sweep_cell, cells)
         else:
-            results = pool.map(_sweep_cell, cells, chunksize=max(1, len(cells) // (4 * config.worker_count)))
+            results = pool.map(_sweep_cell, cells, chunksize=max(1, len(cells) // (4 * workers)))
         # The budget is checked after each cell, so a sweep stops soon after it passes.
         for done, (cell_points, cell_violations) in enumerate(results, 1):
             points += cell_points
@@ -298,7 +320,7 @@ def identity_suite(
             res.passed = False
             res.first_failure = context
 
-    gs = g_range(params, n_max * max(s_list + [1]))
+    gs = g_range(params, n_max)
     abs_ = [ab_exact(params, n) for n in range(n_max + 1)]
     ab_big = {}
 
@@ -426,8 +448,9 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
 
     A point qualifies when every hypothesis condition of some case holds
     except the relaxed one (which must fail), the full hypothesis is not
-    applicable, and the conclusion is false.  The hypothesis is decided per
-    cell first (hypothesis_gate), then per s.  Past bounds.time_budget_s,
+    applicable, and the conclusion is false; for the lifted equivalence the
+    lift condition must hold up to bounds.t_max, as in a sweep.  Each cell is
+    decided by _cell_evaluator, the sweep's too.  Past bounds.time_budget_s,
     checked after each s before its counterexamples are yielded, it raises
     ResourceLimitError.
     """
@@ -438,36 +461,34 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
             f"conditions: {list(spec.condition_names)}"
         )
 
-    @functools.lru_cache(maxsize=1)  # _grid walks one cell at a time
-    def cell(params: SequenceParams):
-        table = functools.cache(lambda: g_range(params, bounds.n_max + 1))  # also the evaluator's
-        return hypothesis_gate(claim, params, relaxed_condition), table
-
     found: list[Counterexample] = []
+    cell_params = cell = None
     # _grid checks the budget when asked for the next s, so each s's
     # counterexamples are held until then.
     for params, s in _grid(bounds, "search", scan=True):
         yield from found
         found = []
-        qualifies, table = cell(params)
-        if qualifies is not None and qualifies(s):
-            failures = conclusion_failures(
-                claim, params, s, range(bounds.k_max + 1), range(bounds.n_max + 1),
-                modular=bounds.mode is Mode.MODULAR, table=table,
+        if params != cell_params:
+            cell_params, cell = params, _cell_evaluator(claim, bounds, params, relaxed_condition)
+        if cell is None:
+            continue
+        evaluate, table = cell
+        failures = evaluate(s)
+        if failures is None:
+            continue
+        found = [
+            Counterexample(
+                claim=claim,
+                p=params.p,
+                q=params.q,
+                s=s,
+                k=k,
+                n=n,
+                witness=_search_witness(params, table()[n], s**k, n, witness),
+                relaxed_condition=relaxed_condition,
             )
-            found = [
-                Counterexample(
-                    claim=claim,
-                    p=params.p,
-                    q=params.q,
-                    s=s,
-                    k=k,
-                    n=n,
-                    witness=_search_witness(params, table()[n], s**k, n, witness),
-                    relaxed_condition=relaxed_condition,
-                )
-                for k, n, witness in sorted(failures, key=lambda f: (f[1], f[0]))
-            ]
+            for k, n, witness in sorted(failures, key=lambda f: (f[1], f[0]))
+        ]
     yield from found
 
 
@@ -536,11 +557,14 @@ def converse_survey(bounds: SweepConfig) -> SurveyReport:
     spec = claim_spec(ClaimId.Thm1_2_BaseEquiv)
     modular = bounds.mode is Mode.MODULAR
     rows = []
+    cell_params = table = None
     for params, s in _grid(bounds, "survey"):
         if params.r == 0:
             continue
+        if params != cell_params:
+            cell_params, table = params, _cell_table(bounds, params)
         first = next(
-            conclusion_failures(spec.claim, params, s, (1,), range(bounds.n_max + 1), modular=modular),
+            conclusion_failures(spec.claim, params, s, (1,), range(bounds.n_max + 1), modular=modular, table=table),
             None,
         )
         if first is not None:

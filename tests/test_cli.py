@@ -1,3 +1,5 @@
+import ast
+import csv
 import json
 import os
 import re
@@ -143,6 +145,54 @@ class TestCompute:
         )
         assert code == 0
         assert out.splitlines() == ["n,value", "0,0", "1,1", "2,1", "3,2"]
+
+
+class TestLongIntegers:
+    """Exact values longer than the 4,300 digits str() of an int gives by default."""
+
+    SEARCH = ["search", "--claim", "thm1.1-multdiv", "--relax", "s-div-r", "--pmin", "10", "--pmax", "10",
+              "--qmin", "1", "--qmax", "1", "--s-source", "7", "--kmax", "3", "--nmax", "20", "--all"]
+
+    def run(self, argv, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_main(argv, capsys)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit  # lifted only while the report is written
+        return out
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_compute(self, capsys, fmt):
+        out = self.run(["compute", "-p", "1", "-q", "1", "-n", "30000", "--format", fmt], capsys)
+        with cli._any_int_digits():
+            value = gfibdiv.g_exact(gfibdiv.SequenceParams(1, 1), 30000)
+            assert len(str(value)) == 6270
+            if fmt == "json":
+                assert json.loads(out) == {"kind": "compute", "p": 1, "q": 1, "n": "30000", "value": value}
+            else:
+                assert out == {"text": f"{value}\n", "csv": f"n,value\n30000,{value}\n"}[fmt]
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_search_witness(self, capsys, fmt):
+        out = self.run(self.SEARCH + ["--format", fmt], capsys)
+        with cli._any_int_digits():
+            if fmt == "json":
+                found = [(ce["k"], ce["n"], ce["witness"]) for ce in json.loads(out)["counterexamples"]]
+            elif fmt == "csv":
+                found = [(int(row["k"]), int(row["n"]), json.loads(row["witness"])) for row in csv.DictReader(out.splitlines())]
+            else:
+                lines = [re.fullmatch(r"p=10 q=1 s=7 k=(\d+) n=(\d+) relaxed=s-div-r witness=(.*)", line) for line in out.splitlines()]
+                found = [(int(m[1]), int(m[2]), ast.literal_eval(m[3])) for m in lines]
+            params = gfibdiv.SequenceParams(10, 1)
+            assert found
+            for k, n, witness in found:
+                g_n, d = gfibdiv.g_exact(params, n), 7**k
+                assert witness == {"divisor": d * g_n, "index": d * n, "g_n": g_n, "dividend_g": gfibdiv.g_exact(params, d * n)}
+            assert max(len(str(witness["dividend_g"])) for _, _, witness in found) > 4300
+
+    def test_arguments_keep_the_limit(self, capsys):
+        code, out, err = run_main(["compute", "-p", "1" * 5000, "-q", "1", "-n", "3"], capsys)
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert "invalid int value" in err
 
 
 class TestClaims:

@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import os
 from collections import Counter
 from dataclasses import replace
 
@@ -137,10 +139,46 @@ class TestVerifyClaim:
             verify_claim(ClaimId.Thm1_1_Equiv, config)
         assert cells == [(-3, -3)]
 
-    def test_time_budget_stops_the_pool(self):
+    def test_time_budget_stops_the_pool(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool, even on a one-CPU host
         config = small_config(worker_count=2, time_budget_s=0.0)
         with pytest.raises(ResourceLimitError, match="1 of 81 cells"):
             verify_claim(ClaimId.Thm1_1_Equiv, config)
+        assert pools == [2]
+
+    @pytest.mark.parametrize("cpus,started", [(None, []), (1, []), (4, [4]), (1000, [81])])
+    def test_pool_size_is_capped(self, monkeypatch, cpus, started):
+        pools = []
+
+        class SerialPool:
+            """Records the pool size asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        report = verify_claim(ClaimId.Thm1_1_Equiv, small_config(worker_count=100000))  # 81 cells
+        assert pools == started
+        serial = verify_claim(ClaimId.Thm1_1_Equiv, small_config())
+        assert reporting.to_json(reporting.report_to_dict(report)) == reporting.to_json(reporting.report_to_dict(serial))
 
     def test_empty_range_rejected(self):
         with pytest.raises(InputError):
@@ -201,6 +239,18 @@ class TestIdentitySuite:
     def test_bad_n_max(self):
         with pytest.raises(InputError):
             identity_suite(SequenceParams(1, 1), n_max=0, s_list=[2])
+
+    def test_table_stops_at_n_max(self, monkeypatch):
+        asked = []
+
+        def recording_range(params, n_max, **kwargs):
+            asked.append(n_max)
+            return g_range(params, n_max, **kwargs)
+
+        monkeypatch.setattr(verify, "g_range", recording_range)
+        results = identity_suite(SequenceParams(1, 1), n_max=4, s_list=[2, 50])
+        assert all(r.passed for r in results)
+        assert asked == [4]  # G_n is read only up to n_max; G_{s*n} comes from ab_exact
 
 
 class TestGoldenExamples:
@@ -312,6 +362,19 @@ class TestCounterexampleSearch:
         assert any((ce.p, ce.q, ce.s) == (3, 9, 3) for ce in exact)
         assert modular == exact
 
+    def test_lifted_search_keeps_the_lift_condition(self):
+        # Criterion 6's bounds; a relaxed point of Theorem 1.2(2) must still
+        # satisfy its lift hypothesis s^2 !| G_{st} (s !| t), here up to t_max.
+        bounds = SweepConfig(
+            p_range=(-10, 10), q_range=(-10, 10), s_source=tuple(range(1, 21)), k_max=2, n_max=12, t_max=3
+        )
+        found = list(iter_counterexamples(ClaimId.Thm1_2_LiftedEquiv, "gcd-pq", bounds))
+        assert len(found) == 16 and len({(ce.p, ce.q, ce.s) for ce in found}) == 8
+        for ce in found:
+            assert claims.thm12_lift_condition(SequenceParams(ce.p, ce.q), ce.s, bounds.t_max).holds
+        # Checked up to t = 50, the condition fails at each of those points.
+        assert search_counterexample(ClaimId.Thm1_2_LiftedEquiv, "gcd-pq", replace(bounds, t_max=50)) is None
+
     def test_time_budget_stops_the_search(self):
         bounds = small_config(p_range=(-3, 3), q_range=(-3, 3), time_budget_s=0.0)
         # Scan order starts at p = 0: q = 0 has no s (r = 0), q = 1 has r = 4.
@@ -371,6 +434,23 @@ class TestConverseSurvey:
         # 20 does not divide r/4 = 5 and is not prime, so cases 2 and 3 fail
         assert "s-div-r4" in row.failing_conditions
         assert "s-prime" in row.failing_conditions
+
+    def test_one_exact_table_per_cell(self, monkeypatch):
+        built = Counter()  # (p, q) -> exact tables built by the survey and the evaluator
+
+        def counting_range(params, n_max, **kwargs):
+            built[params.p, params.q] += 1
+            return g_range(params, n_max, **kwargs)
+
+        monkeypatch.setattr(verify, "g_range", counting_range)
+        monkeypatch.setattr(claims, "g_range", counting_range)
+        config = SweepConfig(p_range=(-8, 8), q_range=(-8, 8), k_max=1, n_max=300)
+        exact = converse_survey(config)
+        # One table per s, unshared, would be 1,066 tables for these 278 cells, up to 11 per cell.
+        assert len(exact.rows) == 560 and set(built.values()) == {1}
+        built.clear()
+        modular = converse_survey(replace(config, mode=Mode.MODULAR))
+        assert not built and modular.rows == exact.rows
 
     def test_note_flags_open_question(self):
         report = converse_survey(self.CONFIG)
