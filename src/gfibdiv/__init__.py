@@ -13,7 +13,7 @@ from .claims import (
 )
 from .errors import DomainError, InputError, ResourceLimitError
 from .numtheory import Valuation, binomial, divides, gcd, is_prime, positive_divisors, valuation
-from .sequences import ABPair, SequenceParams, ab_exact, ab_mod, g_exact, g_mod, g_pairs_mod, g_range
+from .sequences import ABPair, SequenceParams, ab_exact, g_exact, g_mod, g_pairs_mod, g_range
 from .verify import (
     Counterexample,
     Mode,
@@ -45,7 +45,6 @@ __all__ = [
     "Verdict",
     "VerificationReport",
     "ab_exact",
-    "ab_mod",
     "applicable_claims",
     "binomial",
     "catalog",

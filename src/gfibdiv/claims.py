@@ -41,12 +41,6 @@ class ClaimId(Enum):
     Remark_Scaled = "remark-scaled"
 
 
-def _safe_coprime(a: int, b: int) -> bool:
-    if a == 0 and b == 0:
-        return False
-    return math.gcd(a, b) == 1
-
-
 # Atomic hypothesis conditions.  A condition that does not read s takes
 # (p, q), so hypothesis_gate decides it once per cell; the rest take (p, q, s).
 _CONDITIONS = {
@@ -59,8 +53,8 @@ _CONDITIONS = {
     "q-eq-1": lambda p, q: q == 1,
     "q-eq-2": lambda p, q: q == 2,
     "q-positive": lambda p, q: q >= 1,
-    "gcd-pq": lambda p, q: _safe_coprime(p, q),
-    "gcd-p2-q": lambda p, q: p % 2 == 0 and _safe_coprime(p // 2, q),
+    "gcd-pq": lambda p, q: math.gcd(p, q) == 1,
+    "gcd-p2-q": lambda p, q: p % 2 == 0 and math.gcd(p // 2, q) == 1,
     "s-div-r": lambda p, q, s: divides(s, p * p + 4 * q),
     "s-div-r4": lambda p, q, s: (p * p + 4 * q) % 4 == 0 and divides(s, (p * p + 4 * q) // 4),
     "s2-div-r": lambda p, q, s: divides(s * s, p * p + 4 * q),

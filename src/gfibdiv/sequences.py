@@ -173,19 +173,6 @@ def g_mod(params: SequenceParams, n, m: int) -> int:
     return _pair_mod(params.p, params.q, n, m)[0]
 
 
-def ab_mod(params: SequenceParams, n, m: int) -> tuple[int, int]:
-    """(A_n mod m, B_n mod m); n may be a decimal string.
-
-    B obeys the doubled recurrence X_j = 2p*X_{j-1} + 4q*X_{j-2} with B_0=0,
-    B_1=1, and A_n = B_{n+1} - p*B_n.
-    """
-    if m < 1:
-        raise DomainError(f"modulus must be >= 1, got {m}")
-    n = _parse_index(n)
-    b, b1 = _pair_mod(2 * params.p, 4 * params.q, n, m)
-    return (b1 - params.p * b) % m, b
-
-
 def g_is_zero(params: SequenceParams, n) -> bool:
     """Whether G_n = 0, decidable for astronomically large n.
 

@@ -183,18 +183,23 @@ def _check_budget(config: SweepConfig, start: float, what: str, where, pool=None
         )
 
 
-def _grid(config: SweepConfig, what: str, *, scan: bool = False):
-    """Yield (params, s) for each cell in _cells order and each of its s values.
+def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False):
+    """Yield (params, s, value) for each cell in _cells order and each of its s values.
 
-    The clock starts at the first request.  Past config.time_budget_s, checked
-    each time the caller asks for the next s, it raises ResourceLimitError
-    naming the (p, q, s) it yielded last.
+    value = cell(params) is computed once for each cell that has an s, and
+    nothing of the cell is yielded where it is None.  The clock starts at the
+    first request.  Past config.time_budget_s, checked after each s walked
+    (when the caller asks for the next), it raises ResourceLimitError naming
+    that (p, q, s).
     """
     start = time.monotonic()
     for p, q in _cells(config, scan=scan):
         params = SequenceParams(p, q)
-        for s in _resolve_s(config, params):
-            yield params, s
+        s_values = _resolve_s(config, params)
+        value = cell(params) if s_values else None
+        for s in s_values:
+            if value is not None:
+                yield params, s, value
             _check_budget(config, start, what, lambda: f"at (p, q, s) = ({p}, {q}, {s})")
 
 
@@ -259,11 +264,15 @@ def _ring_pow(base: tuple[int, int], e: int, r: int) -> tuple[int, int]:
 
 
 def _b_expansion(params: SequenceParams, a: int, b: int, s: int) -> int:
-    """sum over odd t <= s of C(s,t) * a^(s-t) * b^t * r^((t-1)/2)."""
+    """sum over odd t <= s of C(s,t) * a^(s-t) * b^t * r^((t-1)/2).
+
+    C(s, t) is stepped, not recomputed: C(s, t+2) = C(s, t)(s-t)(s-t-1) / ((t+1)(t+2)).
+    """
     r = params.r
-    total = 0
+    total, coefficient = 0, s  # C(s, 1)
     for t in range(1, s + 1, 2):
-        total += binomial(s, t) * a ** (s - t) * b**t * r ** ((t - 1) // 2)
+        total += coefficient * a ** (s - t) * b**t * r ** ((t - 1) // 2)
+        coefficient = coefficient * (s - t) * (s - t - 1) // ((t + 1) * (t + 2))
     return total
 
 
@@ -461,47 +470,52 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
             f"conditions: {list(spec.condition_names)}"
         )
 
+    cell = functools.partial(_cell_evaluator, claim, bounds, relaxed=relaxed_condition)
     found: list[Counterexample] = []
-    cell_params = cell = None
     # _grid checks the budget when asked for the next s, so each s's
     # counterexamples are held until then.
-    for params, s in _grid(bounds, "search", scan=True):
+    for params, s, (evaluate, table) in _grid(bounds, "search", cell, scan=True):
         yield from found
-        found = []
-        if params != cell_params:
-            cell_params, cell = params, _cell_evaluator(claim, bounds, params, relaxed_condition)
-        if cell is None:
-            continue
-        evaluate, table = cell
         failures = evaluate(s)
         if failures is None:
+            found = []
             continue
+        failures = sorted(failures, key=lambda f: (f[1], f[0]))
+        # Every G_{s^k*n} a divisibility witness states, from one pass.
+        dividend_g = _g_terms(params, sorted({s**k * n for k, n, witness in failures if "divisor" in witness}))
         found = [
             Counterexample(
-                claim=claim,
-                p=params.p,
-                q=params.q,
-                s=s,
-                k=k,
-                n=n,
-                witness=_search_witness(params, table()[n], s**k, n, witness),
-                relaxed_condition=relaxed_condition,
+                claim, params.p, params.q, s, k, n,
+                _search_witness(table()[n], s**k, n, witness, dividend_g),
+                relaxed_condition,
             )
-            for k, n, witness in sorted(failures, key=lambda f: (f[1], f[0]))
+            for k, n, witness in failures
         ]
     yield from found
 
 
-def _search_witness(params: SequenceParams, g_n: int, sk: int, n: int, witness: dict) -> dict:
-    """Restate a failure with exact values, naming the half that failed."""
+def _search_witness(g_n: int, sk: int, n: int, witness: dict, dividend_g: dict[int, int]) -> dict:
+    """Restate a failure with exact values, naming the half that failed; dividend_g maps sk*n to G_{sk*n}."""
     if "divisor" in witness:
-        return {"divisor": sk * g_n, "index": sk * n, "g_n": g_n, "dividend_g": g_exact(params, sk * n)}
+        return {"divisor": sk * g_n, "index": sk * n, "g_n": g_n, "dividend_g": dividend_g[sk * n]}
     return {
         "s_pow": witness["s_pow"],
         "s_pow_divides_n": witness["s_pow_divides_n"],
         "s_pow_divides_g": witness["s_pow_divides_g"],
         "g_n": g_n,
     }
+
+
+def _g_terms(params: SequenceParams, indices: list[int]) -> dict[int, int]:
+    """{i: G_i} for ascending indices, from one linear pass up to the last."""
+    p, q = params.p, params.q
+    a, b, at = 0, 1, 0  # G_at, G_{at+1}
+    terms = {}
+    for i in indices:
+        for _ in range(i - at):
+            a, b = b, p * b + q * a
+        terms[i], at = a, i
+    return terms
 
 
 def search_counterexample(
@@ -557,12 +571,11 @@ def converse_survey(bounds: SweepConfig) -> SurveyReport:
     spec = claim_spec(ClaimId.Thm1_2_BaseEquiv)
     modular = bounds.mode is Mode.MODULAR
     rows = []
-    cell_params = table = None
-    for params, s in _grid(bounds, "survey"):
-        if params.r == 0:
-            continue
-        if params != cell_params:
-            cell_params, table = params, _cell_table(bounds, params)
+
+    def cell(params: SequenceParams):
+        return _cell_table(bounds, params) if params.r else None  # r = 0 is not surveyed
+
+    for params, s, table in _grid(bounds, "survey", cell):
         first = next(
             conclusion_failures(spec.claim, params, s, (1,), range(bounds.n_max + 1), modular=modular, table=table),
             None,

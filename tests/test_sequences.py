@@ -12,7 +12,6 @@ from gfibdiv import (
     ResourceLimitError,
     SequenceParams,
     ab_exact,
-    ab_mod,
     g_exact,
     g_mod,
     g_pairs_mod,
@@ -233,29 +232,6 @@ class TestGPairsMod:
             g_pairs_mod(SequenceParams(1, 1), range(3), 0)
         with pytest.raises(InputError):
             list(g_pairs_mod(SequenceParams(1, 1), [-1], 5))
-
-
-class TestABMod:
-    def test_seeds(self):
-        assert ab_mod(SequenceParams(1, 1), "1", 10) == (1, 1)
-
-    @pytest.mark.parametrize("p,q,n,m", [(3, 9, 6, 7), (2, 5, 20, 9), (-4, 3, 33, 1000)])
-    def test_matches_exact(self, p, q, n, m):
-        params = SequenceParams(p, q)
-        pair = ab_exact(params, n)
-        assert ab_mod(params, str(n), m) == (pair.a % m, pair.b % m)
-
-    @given(
-        p=st.integers(-8, 8),
-        q=st.integers(-8, 8),
-        n=st.integers(0, 400),
-        m=st.integers(1, 10**6),
-    )
-    @settings(max_examples=60)
-    def test_oracle_equivalence(self, p, q, n, m):
-        params = SequenceParams(p, q)
-        pair = ab_exact(params, n)
-        assert ab_mod(params, n, m) == (pair.a % m, pair.b % m)
 
 
 class TestScaling:

@@ -208,9 +208,34 @@ class TestGrid:
 
     def test_grid_yields_each_cells_s_values(self):
         config = SweepConfig(p_range=(1, 2), q_range=(1, 1))
-        assert [(params.p, params.q, s) for params, s in verify._grid(config, "test")] == [
+        assert [(params.p, params.q, s) for params, s, _ in verify._grid(config, "test", lambda params: params)] == [
             (1, 1, 1), (1, 1, 5), (2, 1, 1), (2, 1, 2), (2, 1, 4), (2, 1, 8),
         ]
+
+    def test_cell_routine_runs_once_per_cell_with_an_s(self):
+        # Divisors of r/4: only cells with 4 | r != 0 have an s.
+        config = SweepConfig(p_range=(-3, 3), q_range=(-3, 3), s_source="divisors-of-r4")
+        called = []
+
+        def cell(params):
+            called.append((params.p, params.q))
+            return params.p
+
+        walked = [(params.p, params.q, s, value) for params, s, value in verify._grid(config, "test", cell)]
+        with_s = [(p, q) for p, q in verify._cells(config) if verify._resolve_s(config, SequenceParams(p, q))]
+        assert called == with_s and len(with_s) < 49
+        assert walked == [
+            (p, q, s, p) for p, q in with_s for s in verify._resolve_s(config, SequenceParams(p, q))
+        ]
+
+    def test_ruled_out_cell_yields_nothing_but_is_budget_checked(self):
+        config = SweepConfig(p_range=(1, 2), q_range=(1, 1))
+        assert list(verify._grid(config, "test", lambda params: None)) == []
+        called = []
+        walk = verify._grid(replace(config, time_budget_s=0.0), "test", lambda params: called.append(params))
+        with pytest.raises(ResourceLimitError, match=r"test stopped after .* at \(p, q, s\) = \(1, 1, 1\)"):
+            next(walk)
+        assert called == [SequenceParams(1, 1)]
 
 
 class TestDivisibilitySequence:
@@ -227,7 +252,8 @@ class TestDivisibilitySequence:
 class TestIdentitySuite:
     @pytest.mark.parametrize("p,q", [(1, 1), (2, 2), (-3, 5), (4, -2), (0, 3)])
     def test_all_pass(self, p, q):
-        results = identity_suite(SequenceParams(p, q), n_max=20, s_list=[2, 3])
+        # s = 128 and 129 step the binomial coefficients of the B_{sn} expansion many times.
+        results = identity_suite(SequenceParams(p, q), n_max=20, s_list=[2, 3, 128, 129])
         assert all(r.passed for r in results), [(r.name, r.first_failure) for r in results]
         names = {r.name for r in results}
         assert {"closed-form-pair", "b-to-g-bridge", "power-step", "quadratic"} <= names
@@ -327,7 +353,7 @@ class TestCounterexampleSearch:
         bounds = SweepConfig(p_range=(-10, 10), q_range=(-10, 10), s_source=tuple(range(1, 21)), k_max=2, n_max=12)
         spec = claims.claim_spec(ClaimId.Thm1_1_Equiv)
         qualifying = set()
-        for params, s in verify._grid(bounds, "search"):
+        for params, s, _ in verify._grid(bounds, "search", lambda params: params):
             values = claims._evaluate_conditions(spec, params.p, params.q, s)
             relaxed = {**values, "gcd-pq": True}
             if not values["gcd-pq"] and not claims._applicable(spec, values) and claims._applicable(spec, relaxed):
@@ -344,6 +370,63 @@ class TestCounterexampleSearch:
         found = list(iter_counterexamples(ClaimId.Thm1_1_Equiv, "gcd-pq", replace(bounds, mode=Mode.MODULAR)))
         assert len(built) == 78 and set(built) == {(ce.p, ce.q) for ce in found}
         assert set(built.values()) == {1}
+
+    # Criterion 6's 15 searches (Examples 2.2-2.12), as tests/test_acceptance.py runs them.
+    CRITERION_6 = (
+        (ClaimId.Thm1_1_Equiv, "gcd-pq"), (ClaimId.Thm1_1_Equiv, "s-prime"), (ClaimId.Thm1_1_Equiv, "s-ge-3"),
+        (ClaimId.Thm1_1_Equiv, "gcd-p2-q"), (ClaimId.Cor_Square, "gcd-p2-q"), (ClaimId.Thm1_1_Equiv, "mod3-guard"),
+        (ClaimId.Thm1_1_Equiv, "mod3-guard"), (ClaimId.Cor_P1P2, "mod3-guard"), (ClaimId.Cor_PrimeR, "r-prime"),
+        (ClaimId.Cor_P1P2, "s-div-q1"), (ClaimId.Cor_PrimeRover4, "r4-prime"), (ClaimId.Cor_P1P2, "mod3-guard"),
+        (ClaimId.Cor_PrimeRover4, "p-nonzero"), (ClaimId.Cor_PrimeR, "q-positive"),
+        (ClaimId.Cor_PrimeRover4, "q-positive"),
+    )
+
+    def test_criterion_6_walks_only_qualifying_cells(self, monkeypatch):
+        points = 0
+        grid = verify._grid
+
+        def counting_grid(*args, **kwargs):
+            nonlocal points
+            for point in grid(*args, **kwargs):
+                points += 1
+                yield point
+
+        monkeypatch.setattr(verify, "_grid", counting_grid)
+        bounds = SweepConfig(p_range=(-10, 10), q_range=(-10, 10), s_source=tuple(range(1, 21)), k_max=2, n_max=12)
+        for claim, relaxed in self.CRITERION_6:
+            assert list(iter_counterexamples(claim, relaxed, bounds))
+        # 1,851 of the 15 * 441 cells pass the hypothesis gate, 20 s values each.
+        assert points == 37_020
+
+    def test_witness_dividends_from_one_pass_per_s(self, monkeypatch):
+        passes = []  # the indices of each pass that walks the sequence
+        terms = verify._g_terms
+
+        def spy(params, indices):
+            if indices:
+                passes.append(list(indices))
+            return terms(params, indices)
+
+        def no_g_exact(*args):
+            raise AssertionError("g_exact reached")
+
+        monkeypatch.setattr(verify, "_g_terms", spy)
+        monkeypatch.setattr(verify, "g_exact", no_g_exact)
+        bounds = SweepConfig(p_range=(-4, 4), q_range=(-4, 4), s_source=tuple(range(1, 13)), k_max=2, n_max=12)
+        found = list(iter_counterexamples(ClaimId.Thm1_1_MultDiv, "s-div-r", bounds))
+        failing = {(ce.p, ce.q, ce.s) for ce in found}
+        assert len(found) > len(failing) > 1
+        assert len(passes) == len(failing)  # one pass per failing (p, q, s)
+        assert all(indices == sorted(set(indices)) for indices in passes)
+        for ce in found:
+            params = SequenceParams(ce.p, ce.q)
+            sk = ce.s**ce.k
+            assert ce.witness == {
+                "divisor": sk * g_exact(params, ce.n),
+                "index": sk * ce.n,
+                "g_n": g_exact(params, ce.n),
+                "dividend_g": g_exact(params, sk * ce.n),
+            }
 
     def test_modular_mode_reaches_the_evaluator(self, monkeypatch):
         modes = Counter()
@@ -451,6 +534,12 @@ class TestConverseSurvey:
         built.clear()
         modular = converse_survey(replace(config, mode=Mode.MODULAR))
         assert not built and modular.rows == exact.rows
+
+    def test_cells_with_r_zero_not_surveyed(self):
+        # Given s values explicitly, the cells with r = 0 have s to walk, but the
+        # equivalence there (e.g. G_n = 0 for n >= 2 at p = q = 0) is not surveyed.
+        report = converse_survey(SweepConfig(p_range=(-4, 4), q_range=(-4, 4), s_source=(2, 3, 4), n_max=30))
+        assert report.rows and all(row.p * row.p + 4 * row.q != 0 for row in report.rows)
 
     def test_note_flags_open_question(self):
         report = converse_survey(self.CONFIG)
