@@ -348,17 +348,20 @@ def _equiv_witness(d: int, n: int, residue: int) -> dict:
     return {"s_pow": d, "s_pow_divides_n": n % d == 0, "s_pow_divides_g": residue == 0, "g_residue": residue}
 
 
-def _lifted_quotient(params: SequenceParams, sk: int, n: int, g_n: int, g_next: int) -> int:
+def _lifted_quotient(params: SequenceParams, sk: int, g_n: int, g_next: int) -> int:
     """W mod s^k, where G_{s^k*n} = G_n * W, from G_n and G_{n+1} known mod s^k.
 
     Lucas (1878): G_n = U_n(p, -q) and U_{mn} = U_n * U_m(V_n, Q^n), where
     Q = -q and V_n = 2*G_{n+1} - p*G_n.  So W is G_{s^k} of the sequence
     <V_n, -(-q)^n>, and s^k*G_n | G_{s^k*n} iff W is 0 mod s^k.  Where
     G_n = 0 both sides are 0, and W is 0 mod s^k too: that sequence is then
-    <2x, -x^2> with x = G_{n+1}, whose term at m is m*x^(m-1).
+    <2x, -x^2> with x = G_{n+1}, whose term at m is m*x^(m-1).  Cassini gives
+    (-q)^n = G_{n+1}^2 - p*G_n*G_{n+1} - q*G_n^2, so W mod s^k is a function
+    of (G_n, G_{n+1}) mod s^k alone: indices with equal pairs share one W.
     """
-    lifted = SequenceParams((2 * g_next - params.p * g_n) % sk, -pow(-params.q, n, sk))
-    return g_mod(lifted, sk, sk)
+    p, q = params.p, params.q
+    q_pow_n = (g_next * g_next - p * g_n * g_next - q * g_n * g_n) % sk  # (-q)^n mod s^k
+    return g_mod(SequenceParams((2 * g_next - p * g_n) % sk, -q_pow_n), sk, sk)
 
 
 def _rank_is_modulus(params: SequenceParams, d: int, primes: list[int]) -> bool:
@@ -421,8 +424,10 @@ def conclusion_failures(
                 if (n % d == 0) != (g == 0):
                     yield n, _equiv_witness(d, n, g)
             return
+        # W mod d depends only on (G_n, G_{n+1}) mod d: one call per orbit state.
+        quotient = functools.cache(lambda g, g_next: _lifted_quotient(params, d, g, g_next))
         for n, (g, g_next) in pairs:
-            w = _lifted_quotient(params, d, n, g, g_next)
+            w = quotient(g, g_next % d)
             if w:
                 # a*G_{d*n} = a*G_n*W with W = w (mod d), so modulo the
                 # divisor a*d*G_n its remainder is a*G_n*w.

@@ -30,7 +30,7 @@ from .claims import (
     _evaluate_conditions,
 )
 from .errors import InputError, ResourceLimitError
-from .numtheory import binomial, divides, positive_divisors
+from .numtheory import divides, positive_divisors
 from .sequences import SequenceParams, ab_exact, g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
 
 
@@ -263,27 +263,16 @@ def _ring_pow(base: tuple[int, int], e: int, r: int) -> tuple[int, int]:
     return out
 
 
-def _b_expansion(params: SequenceParams, a: int, b: int, s: int) -> int:
-    """sum over odd t <= s of C(s,t) * a^(s-t) * b^t * r^((t-1)/2).
+def _parity_expansion(n: int, parity: int, x: int, y: int, z: int) -> int:
+    """sum over t <= n with t = parity mod 2 of C(n,t) * x^(n-t) * y^t * z^(t//2).
 
-    C(s, t) is stepped, not recomputed: C(s, t+2) = C(s, t)(s-t)(s-t-1) / ((t+1)(t+2)).
+    C(n, t) is stepped from C(n, parity), not recomputed:
+    C(n, t+2) = C(n, t)(n-t)(n-t-1) / ((t+1)(t+2)), an exact division.
     """
-    r = params.r
-    total, coefficient = 0, s  # C(s, 1)
-    for t in range(1, s + 1, 2):
-        total += coefficient * a ** (s - t) * b**t * r ** ((t - 1) // 2)
-        coefficient = coefficient * (s - t) * (s - t - 1) // ((t + 1) * (t + 2))
-    return total
-
-
-def _half_expansion(params: SequenceParams, n: int, parity: int) -> int:
-    """sum over t = parity mod 2, t <= n, of C(n,t) * (p/2)^(n-t) * (r/4)^(t//2 or (t-1)//2)."""
-    ph = params.p // 2
-    rh = params.r // 4
-    total = 0
+    total, coefficient = 0, n if parity else 1
     for t in range(parity, n + 1, 2):
-        exp = t // 2 if parity == 0 else (t - 1) // 2
-        total += binomial(n, t) * ph ** (n - t) * rh**exp
+        total += coefficient * x ** (n - t) * y**t * z ** (t // 2)
+        coefficient = coefficient * (n - t) * (n - t - 1) // ((t + 1) * (t + 2))
     return total
 
 
@@ -349,7 +338,7 @@ def identity_suite(
             b_n == 2 ** (n - 1) * gs[n],
             {"n": n, "b_n": b_n, "g_n": gs[n]},
         )
-        expansion = _b_expansion(params, params.p, 1, n)
+        expansion = _parity_expansion(n, 1, params.p, 1, r)
         check("bn-expansion", expansion == b_n, {"n": n, "got": expansion, "want": b_n})
         quad = a_n * a_n == 4 ** (n - 1) * r * gs[n] ** 2 + (-4 * params.q) ** n
         check("quadratic", quad, {"n": n, "a_n": a_n, "g_n": gs[n]})
@@ -361,12 +350,12 @@ def identity_suite(
                 pw_s == (target.a, target.b),
                 {"n": n, "s": s, "got": pw_s, "want": (target.a, target.b)},
             )
-            bsn = _b_expansion(params, a_n, b_n, s)
+            bsn = _parity_expansion(s, 1, a_n, b_n, r)
             check("bsn-expansion", bsn == target.b, {"n": n, "s": s, "got": bsn, "want": target.b})
         if p_even:
-            g_half = _half_expansion(params, n, parity=1)
+            g_half = _parity_expansion(n, 1, params.p // 2, 1, r // 4)
             check("g-half-expansion", g_half == gs[n], {"n": n, "got": g_half, "want": gs[n]})
-            ok = a_n % 2**n == 0 and a_n // 2**n == _half_expansion(params, n, parity=0)
+            ok = a_n % 2**n == 0 and a_n // 2**n == _parity_expansion(n, 0, params.p // 2, 1, r // 4)
             check("a-half-integer", ok, {"n": n, "a_n": a_n})
     return list(results.values())
 
@@ -531,10 +520,15 @@ def search_counterexample(
 
 
 def rank_of_apparition(params: SequenceParams, s: int, n_bound: int) -> int | None:
-    """Smallest n in [1, n_bound] with s | G_n, by a modular linear scan."""
+    """Smallest n in [1, n_bound] with s | G_n, by a modular linear scan.
+
+    It stops at n = s^2, losing nothing: the states (G_n, G_{n+1}) mod s,
+    n >= 1, take at most s^2 values and each fixes the next, so every state
+    that ever occurs occurs among the first s^2; a rank, if any, is <= s^2.
+    """
     if s < 2:
         raise InputError(f"rank of apparition needs s >= 2, got {s}")
-    ns = range(1, n_bound + 1)
+    ns = range(1, min(n_bound, s * s) + 1)
     return next((n for n, (g, _) in zip(ns, g_pairs_mod(params, ns, s)) if g == 0), None)
 
 

@@ -271,27 +271,30 @@ def _direct_failures(kind: ConclusionKind, gs: list[int], s: int, k_max: int, n_
     return failing
 
 
+def _big_residue_failures(params: SequenceParams, gs: list[int], s: int, k_max: int, n_max: int) -> set:
+    """Failing (k, n) of s^k*G_n | G_{s^k*n}, from the residue of the big index
+    modulo the whole divisor (and, where G_n = 0, from whether G_{s^k*n} = 0)."""
+    return {
+        (k, n)
+        for k in range(k_max + 1)
+        for n in range(n_max + 1)
+        if not (
+            g_is_zero(params, s**k * n) if gs[n] == 0 else g_mod(params, s**k * n, s**k * abs(gs[n])) == 0
+        )
+    }
+
+
 @pytest.fixture(scope="module")
 def direct_divisibility_failures():
     """(p, q, s) -> failing (k, n) of s^k*G_n | G_{s^k*n} on |p|,|q| <= 6,
-    s <= 12, k <= 3, n <= 30, from the residue of the big index modulo the
-    whole divisor (and, where G_n = 0, from whether G_{s^k*n} = 0)."""
+    s <= 12, k <= 3, n <= 30, by _big_residue_failures."""
     failing = {}
     for p in range(-6, 7):
         for q in range(-6, 7):
             params = SequenceParams(p, q)
             gs = g_range(params, 30)
             for s in range(1, 13):
-                failing[p, q, s] = {
-                    (k, n)
-                    for k in range(4)
-                    for n in range(31)
-                    if not (
-                        g_is_zero(params, s**k * n)
-                        if gs[n] == 0
-                        else g_mod(params, s**k * n, s**k * abs(gs[n])) == 0
-                    )
-                }
+                failing[p, q, s] = _big_residue_failures(params, gs, s, 3, 30)
     return failing
 
 
@@ -327,6 +330,30 @@ class TestConclusionFailures:
                     }, (p, q, s, k, n)
         assert zero_points > 0
         assert any(direct_divisibility_failures.values())
+
+    def test_repeated_orbit_states_match_big_residue(self):
+        """Past a few dozen indices the states (G_n, G_{n+1}) mod s^k repeat, so
+        most quotients come from the per-modulus memo; the failures and their
+        remainders still match the big residue, in both modes."""
+        repeats = shared_factor_failures = 0
+        for p in range(-3, 4):
+            for q in range(-3, 4):
+                params = SequenceParams(p, q)
+                gs = g_range(params, 201)
+                for s in (2, 3, 5, 6):
+                    expected = _big_residue_failures(params, gs, s, 3, 200)
+                    shared_factor_failures += bool(expected) and math.gcd(q, s) > 1
+                    for k in range(1, 4):
+                        repeats += 201 - len({(gs[n] % s**k, gs[n + 1] % s**k) for n in range(201)})
+                    for modular in (False, True):
+                        found = list(
+                            conclusion_failures(ClaimId.Thm1_1_MultDiv, params, s, range(4), range(201), modular=modular)
+                        )
+                        assert {(k, n) for k, n, _ in found} == expected, (p, q, s, modular)
+                        for k, n, witness in found:
+                            divisor = s**k * gs[n]
+                            assert witness["remainder"] == g_mod(params, s**k * n, abs(divisor)), (p, q, s, k, n)
+        assert repeats > 0 and shared_factor_failures > 0
 
     @pytest.mark.parametrize(
         "claim", [ClaimId.Thm1_1_MultDiv, ClaimId.Cor_Fibonacci, ClaimId.Remark_Scaled]
@@ -397,6 +424,40 @@ class TestConclusionFailures:
         )
         assert first[:2] == (1, 10)
         assert streams == [[20, 11]]
+
+    def test_cassini(self):
+        """(-q)^n = G_{n+1}^2 - p*G_n*G_{n+1} - q*G_n^2, so the pair fixes (-q)^n."""
+        for p in range(-9, 10):
+            for q in range(-9, 10):
+                gs = g_range(SequenceParams(p, q), 61)
+                for n in range(61):
+                    assert (-q) ** n == gs[n + 1] ** 2 - p * gs[n] * gs[n + 1] - q * gs[n] ** 2, (p, q, n)
+
+    def test_one_quotient_per_orbit_state(self, monkeypatch):
+        """On the Corollary 1.4 checks at k <= 5, n <= 5000, W mod s^k is computed
+        once for each distinct (G_n, G_{n+1}) mod s^k, not once per index."""
+        calls = []
+
+        def recording_quotient(params, sk, g_n, g_next):
+            calls.append((sk, g_n, g_next))
+            return lifted_quotient(params, sk, g_n, g_next)
+
+        lifted_quotient = claims._lifted_quotient
+        monkeypatch.setattr(claims, "_lifted_quotient", recording_quotient)
+        total = 0
+        for claim, p, q, s in (
+            (ClaimId.Cor_Fibonacci, 1, 1, 5),
+            (ClaimId.Cor_Pell, 2, 1, 2),
+            (ClaimId.Cor_Jacobsthal, 1, 2, 3),
+        ):
+            calls.clear()
+            params = SequenceParams(p, q)
+            assert not list(conclusion_failures(claim, params, s, range(6), range(5001), modular=True))
+            gs = g_range(params, 5001)
+            states = {(s**k, gs[n] % s**k, gs[n + 1] % s**k) for k in range(1, 6) for n in range(5001)}
+            assert sorted(calls) == sorted(states), claim
+            total += len(calls)
+        assert total == 8909
 
     def test_s_below_one_rejected(self):
         for s in (0, -5):

@@ -493,6 +493,13 @@ class TestRank:
         assert code == 0
         assert doc["rank"] is None
 
+    def test_huge_bound_stops_at_the_orbit(self, capsys):
+        # 2 never divides a Jacobsthal number J_n, n >= 1; the scan ends at n = s^2.
+        start = time.monotonic()
+        code, out, _ = run_main(["rank", "-p", "1", "-q", "2", "-s", "2", "--bound", "1000000000000"], capsys)
+        assert (code, out.strip()) == (0, "none")
+        assert time.monotonic() - start < 2
+
     def test_negative_bound_rejected(self, capsys):
         code, out, err = run_main(["rank", "-p", "1", "-q", "1", "-s", "7", "--bound", "-1"], capsys)
         assert code == cli.EXIT_INPUT

@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import math
 import os
 from collections import Counter
 from dataclasses import replace
@@ -14,6 +15,7 @@ from gfibdiv import (
     SequenceParams,
     SweepConfig,
     Verdict,
+    ab_exact,
     conclusion_holds,
     converse_survey,
     divides,
@@ -262,6 +264,16 @@ class TestIdentitySuite:
         else:
             assert "g-half-expansion" not in names
 
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_half_expansion_matches_per_term_binomials(self, parity):
+        """The stepped expansion equals the sum with a fresh C(n, t) per term, at n = 300."""
+        params, n = SequenceParams(4, -3), 300
+        ph, rh = params.p // 2, params.r // 4
+        want = sum(math.comb(n, t) * ph ** (n - t) * rh ** (t // 2) for t in range(parity, n + 1, 2))
+        assert verify._parity_expansion(n, parity, ph, 1, rh) == want
+        # G_n (odd t) and A_n / 2^n (even t), as identity_suite checks them.
+        assert want == (g_exact(params, n) if parity else ab_exact(params, n).a // 2**n)
+
     def test_bad_n_max(self):
         with pytest.raises(InputError):
             identity_suite(SequenceParams(1, 1), n_max=0, s_list=[2])
@@ -499,6 +511,24 @@ class TestRankOfApparition:
             assert all(gs[n] % s != 0 for n in range(1, rank))
             for mult in range(2, 5):
                 assert gs[mult * rank] % s == 0
+
+    def test_cap_matches_uncapped_scan(self):
+        """The scan stops at s^2; an orbit walk with no cap finds the same rank."""
+        for p in range(-6, 7):
+            for q in range(-6, 7):
+                params = SequenceParams(p, q)
+                for s in range(2, 16):
+                    # Walk (G_n, G_{n+1}) mod s from n = 1 until a state repeats.
+                    state, n, seen, rank = (1 % s, p % s), 1, set(), None
+                    while state not in seen and rank is None:
+                        seen.add(state)
+                        if state[0] == 0:
+                            rank = n
+                        state, n = (state[1], (p * state[1] + q * state[0]) % s), n + 1
+                    assert rank_of_apparition(params, s, 10**12) == rank, (p, q, s)
+                    if rank is not None:
+                        assert rank_of_apparition(params, s, rank) == rank, (p, q, s)
+                        assert rank_of_apparition(params, s, rank - 1) is None, (p, q, s)
 
 
 class TestConverseSurvey:
