@@ -12,7 +12,7 @@ from .claims import (
     thm12_lift_condition,
 )
 from .errors import DomainError, InputError, ResourceLimitError
-from .numtheory import Valuation, binomial, divides, gcd, is_prime, positive_divisors, valuation
+from .numtheory import Valuation, divides, is_prime, positive_divisors, valuation
 from .sequences import ABPair, SequenceParams, ab_exact, g_exact, g_mod, g_pairs_mod, g_range
 from .verify import (
     Counterexample,
@@ -46,7 +46,6 @@ __all__ = [
     "VerificationReport",
     "ab_exact",
     "applicable_claims",
-    "binomial",
     "catalog",
     "claim_by_name",
     "conclusion_holds",
@@ -56,7 +55,6 @@ __all__ = [
     "g_mod",
     "g_pairs_mod",
     "g_range",
-    "gcd",
     "hypothesis_check",
     "identity_suite",
     "is_prime",

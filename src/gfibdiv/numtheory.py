@@ -1,10 +1,9 @@
-"""Integer utilities: divisibility (with the 0|0 convention), gcd, s-adic
+"""Integer utilities: divisibility (with the 0|0 convention), s-adic
 valuation, divisor enumeration, prime factors by trial division,
-deterministic primality below psi_12 (about 3.2e23), binomials."""
+deterministic primality below psi_12 (about 3.2e23)."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -15,13 +14,6 @@ def divides(a: int, b: int) -> bool:
     if a == 0:
         return b == 0
     return b % a == 0
-
-
-def gcd(a: int, b: int) -> int:
-    """Nonnegative gcd; (0, 0) is outside the domain."""
-    if a == 0 and b == 0:
-        raise DomainError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -125,12 +117,3 @@ def is_prime(s: int) -> bool:
         else:
             return False
     return True
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact C(n, k); 0 when k > n."""
-    if n < 0 or k < 0:
-        raise DomainError("binomial arguments must be nonnegative")
-    if k > n:
-        return 0
-    return math.comb(n, k)

@@ -6,9 +6,9 @@ we keep the companion integers A_n, B_n defined by
     A_n + B_n*sqrt(r) = (p + sqrt(r))^n,    r = p^2 + 4q,
 
 which satisfy B_n = 2^(n-1) * G_n and A_n^2 - r*B_n^2 = (-4q)^n.  All exact
-arithmetic is arbitrary precision; the modular kernels are O(log n) in the
-index and accept indices given as decimal strings of any length, and the
-residue stream g_pairs_mod walks many indices mod m at O(1) per step.
+arithmetic is arbitrary precision; g_exact and the modular kernels take
+O(log n) multiplications and accept decimal-string indices of any length,
+and the residue stream g_pairs_mod walks many indices mod m at O(1) per step.
 """
 
 from __future__ import annotations
@@ -87,12 +87,15 @@ def _parse_index(n) -> int:
 
 
 def g_exact(params: SequenceParams, n: int) -> int:
-    """Exact G_n by a linear pass."""
+    """Exact G_n in O(log n) multiplications: _pair_mod's doubling steps with no modulus."""
     n = _parse_index(n)
     p, q = params.p, params.q
-    a, b = 0, 1  # G_0, G_1
-    for _ in range(n):
-        a, b = b, p * b + q * a
+    a, b = 0, 1  # G_j, G_{j+1}, j the bits of n read so far
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            a, b = b * b + q * a * a, b * (p * b + 2 * q * a)
+        else:
+            a, b = a * (2 * b - p * a), b * b + q * a * a
     return a
 
 

@@ -9,6 +9,7 @@ count.  Every conclusion is decided by claims.conclusion_failures.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import time
 from contextlib import nullcontext
@@ -469,42 +470,27 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
         if failures is None:
             found = []
             continue
-        failures = sorted(failures, key=lambda f: (f[1], f[0]))
-        # Every G_{s^k*n} a divisibility witness states, from one pass.
-        dividend_g = _g_terms(params, sorted({s**k * n for k, n, witness in failures if "divisor" in witness}))
         found = [
             Counterexample(
                 claim, params.p, params.q, s, k, n,
-                _search_witness(table()[n], s**k, n, witness, dividend_g),
+                _search_witness(params, table()[n], s**k, n, witness),
                 relaxed_condition,
             )
-            for k, n, witness in failures
+            for k, n, witness in sorted(failures, key=lambda f: (f[1], f[0]))
         ]
     yield from found
 
 
-def _search_witness(g_n: int, sk: int, n: int, witness: dict, dividend_g: dict[int, int]) -> dict:
-    """Restate a failure with exact values, naming the half that failed; dividend_g maps sk*n to G_{sk*n}."""
+def _search_witness(params: SequenceParams, g_n: int, sk: int, n: int, witness: dict) -> dict:
+    """Restate a failure with exact values, naming the half that failed."""
     if "divisor" in witness:
-        return {"divisor": sk * g_n, "index": sk * n, "g_n": g_n, "dividend_g": dividend_g[sk * n]}
+        return {"divisor": sk * g_n, "index": sk * n, "g_n": g_n, "dividend_g": g_exact(params, sk * n)}
     return {
         "s_pow": witness["s_pow"],
         "s_pow_divides_n": witness["s_pow_divides_n"],
         "s_pow_divides_g": witness["s_pow_divides_g"],
         "g_n": g_n,
     }
-
-
-def _g_terms(params: SequenceParams, indices: list[int]) -> dict[int, int]:
-    """{i: G_i} for ascending indices, from one linear pass up to the last."""
-    p, q = params.p, params.q
-    a, b, at = 0, 1, 0  # G_at, G_{at+1}
-    terms = {}
-    for i in indices:
-        for _ in range(i - at):
-            a, b = b, p * b + q * a
-        terms[i], at = a, i
-    return terms
 
 
 def search_counterexample(
@@ -522,12 +508,19 @@ def search_counterexample(
 def rank_of_apparition(params: SequenceParams, s: int, n_bound: int) -> int | None:
     """Smallest n in [1, n_bound] with s | G_n, by a modular linear scan.
 
-    It stops at n = s^2, losing nothing: the states (G_n, G_{n+1}) mod s,
-    n >= 1, take at most s^2 values and each fixes the next, so every state
-    that ever occurs occurs among the first s^2; a rank, if any, is <= s^2.
+    None without a scan where a prime l | s divides q but not p, since then
+    G_n = p^(n-1) != 0 (mod l) for every n >= 1.  The scan stops at n = s^2,
+    losing nothing: the states (G_n, G_{n+1}) mod s, n >= 1, take at most s^2
+    values and each fixes the next, so every state that ever occurs occurs
+    among the first s^2; a rank, if any, is <= s^2.
     """
     if s < 2:
         raise InputError(f"rank of apparition needs s >= 2, got {s}")
+    g = math.gcd(s, params.q)
+    while (shared := math.gcd(g, params.p)) > 1:
+        g //= shared
+    if g > 1:
+        return None
     ns = range(1, min(n_bound, s * s) + 1)
     return next((n for n, (g, _) in zip(ns, g_pairs_mod(params, ns, s)) if g == 0), None)
 

@@ -189,6 +189,17 @@ class TestLongIntegers:
                 assert witness == {"divisor": d * g_n, "index": d * n, "g_n": g_n, "dividend_g": gfibdiv.g_exact(params, d * n)}
             assert max(len(str(witness["dividend_g"])) for _, _, witness in found) > 4300
 
+    def test_compute_at_the_term_ceiling(self, capsys):
+        # 999,999 + 1 terms is the default ceiling exactly; fast doubling answers in about a second.
+        out = self.run(["compute", "-p", "1", "-q", "1", "-n", "999999", "--format", "csv"], capsys)
+        header, row = out.splitlines()
+        n, value = row.split(",")
+        assert (header, n) == ("n,value", "999999")
+        assert value[-18:] == f"{gfibdiv.g_mod(gfibdiv.SequenceParams(1, 1), 999999, 10**18):018d}"
+        code, out, err = run_main(["compute", "-p", "1", "-q", "1", "-n", "1000000"], capsys)
+        assert (code, out) == (cli.EXIT_RESOURCE, "")
+        assert err == "resource limit: exact evaluation at n=1000000 exceeds the 1000000-term ceiling; use --mod\n"
+
     def test_arguments_keep_the_limit(self, capsys):
         code, out, err = run_main(["compute", "-p", "1" * 5000, "-q", "1", "-n", "3"], capsys)
         assert (code, out) == (cli.EXIT_INPUT, "")
@@ -493,10 +504,11 @@ class TestRank:
         assert code == 0
         assert doc["rank"] is None
 
-    def test_huge_bound_stops_at_the_orbit(self, capsys):
-        # 2 never divides a Jacobsthal number J_n, n >= 1; the scan ends at n = s^2.
+    @pytest.mark.parametrize("s", ["2", "2000000"])
+    def test_huge_bound_stops_at_the_orbit(self, capsys, s):
+        # 2 never divides a Jacobsthal number J_n, n >= 1, since 2 | q and 2 !| p: no scan runs.
         start = time.monotonic()
-        code, out, _ = run_main(["rank", "-p", "1", "-q", "2", "-s", "2", "--bound", "1000000000000"], capsys)
+        code, out, _ = run_main(["rank", "-p", "1", "-q", "2", "-s", s, "--bound", "1000000000000"], capsys)
         assert (code, out.strip()) == (0, "none")
         assert time.monotonic() - start < 2
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gfibdiv import DomainError, binomial, divides, gcd, is_prime, positive_divisors, valuation
+from gfibdiv import DomainError, divides, is_prime, positive_divisors, valuation
 from gfibdiv.numtheory import INFINITE, Valuation, prime_factors
 
 
@@ -27,17 +27,6 @@ class TestDivides:
     @given(a=st.integers(-100, 100).filter(bool), k=st.integers(-100, 100))
     def test_multiples(self, a, k):
         assert divides(a, a * k)
-
-
-class TestGcd:
-    def test_examples(self):
-        assert gcd(12, -18) == 6
-        assert gcd(0, 7) == 7
-        assert gcd(-5, 0) == 5
-
-    def test_zero_zero(self):
-        with pytest.raises(DomainError):
-            gcd(0, 0)
 
 
 class TestValuation:
@@ -146,21 +135,3 @@ class TestIsPrime:
         assert not is_prime(psi12 - 2)
         assert not is_prime(psi12 + 1)  # even: decided by a base
         assert not is_prime(3 * psi12)
-
-
-class TestBinomial:
-    def test_examples(self):
-        assert binomial(5, 2) == 10
-        assert binomial(5, 0) == 1
-        assert binomial(3, 7) == 0
-
-    def test_negative_arguments(self):
-        with pytest.raises(DomainError):
-            binomial(-1, 0)
-        with pytest.raises(DomainError):
-            binomial(3, -1)
-
-    def test_pascal_rule(self):
-        for n in range(1, 65):
-            for k in range(1, n + 1):
-                assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)

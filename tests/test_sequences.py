@@ -73,10 +73,16 @@ class TestGExact:
     @given(
         p=st.integers(-8, 8),
         q=st.integers(-8, 8),
-        n=st.integers(0, 120),
+        n=st.integers(0, 2000),
     )
     def test_matches_naive_oracle(self, p, q, n):
         assert g_exact(SequenceParams(p, q), n) == naive_g(p, q, n)
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (3, -2), (-5, -7), (0, 3), (0, -2)])
+    @pytest.mark.parametrize("n", [10**4, 10**5])
+    def test_large_index_matches_matrix_oracle(self, p, q, n):
+        m = 10**12 + 39
+        assert g_exact(SequenceParams(p, q), n) % m == matrix_g_mod(p, q, n, m)
 
     def test_string_index_accepted(self):
         assert g_exact(SequenceParams(1, 1), "10") == 55

@@ -30,6 +30,7 @@ from gfibdiv import (
 )
 from gfibdiv import claims, reporting, verify
 from gfibdiv.claims import conclusion_failures
+from gfibdiv.numtheory import prime_factors
 
 
 def small_config(**overrides) -> SweepConfig:
@@ -410,34 +411,19 @@ class TestCounterexampleSearch:
         # 1,851 of the 15 * 441 cells pass the hypothesis gate, 20 s values each.
         assert points == 37_020
 
-    def test_witness_dividends_from_one_pass_per_s(self, monkeypatch):
-        passes = []  # the indices of each pass that walks the sequence
-        terms = verify._g_terms
-
-        def spy(params, indices):
-            if indices:
-                passes.append(list(indices))
-            return terms(params, indices)
-
-        def no_g_exact(*args):
-            raise AssertionError("g_exact reached")
-
-        monkeypatch.setattr(verify, "_g_terms", spy)
-        monkeypatch.setattr(verify, "g_exact", no_g_exact)
+    def test_witness_dividends_are_exact(self):
         bounds = SweepConfig(p_range=(-4, 4), q_range=(-4, 4), s_source=tuple(range(1, 13)), k_max=2, n_max=12)
         found = list(iter_counterexamples(ClaimId.Thm1_1_MultDiv, "s-div-r", bounds))
         failing = {(ce.p, ce.q, ce.s) for ce in found}
         assert len(found) > len(failing) > 1
-        assert len(passes) == len(failing)  # one pass per failing (p, q, s)
-        assert all(indices == sorted(set(indices)) for indices in passes)
         for ce in found:
-            params = SequenceParams(ce.p, ce.q)
             sk = ce.s**ce.k
+            g = g_range(SequenceParams(ce.p, ce.q), sk * ce.n)  # the linear walker, not g_exact's doubling
             assert ce.witness == {
-                "divisor": sk * g_exact(params, ce.n),
+                "divisor": sk * g[ce.n],
                 "index": sk * ce.n,
-                "g_n": g_exact(params, ce.n),
-                "dividend_g": g_exact(params, sk * ce.n),
+                "g_n": g[ce.n],
+                "dividend_g": g[sk * ce.n],
             }
 
     def test_modular_mode_reaches_the_evaluator(self, monkeypatch):
@@ -529,6 +515,31 @@ class TestRankOfApparition:
                     if rank is not None:
                         assert rank_of_apparition(params, s, rank) == rank, (p, q, s)
                         assert rank_of_apparition(params, s, rank - 1) is None, (p, q, s)
+
+
+    def test_matches_exact_scan(self, monkeypatch):
+        """Against a scan of exact values to s^2; where a prime of s divides q but not p, no stream is read."""
+        streamed = []
+        stream = verify.g_pairs_mod
+
+        def spy(params, ns, m):
+            streamed.append((params, m))
+            return stream(params, ns, m)
+
+        monkeypatch.setattr(verify, "g_pairs_mod", spy)
+        unscanned = 0
+        for p in range(-7, 8):
+            for q in range(-7, 8):
+                params = SequenceParams(p, q)
+                gs = g_range(params, 20 * 20)
+                for s in range(2, 21):
+                    streamed.clear()
+                    want = next((n for n in range(1, s * s + 1) if gs[n] % s == 0), None)
+                    assert rank_of_apparition(params, s, 10**12) == want, (p, q, s)
+                    if any(q % ell == 0 and p % ell for ell in prime_factors(s)):
+                        assert want is None and streamed == [], (p, q, s)
+                        unscanned += 1
+        assert unscanned > 0
 
 
 class TestConverseSurvey:
