@@ -520,7 +520,7 @@ class TestRank:
 
 
 class TestWriters:
-    """Exact text and CSV output of every command, pinned in tests/cli_golden/<case>.<format>."""
+    """Exact text, JSON and CSV output of every command, pinned in tests/cli_golden/<case>.<format>."""
 
     CASES = {
         "compute-n": (["compute", "-p", "1", "-q", "1", "-n", "10"], 0),
@@ -560,7 +560,7 @@ class TestWriters:
         "rank-none": (["rank", "-p", "1", "-q", "1", "-s", "7", "--bound", "5"], 0),
     }
 
-    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_output_pinned(self, capsys, case, fmt):
         argv, want_code = self.CASES[case]
