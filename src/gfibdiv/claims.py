@@ -344,10 +344,6 @@ def applicable_claims(params: SequenceParams, s: int) -> list[ClaimId]:
     return [spec.claim for spec in REGISTRY if hypothesis_check(spec.claim, params, s).applicable]
 
 
-def _equiv_witness(d: int, n: int, residue: int) -> dict:
-    return {"s_pow": d, "s_pow_divides_n": n % d == 0, "s_pow_divides_g": residue == 0, "g_residue": residue}
-
-
 def _lifted_quotient(params: SequenceParams, sk: int, g_n: int, g_next: int) -> int:
     """W mod s^k, where G_{s^k*n} = G_n * W, from G_n and G_{n+1} known mod s^k.
 
@@ -384,16 +380,18 @@ def conclusion_failures(
 
     This is the one place a conclusion is decided.  ks and ns are ascending
     sequences of exponents and indices, and s >= 1.  The hypothesis need not
-    hold, so relaxed searches can probe failures.  Every kind is decided from
-    (G_n, G_{n+1}) mod d, where d = s^k (s for the base equivalence): from one
-    residue stream per modulus in modular mode, from the exact table in exact
-    mode (the cross-check).  An equivalence failure has the witness {s_pow,
-    s_pow_divides_n, s_pow_divides_g, g_residue}; a divisibility failure has
-    {divisor, index, g_n, remainder}, and at a CLASSICAL point it is checked
-    first.  Modular mode builds the exact table only to state G_n in a
-    divisibility witness, and skips the stream of an equivalence modulus whose
-    rank of apparition it certifies (_rank_is_modulus) where gcd(q, s) = 1 and
-    s factors within len(ns) trial divisions; exact mode never does.  table,
+    hold, so relaxed searches can probe failures.  Each kind has a
+    divisibility half, an equivalence half, or both, and each half is decided
+    from (G_n, G_{n+1}) mod d, where d = s^k (s for the base equivalence):
+    from one residue stream per modulus in modular mode, from the exact table
+    in exact mode (the cross-check).  A divisibility failure has the witness
+    {divisor, index, g_n, remainder}; an equivalence failure has {s_pow,
+    s_pow_divides_n, s_pow_divides_g, g_residue}; where a kind has both
+    halves, divisibility is checked first.  Modular mode builds the exact
+    table only to state G_n in a divisibility witness.  For a kind with no
+    divisibility half it skips the stream of a modulus whose rank of
+    apparition it certifies (_rank_is_modulus) where gcd(q, s) = 1 and s
+    factors within len(ns) trial divisions; exact mode never does.  table,
     if given, returns [G_0, ..., G_N] with N > max(ns), so a caller can share
     one exact table between the s of a cell; by default one is built here,
     at most once and only when needed.
@@ -401,14 +399,15 @@ def conclusion_failures(
     if s < 1:
         raise InputError(f"s must be >= 1, got {s}")
     kind = _BY_ID[claim].conclusion
-    equivalence = kind in (ConclusionKind.EQUIV, ConclusionKind.BASE_EQUIV)
+    divisibility = kind in (ConclusionKind.MULT_DIV, ConclusionKind.CLASSICAL, ConclusionKind.SCALED)
+    equivalence = kind in (ConclusionKind.EQUIV, ConclusionKind.BASE_EQUIV, ConclusionKind.CLASSICAL)
     # a*s^k*G_n | a*G_{s^k*n} does not depend on the scale a != 0, so the
     # SCALED kind is decided once; its witness names the first scale.
     scale = DEFAULT_SCALE_FACTORS[0] if kind is ConclusionKind.SCALED else 1
     if table is None:
         table = functools.cache(lambda: g_range(params, max(ns, default=0) + 1))
     primes = None  # the primes of s, where a modulus may be certified
-    if modular and equivalence and math.gcd(params.q, s) == 1:
+    if modular and not divisibility and math.gcd(params.q, s) == 1:
         primes = prime_factors(s, max_trials=len(ns))
 
     def failures(d: int):
@@ -419,24 +418,18 @@ def conclusion_failures(
         else:
             gs = table()
             pairs = ((n, (gs[n] % d, gs[n + 1])) for n in ns)  # G_{n+1} is reduced where used
-        if equivalence:
-            for n, (g, _) in pairs:
-                if (n % d == 0) != (g == 0):
-                    yield n, _equiv_witness(d, n, g)
-            return
         # W mod d depends only on (G_n, G_{n+1}) mod d: one call per orbit state.
         quotient = functools.cache(lambda g, g_next: _lifted_quotient(params, d, g, g_next))
         for n, (g, g_next) in pairs:
-            w = quotient(g, g_next % d)
-            if w:
+            if divisibility and (w := quotient(g, g_next % d)):
                 # a*G_{d*n} = a*G_n*W with W = w (mod d), so modulo the
                 # divisor a*d*G_n its remainder is a*G_n*w.
                 g_n = table()[n]
                 divisor = scale * d * g_n
                 remainder = scale * g_n * w % abs(divisor)
                 yield n, {"divisor": divisor, "index": d * n, "g_n": g_n, "remainder": remainder}
-            elif kind is ConclusionKind.CLASSICAL and (n % d == 0) != (g == 0):
-                yield n, _equiv_witness(d, n, g)
+            elif equivalence and (n % d == 0) != (g == 0):
+                yield n, {"s_pow": d, "s_pow_divides_n": n % d == 0, "s_pow_divides_g": g == 0, "g_residue": g}
 
     # The modulus never decreases along ks, so the k sharing one are
     # adjacent: each distinct d is evaluated once and replayed.

@@ -31,6 +31,7 @@ from .sequences import (
     g_range,
 )
 from .verify import (
+    S_SOURCES,
     Mode,
     SweepConfig,
     Verdict,
@@ -141,7 +142,7 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _parse_s_source(text: str):
-    if text in ("divisors-of-r", "divisors-of-r4"):
+    if text in S_SOURCES:
         return text
     try:
         return tuple(int(part) for part in text.split(","))
@@ -190,7 +191,7 @@ def _cmd_compute(args) -> int:
     _render(
         args,
         doc,
-        lambda: "n,value\n" + "".join(f"{n},{v}\n" for n, v in rows),
+        lambda: reporting.to_csv(["n", "value"], rows),
         lambda: [str(v) for _, v in rows],
     )
     return EXIT_OK

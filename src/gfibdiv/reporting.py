@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict
 
 from .verify import (
     Counterexample,
@@ -27,7 +26,7 @@ def config_to_dict(config: SweepConfig) -> dict:
     return {
         "p_range": list(config.p_range),
         "q_range": list(config.q_range),
-        "s_source": source if isinstance(source, str) else sorted(set(source)),
+        "s_source": source if isinstance(source, str) else list(source),
         "k_max": config.k_max,
         "n_max": config.n_max,
         "t_max": config.t_max,
@@ -68,14 +67,14 @@ def survey_to_dict(report: SurveyReport) -> dict:
         "kind": "converse-survey",
         "note": report.note,
         "config": config_to_dict(report.config),
-        "rows": [asdict(row) for row in report.rows],
+        "rows": [vars(row) for row in report.rows],
     }
 
 
 def examples_to_dict(results: list[ExampleResult]) -> dict:
     return {
         "kind": "example-reproduction",
-        "results": [asdict(r) for r in results],
+        "results": [vars(r) for r in results],
         "all_passed": all(r.passed for r in results),
     }
 

@@ -46,11 +46,18 @@ class Verdict(Enum):
     NEVER_APPLICABLE = "hypothesis-never-applicable"
 
 
+# The named sources of s, each a map from r to the s values of a cell
+S_SOURCES = {
+    "divisors-of-r": lambda r: positive_divisors(r) if r != 0 else [],
+    "divisors-of-r4": lambda r: positive_divisors(r // 4) if r != 0 and r % 4 == 0 else [],
+}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     p_range: tuple[int, int]
     q_range: tuple[int, int]
-    # "divisors-of-r", "divisors-of-r4", or an explicit tuple of s values
+    # a name in S_SOURCES, or explicit s values, kept as a sorted tuple of distinct values
     s_source: str | tuple[int, ...] = "divisors-of-r"
     k_max: int = 3
     n_max: int = 40
@@ -64,8 +71,14 @@ class SweepConfig:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise InputError(f"{name} must not be empty, got [{lo}, {hi}]")
-        if not isinstance(self.s_source, str) and min(self.s_source, default=1) < 1:
-            raise InputError(f"s_source values must be >= 1, got {min(self.s_source)}")
+        if not isinstance(self.mode, Mode):
+            raise InputError(f"mode must be a Mode, got {self.mode!r}")
+        if isinstance(self.s_source, str) and self.s_source not in S_SOURCES:
+            raise InputError(f"unknown s_source {self.s_source!r}; known: {sorted(S_SOURCES)}")
+        if not isinstance(self.s_source, str):
+            object.__setattr__(self, "s_source", tuple(sorted(set(self.s_source))))
+            if min(self.s_source, default=1) < 1:
+                raise InputError(f"s_source values must be >= 1, got {self.s_source[0]}")
         for name, least in (("k_max", 0), ("n_max", 0), ("t_max", 1), ("worker_count", 1), ("time_budget_s", 0)):
             value = getattr(self, name)
             if value is not None and not value >= least:  # NaN fails too
@@ -108,16 +121,9 @@ def _cells(config: SweepConfig, *, scan: bool = False) -> list[tuple[int, int]]:
     return [(p, q) for p in values(*config.p_range) for q in values(*config.q_range)]
 
 
-def _resolve_s(config: SweepConfig, params: SequenceParams) -> list[int]:
+def _resolve_s(config: SweepConfig, params: SequenceParams) -> list[int] | tuple[int, ...]:
     source = config.s_source
-    if isinstance(source, str):
-        r = params.r
-        if source == "divisors-of-r":
-            return positive_divisors(r) if r != 0 else []
-        if source == "divisors-of-r4":
-            return positive_divisors(r // 4) if r != 0 and r % 4 == 0 else []
-        raise InputError(f"unknown s_source {source!r}")
-    return sorted(set(source))
+    return S_SOURCES[source](params.r) if isinstance(source, str) else source
 
 
 def _cell_table(config: SweepConfig, params: SequenceParams):

@@ -91,6 +91,11 @@ class TestGExact:
         with pytest.raises(InputError):
             g_exact(SequenceParams(1, 1), -1)
 
+    @pytest.mark.parametrize("n", [True, 1.5])
+    def test_non_integer_index_rejected(self, n):
+        with pytest.raises(InputError):
+            _parse_index(n)
+
 
 class TestGRange:
     def test_jacobsthal_prefix(self):

@@ -189,11 +189,23 @@ class TestVerifyClaim:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("p_range", (3, 1)), ("q_range", (0, -1)), ("time_budget_s", -1.0), ("time_budget_s", float("nan"))],
+        [
+            ("p_range", (3, 1)),
+            ("q_range", (0, -1)),
+            ("time_budget_s", -1.0),
+            ("time_budget_s", float("nan")),
+            ("mode", "modular"),
+            ("s_source", "bogus"),
+        ],
     )
     def test_bad_config_names_the_field(self, field, value):
         with pytest.raises(InputError, match=field):
             small_config(**{field: value})
+
+    def test_explicit_s_values_kept_sorted_and_distinct(self):
+        config = small_config(s_source=[6, 2, 6, 3])
+        assert config.s_source == (2, 3, 6)
+        assert reporting.config_to_dict(config)["s_source"] == [2, 3, 6]
 
 
 class TestGrid:
@@ -278,6 +290,25 @@ class TestIdentitySuite:
     def test_bad_n_max(self):
         with pytest.raises(InputError):
             identity_suite(SequenceParams(1, 1), n_max=0, s_list=[2])
+
+    def test_failure_is_recorded(self, monkeypatch):
+        """A wrong (A_3, B_3) fails the identities that read B_3, and the first failure is kept."""
+        params = SequenceParams(1, 1)
+        right = ab_exact(params, 3)
+
+        def wrong_at_3(params, n):
+            pair = ab_exact(params, n)
+            return replace(pair, b=pair.b + 1) if n == 3 else pair
+
+        monkeypatch.setattr(verify, "ab_exact", wrong_at_3)
+        results = {r.name: r for r in identity_suite(params, n_max=5, s_list=[2])}
+        bridge = results["b-to-g-bridge"]
+        assert (bridge.passed, bridge.checked) == (False, 5)
+        assert bridge.first_failure == {"n": 3, "b_n": right.b + 1, "g_n": 2}
+        closed = results["closed-form-pair"]
+        assert not closed.passed
+        assert closed.first_failure == {"n": 3, "got": (right.a, right.b), "want": (right.a, right.b + 1)}
+        assert results["quadratic"].passed  # reads A_n and G_n only
 
     def test_table_stops_at_n_max(self, monkeypatch):
         asked = []
