@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import InputError
 from .numtheory import divides, is_prime, prime_factors
@@ -87,8 +87,7 @@ class ConclusionKind(Enum):
     SCALED = "scaled"  # MULT_DIV for every configured seed scale
 
 
-@dataclass(frozen=True)
-class ClaimSpec:
+class ClaimSpec(NamedTuple):
     claim: ClaimId
     statement: str
     citation: str
@@ -96,7 +95,7 @@ class ClaimSpec:
     cases: tuple[tuple[str, ...], ...]
     conclusion: ConclusionKind
 
-    @functools.cached_property
+    @property
     def condition_names(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(self.global_conditions + tuple(c for case in self.cases for c in case)))
 
@@ -252,8 +251,7 @@ def claim_by_name(name: str) -> ClaimSpec:
         raise InputError(f"unknown claim {name!r}; known: {sorted(_BY_NAME)}") from None
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     claim: ClaimId
     conditions: tuple[tuple[str, bool], ...]
     applicable: bool
@@ -456,8 +454,7 @@ def conclusion_holds(
     return next(conclusion_failures(claim, params, s, (k,), (n,), modular=modular), None) is None
 
 
-@dataclass(frozen=True)
-class LiftCheck:
+class LiftCheck(NamedTuple):
     """Bounded check that s | t fails implies s^2 does not divide G_{s*t}."""
 
     holds: bool

@@ -4,7 +4,7 @@ deterministic primality below psi_12 (about 3.2e23)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -16,8 +16,7 @@ def divides(a: int, b: int) -> bool:
     return b % a == 0
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(NamedTuple):
     """s-adic valuation: exponent k, or None for the infinite case (m = 0)."""
 
     exponent: int | None

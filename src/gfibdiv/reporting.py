@@ -67,14 +67,14 @@ def survey_to_dict(report: SurveyReport) -> dict:
         "kind": "converse-survey",
         "note": report.note,
         "config": config_to_dict(report.config),
-        "rows": [vars(row) for row in report.rows],
+        "rows": [row._asdict() for row in report.rows],
     }
 
 
 def examples_to_dict(results: list[ExampleResult]) -> dict:
     return {
         "kind": "example-reproduction",
-        "results": [vars(r) for r in results],
+        "results": [r._asdict() for r in results],
         "all_passed": all(r.passed for r in results),
     }
 

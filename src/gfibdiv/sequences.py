@@ -13,15 +13,14 @@ and the residue stream g_pairs_mod walks many indices mod m at O(1) per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, InputError, ResourceLimitError
 
 DEFAULT_MAX_TERMS = 10**6
 
 
-@dataclass(frozen=True)
-class SequenceParams:
+class SequenceParams(NamedTuple):
     """The recurrence coefficients (p, q); r = p^2 + 4q is derived."""
 
     p: int
@@ -32,8 +31,7 @@ class SequenceParams:
         return self.p * self.p + 4 * self.q
 
 
-@dataclass(frozen=True)
-class ABPair:
+class ABPair(NamedTuple):
     """Companion integers (A_n, B_n) at index n."""
 
     n: int

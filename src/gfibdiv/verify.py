@@ -13,8 +13,8 @@ import math
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 # conclusion_holds, hypothesis_check, _applicable, g_mod and g_is_zero are
 # not called here; they stay importable because perfbench/tracer.py wraps
@@ -53,8 +53,7 @@ S_SOURCES = {
 }
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class _SweepFields(NamedTuple):
     p_range: tuple[int, int]
     q_range: tuple[int, int]
     # a name in S_SOURCES, or explicit s values, kept as a sorted tuple of distinct values
@@ -66,27 +65,46 @@ class SweepConfig:
     worker_count: int = 1
     time_budget_s: float | None = None
 
-    def __post_init__(self) -> None:
+
+class SweepConfig(_SweepFields):
+    """A sweep's grid and bounds, checked when built: a bad field raises InputError naming it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        fields = _SweepFields(*args, **kwargs)
         for name in ("p_range", "q_range"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise InputError(f"{name} must not be empty, got [{lo}, {hi}]")
-        if not isinstance(self.mode, Mode):
-            raise InputError(f"mode must be a Mode, got {self.mode!r}")
-        if isinstance(self.s_source, str) and self.s_source not in S_SOURCES:
-            raise InputError(f"unknown s_source {self.s_source!r}; known: {sorted(S_SOURCES)}")
-        if not isinstance(self.s_source, str):
-            object.__setattr__(self, "s_source", tuple(sorted(set(self.s_source))))
-            if min(self.s_source, default=1) < 1:
-                raise InputError(f"s_source values must be >= 1, got {self.s_source[0]}")
-        for name, least in (("k_max", 0), ("n_max", 0), ("t_max", 1), ("worker_count", 1), ("time_budget_s", 0)):
-            value = getattr(self, name)
-            if value is not None and not value >= least:  # NaN fails too
-                raise InputError(f"{name} must be >= {least}, got {value}")
+            value = getattr(fields, name)
+            if not (isinstance(value, (tuple, list)) and len(value) == 2 and all(type(v) is int for v in value)):
+                raise InputError(f"{name} must be a pair of ints, got {value!r}")
+            if value[0] > value[1]:
+                raise InputError(f"{name} must not be empty, got [{value[0]}, {value[1]}]")
+        if not isinstance(fields.mode, Mode):
+            raise InputError(f"mode must be a Mode, got {fields.mode!r}")
+        source = fields.s_source
+        if isinstance(source, str):
+            if source not in S_SOURCES:
+                raise InputError(f"unknown s_source {source!r}; known: {sorted(S_SOURCES)}")
+        elif isinstance(source, (tuple, list, set, frozenset, range)) and all(type(s) is int and s >= 1 for s in source):
+            source = tuple(sorted(set(source)))
+        else:
+            raise InputError(f"s_source must be a name or ints >= 1, got {source!r}")
+        for name, least in (("k_max", 0), ("n_max", 0), ("t_max", 1), ("worker_count", 1)):
+            value = getattr(fields, name)
+            if type(value) is not int or value < least:  # a bool is not an int here
+                raise InputError(f"{name} must be an int >= {least}, got {value!r}")
+        budget = fields.time_budget_s
+        if budget is not None and not (type(budget) in (int, float) and budget >= 0):  # NaN fails too
+            raise InputError(f"time_budget_s must be None or a number >= 0, got {budget!r}")
+        return super().__new__(cls, *fields._replace(s_source=source))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through __new__, so _make and _replace (which calls it) validate too."""
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     claim: ClaimId
     p: int
     q: int
@@ -97,8 +115,7 @@ class Counterexample:
     relaxed_condition: str | None = None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     claim: ClaimId
     config: SweepConfig
     points_checked: int
@@ -238,14 +255,7 @@ def verify_claim(claim: ClaimId, config: SweepConfig) -> VerificationReport:
         verdict = Verdict.VIOLATIONS
     else:
         verdict = Verdict.ALL_PASS
-    return VerificationReport(
-        claim=claim,
-        config=config,
-        points_checked=points,
-        violations=tuple(violations),
-        elapsed_s=elapsed,
-        verdict=verdict,
-    )
+    return VerificationReport(claim, config, points, tuple(violations), elapsed, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +293,7 @@ def _parity_expansion(n: int, parity: int, x: int, y: int, z: int) -> int:
     return total
 
 
-@dataclass
-class IdentityResult:
+class IdentityResult(NamedTuple):
     name: str
     passed: bool
     checked: int
@@ -316,14 +325,13 @@ def identity_suite(
     ]
     if p_even:
         names += ["g-half-expansion", "a-half-integer"]
-    results = {name: IdentityResult(name, True, 0) for name in names}
+    checked = dict.fromkeys(names, 0)
+    first_failure: dict[str, dict] = {}
 
     def check(name: str, ok: bool, context: dict) -> None:
-        res = results[name]
-        res.checked += 1
-        if not ok and res.first_failure is None:
-            res.passed = False
-            res.first_failure = context
+        checked[name] += 1
+        if not ok:
+            first_failure.setdefault(name, context)
 
     gs = g_range(params, n_max)
     abs_ = [ab_exact(params, n) for n in range(n_max + 1)]
@@ -364,7 +372,7 @@ def identity_suite(
             check("g-half-expansion", g_half == gs[n], {"n": n, "got": g_half, "want": gs[n]})
             ok = a_n % 2**n == 0 and a_n // 2**n == _parity_expansion(n, 0, params.p // 2, 1, r // 4)
             check("a-half-integer", ok, {"n": n, "a_n": a_n})
-    return list(results.values())
+    return [IdentityResult(name, name not in first_failure, checked[name], first_failure.get(name)) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +414,7 @@ _GOLDEN = (
 )
 
 
-@dataclass
-class ExampleResult:
+class ExampleResult(NamedTuple):
     example: str
     p: int
     q: int
@@ -531,8 +538,7 @@ def rank_of_apparition(params: SequenceParams, s: int, n_bound: int) -> int | No
     return next((n for n, (g, _) in zip(ns, g_pairs_mod(params, ns, s)) if g == 0), None)
 
 
-@dataclass
-class SurveyRow:
+class SurveyRow(NamedTuple):
     p: int
     q: int
     s: int
@@ -540,8 +546,7 @@ class SurveyRow:
     failing_conditions: tuple[str, ...]
 
 
-@dataclass
-class SurveyReport:
+class SurveyReport(NamedTuple):
     note: str
     config: SweepConfig
     rows: tuple[SurveyRow, ...]

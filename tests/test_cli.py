@@ -649,12 +649,13 @@ class TestEntryPoint:
         assert "12/12 pass" in proc.stdout
 
     def test_serial_run_loads_no_pool(self):
-        # The process pool's modules load only when a sweep runs in parallel.
+        # The process pool's modules load only when a sweep runs in parallel,
+        # and no run loads dataclasses or the inspect module it pulls in.
         code = (
             "import sys\n"
             "from gfibdiv import cli\n"
             "cli.main(['check', '--claim', 'cor-fibonacci', '-p', '1', '-q', '1', '-s', '5', '--workers', '1'])\n"
-            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
         )
         src_dir = str(Path(gfibdiv.__file__).resolve().parents[1])
         env = dict(os.environ)

@@ -2,13 +2,14 @@ import concurrent.futures
 import json
 import math
 import os
+import pickle
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
 from gfibdiv import (
     ClaimId,
+    Counterexample,
     InputError,
     Mode,
     ResourceLimitError,
@@ -101,7 +102,7 @@ class TestVerifyClaim:
         assert violation.witness == {
             "s_pow": 144, "s_pow_divides_n": False, "s_pow_divides_g": True, "g_residue": 0,
         }
-        gated = verify_claim(ClaimId.Thm1_2_LiftedEquiv, replace(config, t_max=50))
+        gated = verify_claim(ClaimId.Thm1_2_LiftedEquiv, config._replace(t_max=50))
         assert gated.verdict is Verdict.NEVER_APPLICABLE
 
     def test_worker_counts_agree(self):
@@ -194,18 +195,61 @@ class TestVerifyClaim:
             ("q_range", (0, -1)),
             ("time_budget_s", -1.0),
             ("time_budget_s", float("nan")),
+            ("time_budget_s", "5"),
+            ("time_budget_s", True),
             ("mode", "modular"),
             ("s_source", "bogus"),
+            ("s_source", (2, 2.5)),
+            ("s_source", ("2",)),
+            ("s_source", 5),
+            ("p_range", (1, 2, 3)),
+            ("p_range", (1,)),
+            ("q_range", (0, 1.5)),
+            ("q_range", "ab"),
+            ("k_max", 2.5),
+            ("k_max", -1),
+            ("n_max", "40"),
+            ("t_max", True),
+            ("t_max", 0),
+            ("worker_count", 1.5),
+            ("worker_count", False),
         ],
     )
     def test_bad_config_names_the_field(self, field, value):
         with pytest.raises(InputError, match=field):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value", [("k_max", -1), ("n_max", 2.5), ("p_range", (2, 1)), ("s_source", (0, 1))]
+    )
+    def test_replace_validates(self, field, value):
+        with pytest.raises(InputError, match=field):
+            small_config()._replace(**{field: value})
+        with pytest.raises(InputError, match=field):
+            SweepConfig._make({**small_config()._asdict(), field: value}.values())
+
+    def test_config_survives_pickling(self):
+        config = small_config(s_source=(3, 2), mode=Mode.MODULAR, time_budget_s=9.5)
+        copy = pickle.loads(pickle.dumps(config))
+        assert (copy, type(copy)) == (config, SweepConfig)
+
+    @pytest.mark.parametrize(
+        "record,field",
+        [
+            (SequenceParams(1, 1), "p"),
+            (small_config(), "k_max"),
+            (Counterexample(ClaimId.Thm1_1_Equiv, 1, 1, 5, 1, 5, {}), "n"),
+        ],
+    )
+    def test_records_are_immutable(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+
     def test_explicit_s_values_kept_sorted_and_distinct(self):
         config = small_config(s_source=[6, 2, 6, 3])
         assert config.s_source == (2, 3, 6)
         assert reporting.config_to_dict(config)["s_source"] == [2, 3, 6]
+        assert config._replace(s_source=[5, 1, 5]).s_source == (1, 5)
 
 
 class TestGrid:
@@ -247,7 +291,7 @@ class TestGrid:
         config = SweepConfig(p_range=(1, 2), q_range=(1, 1))
         assert list(verify._grid(config, "test", lambda params: None)) == []
         called = []
-        walk = verify._grid(replace(config, time_budget_s=0.0), "test", lambda params: called.append(params))
+        walk = verify._grid(config._replace(time_budget_s=0.0), "test", lambda params: called.append(params))
         with pytest.raises(ResourceLimitError, match=r"test stopped after .* at \(p, q, s\) = \(1, 1, 1\)"):
             next(walk)
         assert called == [SequenceParams(1, 1)]
@@ -298,7 +342,7 @@ class TestIdentitySuite:
 
         def wrong_at_3(params, n):
             pair = ab_exact(params, n)
-            return replace(pair, b=pair.b + 1) if n == 3 else pair
+            return pair._replace(b=pair.b + 1) if n == 3 else pair
 
         monkeypatch.setattr(verify, "ab_exact", wrong_at_3)
         results = {r.name: r for r in identity_suite(params, n_max=5, s_list=[2])}
@@ -411,7 +455,7 @@ class TestCounterexampleSearch:
             assert ce.witness["g_n"] == g_exact(SequenceParams(ce.p, ce.q), ce.n)
         # Modular mode builds it only where a witness states G_n.
         built.clear()
-        found = list(iter_counterexamples(ClaimId.Thm1_1_Equiv, "gcd-pq", replace(bounds, mode=Mode.MODULAR)))
+        found = list(iter_counterexamples(ClaimId.Thm1_1_Equiv, "gcd-pq", bounds._replace(mode=Mode.MODULAR)))
         assert len(built) == 78 and set(built) == {(ce.p, ce.q) for ce in found}
         assert set(built.values()) == {1}
 
@@ -474,7 +518,7 @@ class TestCounterexampleSearch:
         bounds = SweepConfig(p_range=(-10, 10), q_range=(-10, 10), s_source=tuple(range(1, 21)), k_max=2, n_max=12)
         exact = list(iter_counterexamples(ClaimId.Thm1_1_Equiv, "gcd-pq", bounds))
         calls = modes[False]
-        modular = list(iter_counterexamples(ClaimId.Thm1_1_Equiv, "gcd-pq", replace(bounds, mode=Mode.MODULAR)))
+        modular = list(iter_counterexamples(ClaimId.Thm1_1_Equiv, "gcd-pq", bounds._replace(mode=Mode.MODULAR)))
         assert calls > 0 and modes == {False: calls, True: calls}
         assert any((ce.p, ce.q, ce.s) == (3, 9, 3) for ce in exact)
         assert modular == exact
@@ -490,7 +534,7 @@ class TestCounterexampleSearch:
         for ce in found:
             assert claims.thm12_lift_condition(SequenceParams(ce.p, ce.q), ce.s, bounds.t_max).holds
         # Checked up to t = 50, the condition fails at each of those points.
-        assert search_counterexample(ClaimId.Thm1_2_LiftedEquiv, "gcd-pq", replace(bounds, t_max=50)) is None
+        assert search_counterexample(ClaimId.Thm1_2_LiftedEquiv, "gcd-pq", bounds._replace(t_max=50)) is None
 
     def test_time_budget_stops_the_search(self):
         bounds = small_config(p_range=(-3, 3), q_range=(-3, 3), time_budget_s=0.0)
@@ -609,7 +653,7 @@ class TestConverseSurvey:
         # One table per s, unshared, would be 1,066 tables for these 278 cells, up to 11 per cell.
         assert len(exact.rows) == 560 and set(built.values()) == {1}
         built.clear()
-        modular = converse_survey(replace(config, mode=Mode.MODULAR))
+        modular = converse_survey(config._replace(mode=Mode.MODULAR))
         assert not built and modular.rows == exact.rows
 
     def test_cells_with_r_zero_not_surveyed(self):
