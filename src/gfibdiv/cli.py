@@ -131,7 +131,13 @@ def _add_sweep_options(parser: argparse.ArgumentParser, *, k_max: int, n_max: in
     parser.add_argument("--tmax", type=int, default=50)
     parser.add_argument("--mode", choices=["exact", "modular"], default="exact")
     parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
+    parser.add_argument(
+        "--time-budget",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="stop with exit 4 once this many seconds have passed, checked before each (p, q) cell and each s",
+    )
 
 
 def _nonnegative_int(text: str) -> int:

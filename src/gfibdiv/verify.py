@@ -9,6 +9,7 @@ count.  Every conclusion is decided by claims.conclusion_failures.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import time
@@ -124,8 +125,8 @@ class VerificationReport(NamedTuple):
     verdict: Verdict
 
 
-def _cells(config: SweepConfig, *, scan: bool = False) -> list[tuple[int, int]]:
-    """The grid's (p, q) cells, p-major.
+def _cells(config: SweepConfig, *, scan: bool = False):
+    """The grid's (p, q) cells, p-major, as a generator.
 
     Canonical order is ascending.  Scan order sorts p and q by absolute value,
     positive before negative, so a search meets the smallest examples first.
@@ -135,7 +136,8 @@ def _cells(config: SweepConfig, *, scan: bool = False) -> list[tuple[int, int]]:
         span = range(lo, hi + 1)
         return sorted(span, key=lambda v: (abs(v), v < 0)) if scan else span
 
-    return [(p, q) for p in values(*config.p_range) for q in values(*config.q_range)]
+    ps, qs = values(*config.p_range), values(*config.q_range)
+    return ((p, q) for p in ps for q in qs)
 
 
 def _resolve_s(config: SweepConfig, params: SequenceParams) -> list[int] | tuple[int, ...]:
@@ -173,81 +175,77 @@ def _cell_evaluator(claim: ClaimId, config: SweepConfig, params: SequenceParams,
     return evaluate, table
 
 
-def _sweep_cell(args) -> tuple[int, list[Counterexample]]:
-    claim, config, p, q = args
-    params = SequenceParams(p, q)
-    s_values = _resolve_s(config, params)
-    cell = _cell_evaluator(claim, config, params) if s_values else None  # no s, no condition evaluated
-    if cell is None:
-        return 0, []
-    evaluate, _ = cell
-    points = 0
-    violations: list[Counterexample] = []
-    for s in s_values:
-        failures = evaluate(s)
-        if failures is not None:
-            points += (config.k_max + 1) * (config.n_max + 1)
-            violations.extend(Counterexample(claim, p, q, s, k, n, witness) for k, n, witness in failures)
-    return points, violations
+def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False, start: float | None = None, part=(0, None)):
+    """Yield (params, s, value) for each cell of the part and each of its s values.
 
-
-def _check_budget(config: SweepConfig, start: float, what: str, where, pool=None) -> None:
-    """Raise ResourceLimitError once more than time_budget_s has passed since start.
-
-    where() says how far the run got; a process pool is cancelled first.
+    part = (lo, hi) is a slice of the _cells order; (0, None) is the whole
+    grid.  value = cell(params) is computed once for each cell that has an s,
+    and nothing of the cell is yielded where it is None.  This is the one
+    place that reads the clock: past config.time_budget_s since start (the
+    first request where start is None) it raises ResourceLimitError, checked
+    before each cell and before each s, in whichever process walks the part.
+    A sweep passes its own start, so the parts of a process pool share the
+    run's clock: time.monotonic is system-wide on Linux, so a forked worker
+    reads the clock its parent started.
     """
-    if config.time_budget_s is None:
-        return
-    elapsed = time.monotonic() - start
-    if elapsed > config.time_budget_s:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-        raise ResourceLimitError(
-            f"{what} stopped after {elapsed:.1f}s {where()}, over the {config.time_budget_s:.1f}s budget"
-        )
+    budget = config.time_budget_s
+    if start is None:
+        start = time.monotonic()
 
+    def check(*at: int) -> None:  # at is the (p, q) or (p, q, s) about to be walked
+        if budget is not None and (elapsed := time.monotonic() - start) > budget:
+            where = f"({', '.join('pqs'[:len(at)])}) = ({', '.join(map(str, at))})"
+            raise ResourceLimitError(f"{what} stopped after {elapsed:.1f}s at {where}, over the {budget:.1f}s budget")
 
-def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False):
-    """Yield (params, s, value) for each cell in _cells order and each of its s values.
-
-    value = cell(params) is computed once for each cell that has an s, and
-    nothing of the cell is yielded where it is None.  The clock starts at the
-    first request.  Past config.time_budget_s, checked after each s walked
-    (when the caller asks for the next), it raises ResourceLimitError naming
-    that (p, q, s).
-    """
-    start = time.monotonic()
-    for p, q in _cells(config, scan=scan):
+    for p, q in itertools.islice(_cells(config, scan=scan), *part):
+        check(p, q)
         params = SequenceParams(p, q)
         s_values = _resolve_s(config, params)
         value = cell(params) if s_values else None
+        if value is None:
+            continue
         for s in s_values:
-            if value is not None:
-                yield params, s, value
-            _check_budget(config, start, what, lambda: f"at (p, q, s) = ({p}, {q}, {s})")
+            check(p, q, s)
+            yield params, s, value
+
+
+def _sweep_cell(args) -> tuple[int, list[Counterexample]]:
+    """Sweep one part (lo, hi) of the grid: the whole of a serial sweep, or one task of a pool."""
+    claim, config, start, part = args
+    points = 0
+    violations: list[Counterexample] = []
+    cell = functools.partial(_cell_evaluator, claim, config)
+    for params, s, (evaluate, _) in _grid(config, "sweep", cell, start=start, part=part):
+        failures = evaluate(s)
+        if failures is not None:
+            points += (config.k_max + 1) * (config.n_max + 1)
+            violations.extend(Counterexample(claim, params.p, params.q, s, k, n, w) for k, n, w in failures)
+    return points, violations
 
 
 def verify_claim(claim: ClaimId, config: SweepConfig) -> VerificationReport:
-    """Sweep the grid; evaluate the conclusion wherever the hypothesis holds."""
+    """Sweep the grid; evaluate the conclusion wherever the hypothesis holds.
+
+    A serial sweep is one part of the grid; a pool sweeps about four parts per
+    worker, merged in canonical order.  Past config.time_budget_s it raises
+    ResourceLimitError; a pool's parts that have not started are cancelled.
+    """
     start = time.monotonic()
-    cells = [(claim, config, p, q) for p, q in _cells(config)]
-    points = 0
-    violations: list[Counterexample] = []
+    cells = math.prod(hi - lo + 1 for lo, hi in (config.p_range, config.q_range))
     # More processes than cells or CPUs would only add start-up cost.
-    workers = min(config.worker_count, len(cells), os.cpu_count() or 1)
+    workers = min(config.worker_count, cells, os.cpu_count() or 1)
+    step = cells if workers == 1 else -(-cells // (4 * workers))
+    parts = [(lo, lo + step) for lo in range(0, cells, step)]
     if workers > 1:
         # Imported only here, so a serial run does not load the pool's modules.
         from concurrent.futures import ProcessPoolExecutor
+    points = 0
+    violations: list[Counterexample] = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        if pool is None:
-            results = map(_sweep_cell, cells)
-        else:
-            results = pool.map(_sweep_cell, cells, chunksize=max(1, len(cells) // (4 * workers)))
-        # The budget is checked after each cell, so a sweep stops soon after it passes.
-        for done, (cell_points, cell_violations) in enumerate(results, 1):
-            points += cell_points
-            violations.extend(cell_violations)
-            _check_budget(config, start, "sweep", lambda: f"and {done} of {len(cells)} cells", pool)
+        tasks = [(claim, config, start, part) for part in parts]
+        for part_points, part_violations in (map if pool is None else pool.map)(_sweep_cell, tasks):
+            points += part_points
+            violations.extend(part_violations)
     elapsed = time.monotonic() - start
     if points == 0:
         verdict = Verdict.NEVER_APPLICABLE
@@ -462,9 +460,9 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
     except the relaxed one (which must fail), the full hypothesis is not
     applicable, and the conclusion is false; for the lifted equivalence the
     lift condition must hold up to bounds.t_max, as in a sweep.  Each cell is
-    decided by _cell_evaluator, the sweep's too.  Past bounds.time_budget_s,
-    checked after each s before its counterexamples are yielded, it raises
-    ResourceLimitError.
+    decided by _cell_evaluator, the sweep's too, and each s's counterexamples
+    are yielded as soon as it is decided.  Past bounds.time_budget_s, checked
+    by _grid before each cell and each s, it raises ResourceLimitError.
     """
     spec = claim_spec(claim)
     if relaxed_condition not in spec.condition_names:
@@ -474,24 +472,17 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
         )
 
     cell = functools.partial(_cell_evaluator, claim, bounds, relaxed=relaxed_condition)
-    found: list[Counterexample] = []
-    # _grid checks the budget when asked for the next s, so each s's
-    # counterexamples are held until then.
     for params, s, (evaluate, table) in _grid(bounds, "search", cell, scan=True):
-        yield from found
         failures = evaluate(s)
-        if failures is None:
-            found = []
-            continue
-        found = [
-            Counterexample(
-                claim, params.p, params.q, s, k, n,
-                _search_witness(params, table()[n], s**k, n, witness),
-                relaxed_condition,
-            )
-            for k, n, witness in sorted(failures, key=lambda f: (f[1], f[0]))
-        ]
-    yield from found
+        if failures is not None:
+            yield from [
+                Counterexample(
+                    claim, params.p, params.q, s, k, n,
+                    _search_witness(params, table()[n], s**k, n, witness),
+                    relaxed_condition,
+                )
+                for k, n, witness in sorted(failures, key=lambda f: (f[1], f[0]))
+            ]
 
 
 def _search_witness(params: SequenceParams, g_n: int, sk: int, n: int, witness: dict) -> dict:
@@ -564,7 +555,8 @@ _SURVEY_NOTE = (
 def converse_survey(bounds: SweepConfig) -> SurveyReport:
     """Catalog where the base equivalence fails although s divides r (or r/4).
 
-    Past bounds.time_budget_s, checked after each s, it raises ResourceLimitError.
+    Past bounds.time_budget_s, checked by _grid before each cell (one with no
+    s included) and each s, it raises ResourceLimitError.
     """
     spec = claim_spec(ClaimId.Thm1_2_BaseEquiv)
     modular = bounds.mode is Mode.MODULAR

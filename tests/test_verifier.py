@@ -3,6 +3,8 @@ import json
 import math
 import os
 import pickle
+import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -130,18 +132,19 @@ class TestVerifyClaim:
             verify_claim(ClaimId.Thm1_1_Equiv, small_config(time_budget_s=0.0))
 
     def test_time_budget_stops_the_sweep(self, monkeypatch):
-        cells = []
+        parts = []
 
         def counting_cell(args):
-            cells.append(args[2:])
+            parts.append(args[3])
             return sweep_cell(args)
 
         sweep_cell = verify._sweep_cell
         monkeypatch.setattr(verify, "_sweep_cell", counting_cell)
         config = small_config(p_range=(-3, 3), q_range=(-3, 3), time_budget_s=0.0)
-        with pytest.raises(ResourceLimitError, match="1 of 49 cells"):
+        # A serial sweep is one part, stopped before its first cell.
+        with pytest.raises(ResourceLimitError, match=r"sweep stopped after .* at \(p, q\) = \(-3, -3\), over"):
             verify_claim(ClaimId.Thm1_1_Equiv, config)
-        assert cells == [(-3, -3)]
+        assert parts == [(0, 49)]
 
     def test_time_budget_stops_the_pool(self, monkeypatch):
         pools = []
@@ -154,9 +157,22 @@ class TestVerifyClaim:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool, even on a one-CPU host
         config = small_config(worker_count=2, time_budget_s=0.0)
-        with pytest.raises(ResourceLimitError, match="1 of 81 cells"):
+        # The first part's error is raised first, whichever worker walked it.
+        with pytest.raises(ResourceLimitError, match=r"sweep stopped after .* at \(p, q\) = \(-4, -4\), over"):
             verify_claim(ClaimId.Thm1_1_Equiv, config)
         assert pools == [2]
+
+    def test_pool_stops_at_its_budget(self, monkeypatch):
+        # Each worker checks the run's clock before every cell and s, so the
+        # sweep stops mid-part, not after whole parts of this 201 x 201 grid.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        config = SweepConfig(
+            p_range=(-100, 100), q_range=(-100, 100), n_max=2000, mode=Mode.MODULAR, worker_count=2, time_budget_s=0.2
+        )
+        start = time.monotonic()
+        with pytest.raises(ResourceLimitError, match="sweep stopped after"):
+            verify_claim(ClaimId.Thm1_1_Equiv, config)
+        assert time.monotonic() - start < 1.5
 
     @pytest.mark.parametrize("cpus,started", [(None, []), (1, []), (4, [4]), (1000, [81])])
     def test_pool_size_is_capped(self, monkeypatch, cpus, started):
@@ -256,12 +272,12 @@ class TestGrid:
     CONFIG = SweepConfig(p_range=(-1, 2), q_range=(-1, 0))
 
     def test_canonical_order(self):
-        assert verify._cells(self.CONFIG) == [
+        assert list(verify._cells(self.CONFIG)) == [
             (-1, -1), (-1, 0), (0, -1), (0, 0), (1, -1), (1, 0), (2, -1), (2, 0),
         ]
 
     def test_scan_order(self):
-        assert verify._cells(self.CONFIG, scan=True) == [
+        assert list(verify._cells(self.CONFIG, scan=True)) == [
             (0, 0), (0, -1), (1, 0), (1, -1), (-1, 0), (-1, -1), (2, 0), (2, -1),
         ]
 
@@ -292,9 +308,34 @@ class TestGrid:
         assert list(verify._grid(config, "test", lambda params: None)) == []
         called = []
         walk = verify._grid(config._replace(time_budget_s=0.0), "test", lambda params: called.append(params))
-        with pytest.raises(ResourceLimitError, match=r"test stopped after .* at \(p, q, s\) = \(1, 1, 1\)"):
+        with pytest.raises(ResourceLimitError, match=r"test stopped after .* at \(p, q\) = \(1, 1\), over"):
             next(walk)
-        assert called == [SequenceParams(1, 1)]
+        assert called == []
+
+    def test_budget_is_checked_before_each_s(self):
+        # The cell passes its check at once; its routine then outlasts the budget.
+        config = SweepConfig(p_range=(1, 2), q_range=(1, 1), time_budget_s=0.05)
+        walk = verify._grid(config, "test", lambda params: time.sleep(0.1) or params)
+        with pytest.raises(ResourceLimitError, match=r"test stopped after .* at \(p, q, s\) = \(1, 1, 1\), over"):
+            next(walk)
+
+    @pytest.mark.parametrize("command", ["sweep", "search", "survey"])
+    def test_serial_walk_is_lazy(self, command):
+        # 1001 x 1001 cells: a walk that listed them first would peak at tens of MiB.
+        config = SweepConfig(p_range=(-500, 500), q_range=(-500, 500), time_budget_s=0.0)
+        run = {
+            "sweep": lambda: verify_claim(ClaimId.Thm1_1_Equiv, config),
+            "search": lambda: list(iter_counterexamples(ClaimId.Thm1_1_Equiv, "gcd-pq", config)),
+            "survey": lambda: converse_survey(config),
+        }[command]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=f"{command} stopped after"):
+                run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestDivisibilitySequence:
@@ -538,16 +579,22 @@ class TestCounterexampleSearch:
 
     def test_time_budget_stops_the_search(self):
         bounds = small_config(p_range=(-3, 3), q_range=(-3, 3), time_budget_s=0.0)
-        # Scan order starts at p = 0: q = 0 has no s (r = 0), q = 1 has r = 4.
-        stopped = r"search stopped after .* at \(p, q, s\) = \(0, 1, 1\), over the 0.0s budget"
+        # Scan order starts at (0, 0), which has no s (r = 0) but is checked all the same.
+        stopped = r"search stopped after .* at \(p, q\) = \(0, 0\), over the 0.0s budget"
         with pytest.raises(ResourceLimitError, match=stopped):
             list(iter_counterexamples(ClaimId.Thm1_1_Equiv, "gcd-pq", bounds))
         with pytest.raises(ResourceLimitError, match=stopped):
             search_counterexample(ClaimId.Thm1_1_Equiv, "gcd-pq", bounds)
 
     def test_time_budget_stops_the_survey(self):
-        with pytest.raises(ResourceLimitError, match=r"survey stopped after .* at \(p, q, s\) = \(-3, -3, 1\)"):
+        with pytest.raises(ResourceLimitError, match=r"survey stopped after .* at \(p, q\) = \(-3, -3\), over"):
             converse_survey(small_config(p_range=(-3, 3), q_range=(-3, 3), time_budget_s=0.0))
+
+    def test_time_budget_checks_cells_with_no_s(self):
+        # p = 1 makes r = 1 + 4q odd, so divisors-of-r4 gives no cell an s.
+        bounds = SweepConfig(p_range=(1, 1), q_range=(-10**5, 10**5), s_source="divisors-of-r4", time_budget_s=0.0)
+        with pytest.raises(ResourceLimitError, match=r"survey stopped after .* at \(p, q\) = \(1, -100000\), over"):
+            converse_survey(bounds)
 
 
 class TestRankOfApparition:
