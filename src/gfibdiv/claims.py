@@ -264,10 +264,13 @@ def _evaluate_conditions(spec: ClaimSpec, p: int, q: int, s: int) -> dict[str, b
     }
 
 
+# Each claim's hypothesis G and (C1 or C2 or ...) as one list of cases
+# (G and C1), (G and C2), ...: the global conditions G come first in each.
+_CASES = {spec.claim: tuple(spec.global_conditions + case for case in spec.cases) for spec in REGISTRY}
+
+
 def _applicable(spec: ClaimSpec, values: dict[str, bool]) -> bool:
-    if not all(values[name] for name in spec.global_conditions):
-        return False
-    return any(all(values[name] for name in case) for case in spec.cases)
+    return any(all(values[name] for name in case) for case in _CASES[spec.claim])
 
 
 def hypothesis_check(claim: ClaimId, params: SequenceParams, s: int) -> HypothesisReport:
@@ -287,38 +290,24 @@ def hypothesis_gate(claim: ClaimId, params: SequenceParams, relaxed: str | None 
     Without relaxed, s qualifies where the hypothesis holds, as in
     hypothesis_check(...).applicable.  With a relaxed condition, s qualifies
     where that condition fails and the hypothesis fails, but holds once the
-    condition is forced true: the points a relaxed search probes.  Conditions
-    that do not read s are decided here, once per cell; the predicate
-    evaluates only the rest, lazily, each case in declared order.
+    condition is forced true: the points a relaxed search probes.  The gate
+    reads the claim's folded cases (_CASES, the global conditions first in
+    each).  It decides each case's conditions that do not read s here, once
+    per case of the cell, and drops a case where one fails; the predicate
+    evaluates only the conditions on s of the cases left, lazily and in
+    declared order, and never a condition that does not read s.
     """
-    spec = _BY_ID[claim]
     p, q = params.p, params.q
-
-    def rest(names):
-        """The conditions among names that read s, or None if one that does not fails."""
-        out = []
-        for name in names:
-            if name == relaxed:
-                continue  # forced true; its failure is checked on its own
-            if name not in _S_FREE:
-                out.append(_CONDITIONS[name])
-            elif not _CONDITIONS[name](p, q):
-                return None
-        return out
-
     if relaxed in _S_FREE and _CONDITIONS[relaxed](p, q):
         return None
-    common = rest(spec.global_conditions)
-    if common is None:
-        return None
-    # A relaxed case (one the relaxed condition belongs to, or every case when
-    # it is global) must hold; any other case holding makes the hypothesis hold.
-    every_case = relaxed is None or relaxed in spec.global_conditions
+    # A relaxed case (every case without relaxed, else one that names it)
+    # must hold; any other case holding makes the hypothesis hold.
     relaxed_cases, other_cases = [], []
-    for case in spec.cases:
-        residue = rest(case)
-        if residue is not None:
-            (relaxed_cases if every_case or relaxed in case else other_cases).append(residue)
+    for case in _CASES[claim]:
+        names = [name for name in case if name != relaxed]  # relaxed is forced true
+        if all(_CONDITIONS[name](p, q) for name in names if name in _S_FREE):
+            on_s = [_CONDITIONS[name] for name in names if name not in _S_FREE]
+            (relaxed_cases if relaxed is None or relaxed in case else other_cases).append(on_s)
     if not relaxed_cases:
         return None
     must_fail = _CONDITIONS[relaxed] if relaxed is not None and relaxed not in _S_FREE else None
@@ -329,7 +318,6 @@ def hypothesis_gate(claim: ClaimId, params: SequenceParams, relaxed: str | None 
     def qualifies(s: int) -> bool:
         return (
             not (must_fail is not None and must_fail(p, q, s))
-            and holds(common, s)
             and not any(holds(case, s) for case in other_cases)
             and any(holds(case, s) for case in relaxed_cases)
         )

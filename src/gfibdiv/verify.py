@@ -9,7 +9,6 @@ count.  Every conclusion is decided by claims.conclusion_failures.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import time
@@ -125,11 +124,12 @@ class VerificationReport(NamedTuple):
     verdict: Verdict
 
 
-def _cells(config: SweepConfig, *, scan: bool = False):
-    """The grid's (p, q) cells, p-major, as a generator.
+def _cells(config: SweepConfig, *, scan: bool = False, part=(0, None)):
+    """The grid's (p, q) cells, p-major, as a generator over the slice part = (lo, hi) of that order.
 
     Canonical order is ascending.  Scan order sorts p and q by absolute value,
     positive before negative, so a search meets the smallest examples first.
+    Cells are reached by index, so a part starts at its first cell at once.
     """
 
     def values(lo: int, hi: int):
@@ -137,7 +137,8 @@ def _cells(config: SweepConfig, *, scan: bool = False):
         return sorted(span, key=lambda v: (abs(v), v < 0)) if scan else span
 
     ps, qs = values(*config.p_range), values(*config.q_range)
-    return ((p, q) for p in ps for q in qs)
+    width = len(qs)
+    return ((ps[i // width], qs[i % width]) for i in range(len(ps) * width)[slice(*part)])
 
 
 def _resolve_s(config: SweepConfig, params: SequenceParams) -> list[int] | tuple[int, ...]:
@@ -178,8 +179,8 @@ def _cell_evaluator(claim: ClaimId, config: SweepConfig, params: SequenceParams,
 def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False, start: float | None = None, part=(0, None)):
     """Yield (params, s, value) for each cell of the part and each of its s values.
 
-    part = (lo, hi) is a slice of the _cells order; (0, None) is the whole
-    grid.  value = cell(params) is computed once for each cell that has an s,
+    part = (lo, hi) is a slice of the _cells order, reached by index; (0, None)
+    is the whole grid.  value = cell(params) is computed once for each cell that has an s,
     and nothing of the cell is yielded where it is None.  This is the one
     place that reads the clock: past config.time_budget_s since start (the
     first request where start is None) it raises ResourceLimitError, checked
@@ -197,7 +198,7 @@ def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False, start: fl
             where = f"({', '.join('pqs'[:len(at)])}) = ({', '.join(map(str, at))})"
             raise ResourceLimitError(f"{what} stopped after {elapsed:.1f}s at {where}, over the {budget:.1f}s budget")
 
-    for p, q in itertools.islice(_cells(config, scan=scan), *part):
+    for p, q in _cells(config, scan=scan, part=part):
         check(p, q)
         params = SequenceParams(p, q)
         s_values = _resolve_s(config, params)

@@ -18,6 +18,7 @@ from gfibdiv import (
 from gfibdiv import claims
 from gfibdiv.claims import (
     _CONDITIONS,
+    _S_FREE,
     _applicable,
     _rank_is_modulus,
     DEFAULT_SCALE_FACTORS,
@@ -170,6 +171,33 @@ class TestHypothesisGate:
         monkeypatch.setattr(claims, "is_prime", no_primality)
         gate = hypothesis_gate(ClaimId.Thm1_1_Equiv, SequenceParams(2, 2))  # gcd(2, 2) = 2
         assert gate(1) and not gate(318665857834031151167461)  # s | r/4 = 3 decides
+
+
+    @pytest.mark.parametrize("claim", list(ClaimId))
+    def test_predicate_never_calls_an_s_free_condition(self, claim, monkeypatch):
+        calls = []
+        for name, condition in list(_CONDITIONS.items()):
+            monkeypatch.setitem(_CONDITIONS, name, lambda *args, name=name, condition=condition: calls.append(name) or condition(*args))
+        for p in range(-6, 7):
+            for q in range(-6, 7):
+                for relaxed in (None,) + claim_spec(claim).condition_names:
+                    gate = hypothesis_gate(claim, SequenceParams(p, q), relaxed)
+                    calls.clear()
+                    if gate is not None:
+                        for s in range(1, 41):
+                            gate(s)
+                    assert not _S_FREE.intersection(calls), (p, q, relaxed)
+
+    @pytest.mark.parametrize("p,q,relaxed", [(1, 2, None), (1, 2, "s-div-r"), (2, 2, "gcd-pq"), (4, -1, "p-odd")])
+    def test_global_mod3_guard_fails_before_primality(self, p, q, relaxed, monkeypatch):
+        # 3 | q+1, so at s = 3k the global mod3-guard fails, and it comes first in every case.
+        def no_primality(m):
+            raise AssertionError(f"is_prime({m}) reached")
+
+        monkeypatch.setattr(claims, "is_prime", no_primality)
+        gate = hypothesis_gate(ClaimId.Thm1_1_Equiv, SequenceParams(p, q), relaxed)
+        assert gate is not None
+        assert not any(gate(s) for s in range(3, 121, 3))
 
 
 class TestApplicableClaims:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import json
 import math
 import os
@@ -280,6 +281,20 @@ class TestGrid:
         assert list(verify._cells(self.CONFIG, scan=True)) == [
             (0, 0), (0, -1), (1, 0), (1, -1), (-1, 0), (-1, -1), (2, 0), (2, -1),
         ]
+
+    @pytest.mark.parametrize("scan", [False, True])
+    def test_part_is_a_slice_of_the_full_order(self, scan):
+        config = SweepConfig(p_range=(-2, 3), q_range=(-3, 1))  # 6 x 5 cells
+        for part in [(0, None), (0, 30), (0, 7), (7, 8), (4, 17), (12, 12), (13, None), (29, None), (30, None), (25, 40)]:
+            want = list(itertools.islice(verify._cells(config, scan=scan), *part))
+            assert list(verify._cells(config, scan=scan, part=part)) == want, part
+
+    def test_last_cell_is_reached_by_index(self):
+        config = SweepConfig(p_range=(-1000, 1000), q_range=(-1000, 1000))
+        for scan, last in ((False, (1000, 1000)), (True, (-1000, -1000))):
+            start = time.perf_counter()
+            assert list(verify._cells(config, scan=scan, part=(2001 * 2001 - 1, None))) == [last]
+            assert time.perf_counter() - start < 0.05
 
     def test_grid_yields_each_cells_s_values(self):
         config = SweepConfig(p_range=(1, 2), q_range=(1, 1))
