@@ -19,7 +19,7 @@ from .errors import InputError
 from .numtheory import divides, is_prime, prime_factors
 # g_exact and g_is_zero are not called here; they stay importable because
 # perfbench/tracer.py wraps claims.g_exact and claims.g_is_zero.
-from .sequences import SequenceParams, g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
+from .sequences import SequenceParams, _pair_mod, g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
 
 # Scale factors used by the scaled-seed claim (seeds (0, alpha) give alpha*G_n).
 DEFAULT_SCALE_FACTORS = (-3, -1, 2, 5)
@@ -330,20 +330,23 @@ def applicable_claims(params: SequenceParams, s: int) -> list[ClaimId]:
     return [spec.claim for spec in REGISTRY if hypothesis_check(spec.claim, params, s).applicable]
 
 
-def _lifted_quotient(params: SequenceParams, sk: int, g_n: int, g_next: int) -> int:
-    """W mod s^k, where G_{s^k*n} = G_n * W, from G_n and G_{n+1} known mod s^k.
+# A quotient memo is emptied once it holds this many keys.
+_QUOTIENT_MEMO_CAP = 1 << 15
+
+
+def _lifted_quotient(d: int, v: int, q_pow: int) -> int:
+    """W mod d, where G_{d*n} = G_n * W, from V_n and (-q)^n mod d.
 
     Lucas (1878): G_n = U_n(p, -q) and U_{mn} = U_n * U_m(V_n, Q^n), where
-    Q = -q and V_n = 2*G_{n+1} - p*G_n.  So W is G_{s^k} of the sequence
-    <V_n, -(-q)^n>, and s^k*G_n | G_{s^k*n} iff W is 0 mod s^k.  Where
-    G_n = 0 both sides are 0, and W is 0 mod s^k too: that sequence is then
-    <2x, -x^2> with x = G_{n+1}, whose term at m is m*x^(m-1).  Cassini gives
-    (-q)^n = G_{n+1}^2 - p*G_n*G_{n+1} - q*G_n^2, so W mod s^k is a function
-    of (G_n, G_{n+1}) mod s^k alone: indices with equal pairs share one W.
+    Q = -q and V_n = 2*G_{n+1} - p*G_n.  So W is G_d of the sequence
+    <V_n, -(-q)^n>, and d*G_n | G_{d*n} iff W is 0 mod d.  Where G_n = 0 both
+    sides are 0, and W is 0 mod d too: that sequence is then <2x, -x^2> with
+    x = G_{n+1}, whose term at m is m*x^(m-1).  So W mod d is a function of
+    (d, V_n mod d, (-q)^n mod d) alone, whatever (p, q) and n gave them, and
+    Cassini, (-q)^n = G_{n+1}^2 - p*G_n*G_{n+1} - q*G_n^2, gives (-q)^n mod d
+    from (G_n, G_{n+1}) mod d.
     """
-    p, q = params.p, params.q
-    q_pow_n = (g_next * g_next - p * g_n * g_next - q * g_n * g_n) % sk  # (-q)^n mod s^k
-    return g_mod(SequenceParams((2 * g_next - p * g_n) % sk, -q_pow_n), sk, sk)
+    return _pair_mod(v, -q_pow, d, d)[0]
 
 
 def _rank_is_modulus(params: SequenceParams, d: int, primes: list[int]) -> bool:
@@ -360,7 +363,7 @@ def _rank_is_modulus(params: SequenceParams, d: int, primes: list[int]) -> bool:
 
 
 def conclusion_failures(
-    claim: ClaimId, params: SequenceParams, s: int, ks, ns, *, modular: bool = False, table=None
+    claim: ClaimId, params: SequenceParams, s: int, ks, ns, *, modular: bool = False, table=None, quotients=None
 ):
     """Yield (k, n, witness) wherever the claim's conclusion fails, in (k, n) order.
 
@@ -380,7 +383,11 @@ def conclusion_failures(
     factors within len(ns) trial divisions; exact mode never does.  table,
     if given, returns [G_0, ..., G_N] with N > max(ns), so a caller can share
     one exact table between the s of a cell; by default one is built here,
-    at most once and only when needed.
+    at most once and only when needed.  quotients, if given, is a dict that
+    memoizes W mod d (_lifted_quotient) on (d, V_n mod d, (-q)^n mod d), so a
+    caller can share it between the cells and s of one sweep part or search;
+    it is emptied once it holds _QUOTIENT_MEMO_CAP keys.  By default each call
+    has its own.
     """
     if s < 1:
         raise InputError(f"s must be >= 1, got {s}")
@@ -390,6 +397,9 @@ def conclusion_failures(
     # a*s^k*G_n | a*G_{s^k*n} does not depend on the scale a != 0, so the
     # SCALED kind is decided once; its witness names the first scale.
     scale = DEFAULT_SCALE_FACTORS[0] if kind is ConclusionKind.SCALED else 1
+    p, q = params.p, params.q
+    if quotients is None:
+        quotients = {}
     if table is None:
         table = functools.cache(lambda: g_range(params, max(ns, default=0) + 1))
     primes = None  # the primes of s, where a modulus may be certified
@@ -404,17 +414,24 @@ def conclusion_failures(
         else:
             gs = table()
             pairs = ((n, (gs[n] % d, gs[n + 1])) for n in ns)  # G_{n+1} is reduced where used
-        # W mod d depends only on (G_n, G_{n+1}) mod d: one call per orbit state.
-        quotient = functools.cache(lambda g, g_next: _lifted_quotient(params, d, g, g_next))
         for n, (g, g_next) in pairs:
-            if divisibility and (w := quotient(g, g_next % d)):
-                # a*G_{d*n} = a*G_n*W with W = w (mod d), so modulo the
-                # divisor a*d*G_n its remainder is a*G_n*w.
-                g_n = table()[n]
-                divisor = scale * d * g_n
-                remainder = scale * g_n * w % abs(divisor)
-                yield n, {"divisor": divisor, "index": d * n, "g_n": g_n, "remainder": remainder}
-            elif equivalence and (n % d == 0) != (g == 0):
+            if divisibility:
+                g_next %= d
+                key = (d, (2 * g_next - p * g) % d, (g_next * (g_next - p * g) - q * g * g) % d)  # (-q)^n by Cassini
+                w = quotients.get(key)
+                if w is None:
+                    if len(quotients) >= _QUOTIENT_MEMO_CAP:
+                        quotients.clear()
+                    w = quotients[key] = _lifted_quotient(*key)
+                if w:
+                    # a*G_{d*n} = a*G_n*W with W = w (mod d), so modulo the
+                    # divisor a*d*G_n its remainder is a*G_n*w.
+                    g_n = table()[n]
+                    divisor = scale * d * g_n
+                    remainder = scale * g_n * w % abs(divisor)
+                    yield n, {"divisor": divisor, "index": d * n, "g_n": g_n, "remainder": remainder}
+                    continue
+            if equivalence and (n % d == 0) != (g == 0):
                 yield n, {"s_pow": d, "s_pow_divides_n": n % d == 0, "s_pow_divides_g": g == 0, "g_residue": g}
 
     # The modulus never decreases along ks, so the k sharing one are

@@ -151,14 +151,18 @@ def _cell_table(config: SweepConfig, params: SequenceParams):
     return functools.cache(lambda: g_range(params, config.n_max + 1))
 
 
-def _cell_evaluator(claim: ClaimId, config: SweepConfig, params: SequenceParams, relaxed: str | None = None):
+def _cell_evaluator(
+    claim: ClaimId, config: SweepConfig, params: SequenceParams, relaxed: str | None = None, *, quotients: dict
+):
     """The claim on the cell (p, q): None where hypothesis_gate rules it out, else (evaluate, table).
 
     evaluate(s) is None where s does not qualify: the gate's predicate fails,
     or, for the lifted equivalence at s >= 2, the lift condition fails up to
     t_max.  Otherwise it yields the conclusion's failures at s, k <= k_max and
     n <= n_max (conclusion_failures).  table is _cell_table's, shared by the
-    evaluator at every s of the cell; sweep and search both decide a cell here.
+    evaluator at every s of the cell; quotients is the caller's quotient memo,
+    shared by every cell of one sweep part or search.  Sweep and search both
+    decide a cell here.
     """
     qualifies = hypothesis_gate(claim, params, relaxed)
     if qualifies is None:
@@ -171,7 +175,7 @@ def _cell_evaluator(claim: ClaimId, config: SweepConfig, params: SequenceParams,
     def evaluate(s: int):
         if not qualifies(s) or (lifted and s >= 2 and not thm12_lift_condition(params, s, config.t_max).holds):
             return None
-        return conclusion_failures(claim, params, s, ks, ns, modular=modular, table=table)
+        return conclusion_failures(claim, params, s, ks, ns, modular=modular, table=table, quotients=quotients)
 
     return evaluate, table
 
@@ -215,7 +219,7 @@ def _sweep_cell(args) -> tuple[int, list[Counterexample]]:
     claim, config, start, part = args
     points = 0
     violations: list[Counterexample] = []
-    cell = functools.partial(_cell_evaluator, claim, config)
+    cell = functools.partial(_cell_evaluator, claim, config, quotients={})  # one memo for the part
     for params, s, (evaluate, _) in _grid(config, "sweep", cell, start=start, part=part):
         failures = evaluate(s)
         if failures is not None:
@@ -472,7 +476,7 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
             f"conditions: {list(spec.condition_names)}"
         )
 
-    cell = functools.partial(_cell_evaluator, claim, bounds, relaxed=relaxed_condition)
+    cell = functools.partial(_cell_evaluator, claim, bounds, relaxed=relaxed_condition, quotients={})
     for params, s, (evaluate, table) in _grid(bounds, "search", cell, scan=True):
         failures = evaluate(s)
         if failures is not None:

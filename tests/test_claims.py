@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -463,12 +464,14 @@ class TestConclusionFailures:
 
     def test_one_quotient_per_orbit_state(self, monkeypatch):
         """On the Corollary 1.4 checks at k <= 5, n <= 5000, W mod s^k is computed
-        once for each distinct (G_n, G_{n+1}) mod s^k, not once per index."""
+        once for each distinct (s^k, V_n mod s^k, (-q)^n mod s^k), where
+        V_n = 2*G_{n+1} - p*G_n: not once per index, nor once per distinct
+        (G_n, G_{n+1}) mod s^k (8,909 of those)."""
         calls = []
 
-        def recording_quotient(params, sk, g_n, g_next):
-            calls.append((sk, g_n, g_next))
-            return lifted_quotient(params, sk, g_n, g_next)
+        def recording_quotient(d, v, q_pow):
+            calls.append((d, v, q_pow))
+            return lifted_quotient(d, v, q_pow)
 
         lifted_quotient = claims._lifted_quotient
         monkeypatch.setattr(claims, "_lifted_quotient", recording_quotient)
@@ -482,10 +485,55 @@ class TestConclusionFailures:
             params = SequenceParams(p, q)
             assert not list(conclusion_failures(claim, params, s, range(6), range(5001), modular=True))
             gs = g_range(params, 5001)
-            states = {(s**k, gs[n] % s**k, gs[n + 1] % s**k) for k in range(1, 6) for n in range(5001)}
+            states = {
+                (s**k, (2 * gs[n + 1] - p * gs[n]) % s**k, pow(-q, n, s**k))
+                for k in range(1, 6)
+                for n in range(5001)
+            }
             assert sorted(calls) == sorted(states), claim
             total += len(calls)
-        assert total == 8909
+        assert total == 1575
+
+    def test_shared_memo_matches_fresh_memo_and_big_residue(self):
+        """One quotient memo shared by every cell, s, kind and mode gives the
+        failures of a fresh memo per call, and each divisibility remainder is
+        the residue of the big index modulo the whole divisor."""
+        quotients = {}
+        fresh_states = zero_points = divisibility_failures = 0
+        kinds = (ConclusionKind.MULT_DIV, ConclusionKind.SCALED, ConclusionKind.CLASSICAL)
+        for p in range(-6, 7):
+            for q in range(-6, 7):
+                params = SequenceParams(p, q)
+                gs = g_range(params, 21)
+                zero_points += sum(g == 0 for g in gs[1:21])
+                for s in range(1, 13):  # s need not divide r, so failures occur
+                    residues = {}  # (index, |divisor|) -> G_index mod |divisor|
+                    for kind, modular in itertools.product(kinds, (False, True)):
+                        claim = next(spec.claim for spec in REGISTRY if spec.conclusion is kind)
+                        scale = DEFAULT_SCALE_FACTORS[0] if kind is ConclusionKind.SCALED else 1
+                        shared = list(
+                            conclusion_failures(
+                                claim, params, s, range(4), range(21), modular=modular, quotients=quotients
+                            )
+                        )
+                        fresh_memo = {}
+                        fresh = list(
+                            conclusion_failures(
+                                claim, params, s, range(4), range(21), modular=modular, quotients=fresh_memo
+                            )
+                        )
+                        fresh_states += len(fresh_memo)
+                        assert shared == fresh, (kind, p, q, s, modular)
+                        for k, n, witness in shared:
+                            if "divisor" in witness:
+                                divisibility_failures += 1
+                                modulus = abs(scale * s**k * gs[n])
+                                if (s**k * n, modulus) not in residues:
+                                    residues[s**k * n, modulus] = g_mod(params, s**k * n, modulus)
+                                remainder = residues[s**k * n, modulus] * scale % modulus
+                                assert witness["remainder"] == remainder, (kind, p, q, s, k, n)
+        assert zero_points > 0 and divisibility_failures > 0
+        assert len(quotients) < fresh_states
 
     def test_s_below_one_rejected(self):
         for s in (0, -5):

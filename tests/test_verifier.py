@@ -353,6 +353,68 @@ class TestGrid:
         assert peak < 5 * 2**20
 
 
+class TestQuotientMemo:
+    """A sweep part or a search shares one quotient memo between its cells, so
+    W mod d is computed once per (d, V_n mod d, (-q)^n mod d); the memo is
+    emptied once it holds claims._QUOTIENT_MEMO_CAP keys."""
+
+    # criterion 2: the exact Thm 1.1(1) sweeps, which hold everywhere
+    CRITERION_2 = [
+        SweepConfig(p_range=(-8, 8), q_range=(-8, 8), s_source=source, k_max=3, n_max=40, mode=Mode.EXACT)
+        for source in ("divisors-of-r", "divisors-of-r4")
+    ]
+    # a relaxed search, where s need not divide r and the divisibility fails
+    SEARCH = small_config(s_source=tuple(range(1, 13)), mode=Mode.MODULAR)
+
+    def recorded(self, monkeypatch):
+        """The criterion 2 JSON reports and the search's counterexamples, each
+        with the keys of its _lifted_quotient calls."""
+        lifted_quotient = claims._lifted_quotient
+        keys = []
+        monkeypatch.setattr(claims, "_lifted_quotient", lambda *key: keys.append(key) or lifted_quotient(*key))
+        results, calls = [], []
+        for config in self.CRITERION_2:
+            results.append(reporting.to_json(reporting.report_to_dict(verify_claim(ClaimId.Thm1_1_MultDiv, config))))
+            calls.append(keys[:])
+            keys.clear()
+        results.append(list(iter_counterexamples(ClaimId.Thm1_1_MultDiv, "s-div-r", self.SEARCH)))
+        calls.append(keys)
+        monkeypatch.setattr(claims, "_lifted_quotient", lifted_quotient)
+        return results, calls
+
+    def test_one_quotient_per_state_per_part(self, monkeypatch):
+        _, calls = self.recorded(monkeypatch)
+        for keys in calls:
+            assert len(set(keys)) == len(keys)
+        assert sum(map(len, calls[:2])) == 28432
+
+    def test_capped_memo_gives_the_same_results(self, monkeypatch):
+        results, calls = self.recorded(monkeypatch)
+        assert results[-1]
+        monkeypatch.setattr(claims, "_QUOTIENT_MEMO_CAP", 4)
+        capped_results, capped_calls = self.recorded(monkeypatch)
+        assert capped_results == results
+        assert all(len(capped) > len(keys) for capped, keys in zip(capped_calls, calls))
+
+    def test_cap_bounds_a_serial_sweep(self, monkeypatch):
+        # One part holds the whole grid, and its r give moduli s^k that few
+        # cells share: a memo without a bound on its total size grows with the
+        # sweep, to about 0.4 MiB here at the default cap.
+        config = SweepConfig(p_range=(-4, 4), q_range=(-4, 4), mode=Mode.MODULAR)
+
+        def peak(cap: int) -> int:
+            monkeypatch.setattr(claims, "_QUOTIENT_MEMO_CAP", cap)
+            tracemalloc.start()
+            try:
+                assert verify_claim(ClaimId.Thm1_1_MultDiv, config).verdict is Verdict.ALL_PASS
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(claims._QUOTIENT_MEMO_CAP) > 2**18
+        assert peak(2**8) < 2**17
+
+
 class TestDivisibilitySequence:
     @pytest.mark.parametrize("p", range(-8, 9, 2))
     @pytest.mark.parametrize("q", [-8, -5, -1, 1, 3, 8])
