@@ -12,7 +12,6 @@ import functools
 import math
 import os
 import time
-from contextlib import nullcontext
 from enum import Enum
 from typing import NamedTuple
 
@@ -161,8 +160,9 @@ def _cell_evaluator(
     t_max.  Otherwise it yields the conclusion's failures at s, k <= k_max and
     n <= n_max (conclusion_failures).  table is _cell_table's, shared by the
     evaluator at every s of the cell; quotients is the caller's quotient memo,
-    shared by every cell of one sweep part or search.  Sweep and search both
-    decide a cell here.
+    shared by every cell a sweep walks in its own process, by every cell of a
+    pool part, or by every cell of a search.  Sweep and search both decide a
+    cell here.
     """
     qualifies = hypothesis_gate(claim, params, relaxed)
     if qualifies is None:
@@ -186,7 +186,7 @@ def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False, start: fl
     part = (lo, hi) is a slice of the _cells order, reached by index; (0, None)
     is the whole grid.  value = cell(params) is computed once for each cell that has an s,
     and nothing of the cell is yielded where it is None.  This is the one
-    place that reads the clock: past config.time_budget_s since start (the
+    place that checks the budget: past config.time_budget_s since start (the
     first request where start is None) it raises ResourceLimitError, checked
     before each cell and before each s, in whichever process walks the part.
     A sweep passes its own start, so the parts of a process pool share the
@@ -215,11 +215,11 @@ def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False, start: fl
 
 
 def _sweep_cell(args) -> tuple[int, list[Counterexample]]:
-    """Sweep one part (lo, hi) of the grid: the whole of a serial sweep, or one task of a pool."""
-    claim, config, start, part = args
+    """Sweep one part (lo, hi) of the grid with the given quotient memo: a part walked in-process, or a pool task."""
+    claim, config, start, part, quotients = args
     points = 0
     violations: list[Counterexample] = []
-    cell = functools.partial(_cell_evaluator, claim, config, quotients={})  # one memo for the part
+    cell = functools.partial(_cell_evaluator, claim, config, quotients=quotients)
     for params, s, (evaluate, _) in _grid(config, "sweep", cell, start=start, part=part):
         failures = evaluate(s)
         if failures is not None:
@@ -228,29 +228,53 @@ def _sweep_cell(args) -> tuple[int, list[Counterexample]]:
     return points, violations
 
 
+# Seconds a parallel sweep walks in-process before it hands the cells left to a
+# pool.  Criterion 2's larger sweep takes about 0.2 s, so host noise does not
+# start a pool near the end of a sweep that short.
+_POOL_AFTER_S = 0.5
+
+
 def verify_claim(claim: ClaimId, config: SweepConfig) -> VerificationReport:
     """Sweep the grid; evaluate the conclusion wherever the hypothesis holds.
 
-    A serial sweep is one part of the grid; a pool sweeps about four parts per
-    worker, merged in canonical order.  Past config.time_budget_s it raises
-    ResourceLimitError; a pool's parts that have not started are cancelled.
+    The sweep walks the cells in canonical order in this process, with one
+    quotient memo.  With more than one worker, it checks before each cell
+    whether the run has lasted _POOL_AFTER_S; once it has, the cells left go
+    to a process pool as about four parts per worker, each with its own memo.
+    Results merge in canonical order: this process's cells, then the parts.
+    Past config.time_budget_s it raises ResourceLimitError; a pool's parts
+    that have not started are cancelled, and a budget shorter than
+    _POOL_AFTER_S stops the run before any pool starts.
     """
     start = time.monotonic()
     cells = math.prod(hi - lo + 1 for lo, hi in (config.p_range, config.q_range))
     # More processes than cells or CPUs would only add start-up cost.
     workers = min(config.worker_count, cells, os.cpu_count() or 1)
-    step = cells if workers == 1 else -(-cells // (4 * workers))
-    parts = [(lo, lo + step) for lo in range(0, cells, step)]
-    if workers > 1:
-        # Imported only here, so a serial run does not load the pool's modules.
+    budget = config.time_budget_s
+    # A walk that may hand off takes one cell per part, so it can stop between
+    # any two cells.  A budget shorter than the hand-off stops the run before
+    # any pool starts.
+    if workers > 1 and (budget is None or budget >= _POOL_AFTER_S):
+        step, handoff = 1, _POOL_AFTER_S
+    else:
+        step, handoff = cells, math.inf
+    results = []
+    lo, quotients = 0, {}
+    while lo < cells and time.monotonic() - start < handoff:
+        results.append(_sweep_cell((claim, config, start, (lo, lo + step), quotients)))
+        lo += step
+    del quotients  # freed before the pool forks or the report is built, which keeps the peak RSS down
+    if lo < cells:
+        # Imported only here, so a run that ends before the hand-off does not load the pool's modules.
         from concurrent.futures import ProcessPoolExecutor
-    points = 0
-    violations: list[Counterexample] = []
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        tasks = [(claim, config, start, part) for part in parts]
-        for part_points, part_violations in (map if pool is None else pool.map)(_sweep_cell, tasks):
-            points += part_points
-            violations.extend(part_violations)
+
+        workers = min(workers, cells - lo)
+        step = -(-(cells - lo) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            tasks = [(claim, config, start, (i, i + step), {}) for i in range(lo, cells, step)]
+            results.extend(pool.map(_sweep_cell, tasks))
+    points = sum(part_points for part_points, _ in results)
+    violations = [v for _, part_violations in results for v in part_violations]
     elapsed = time.monotonic() - start
     if points == 0:
         verdict = Verdict.NEVER_APPLICABLE

@@ -21,7 +21,7 @@ from gfibdiv import (
     reproduce_examples,
     verify_claim,
 )
-from gfibdiv import reporting
+from gfibdiv import reporting, verify
 
 GRID = (-8, 8)
 
@@ -203,7 +203,8 @@ def test_criterion_8_exact_modular_cross_validation():
     report_line(8, agree, "exact and modular sweeps identical (verdicts and violations) on shared grid n<=2000")
 
 
-def test_criterion_9_determinism_across_workers():
+def test_criterion_9_determinism_across_workers(monkeypatch):
+    monkeypatch.setattr(verify, "_POOL_AFTER_S", 0)  # every multi-worker sweep runs in a pool
     documents = []
     for workers in (1, 2, 8):
         batch = []

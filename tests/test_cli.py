@@ -648,13 +648,14 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert "12/12 pass" in proc.stdout
 
-    def test_serial_run_loads_no_pool(self):
-        # The process pool's modules load only when a sweep runs in parallel,
-        # and no run loads dataclasses or the inspect module it pulls in.
+    @staticmethod
+    def loaded_pool_modules(argv: list[str]) -> str:
+        """Which of the pool's modules, dataclasses and inspect a CLI run on two CPUs loads."""
         code = (
-            "import sys\n"
+            "import os, sys\n"
+            "os.cpu_count = lambda: 2\n"
             "from gfibdiv import cli\n"
-            "cli.main(['check', '--claim', 'cor-fibonacci', '-p', '1', '-q', '1', '-s', '5', '--workers', '1'])\n"
+            f"cli.main({argv!r})\n"
             "print(sorted({'concurrent.futures', 'multiprocessing', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
         )
         src_dir = str(Path(gfibdiv.__file__).resolve().parents[1])
@@ -662,7 +663,19 @@ class TestEntryPoint:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+        return proc.stdout.splitlines()[-1]
+
+    def test_serial_run_loads_no_pool(self):
+        # The process pool's modules load only when a sweep hands cells to a
+        # pool, and no run loads dataclasses or the inspect module it pulls in.
+        argv = ["check", "--claim", "cor-fibonacci", "-p", "1", "-q", "1", "-s", "5", "--workers", "1"]
+        assert self.loaded_pool_modules(argv) == "[]"
+
+    def test_short_parallel_run_loads_no_pool(self):
+        # Two workers, but the sweep ends long before the hand-off to a pool.
+        argv = ["sweep", "--claim", "thm1.1-equiv", "--pmin", "-2", "--pmax", "2", "--qmin", "-2", "--qmax", "2",
+                "--workers", "2"]
+        assert self.loaded_pool_modules(argv) == "[]"
 
     @pytest.mark.skipif(
         shutil.which("gfibdiv") is None, reason="gfibdiv console script not installed"

@@ -43,6 +43,25 @@ def small_config(**overrides) -> SweepConfig:
     return SweepConfig(**base)
 
 
+def recording_pool(monkeypatch):
+    """Make each process pool record its size and the parts it is given, and report 2 CPUs; returns both records."""
+    pools, parts = [], []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            parts.extend(task[3] for task in tasks)
+            return super().map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return pools, parts
+
+
 class TestVerifyClaim:
     def test_multdiv_all_pass(self):
         report = verify_claim(ClaimId.Thm1_1_MultDiv, small_config())
@@ -108,7 +127,8 @@ class TestVerifyClaim:
         gated = verify_claim(ClaimId.Thm1_2_LiftedEquiv, config._replace(t_max=50))
         assert gated.verdict is Verdict.NEVER_APPLICABLE
 
-    def test_worker_counts_agree(self):
+    def test_worker_counts_agree(self, monkeypatch):
+        monkeypatch.setattr(verify, "_POOL_AFTER_S", 0)  # the 2-worker sweep runs in a pool
         config1 = small_config(p_range=(-3, 3), q_range=(-3, 3))
         config2 = small_config(p_range=(-3, 3), q_range=(-3, 3), worker_count=2)
         r1 = verify_claim(ClaimId.Thm1_1_Equiv, config1)
@@ -148,15 +168,8 @@ class TestVerifyClaim:
         assert parts == [(0, 49)]
 
     def test_time_budget_stops_the_pool(self, monkeypatch):
-        pools = []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool, even on a one-CPU host
+        pools, _ = recording_pool(monkeypatch)  # a real pool, even on a one-CPU host
+        monkeypatch.setattr(verify, "_POOL_AFTER_S", 0)  # handed to the pool before the first cell
         config = small_config(worker_count=2, time_budget_s=0.0)
         # The first part's error is raised first, whichever worker walked it.
         with pytest.raises(ResourceLimitError, match=r"sweep stopped after .* at \(p, q\) = \(-4, -4\), over"):
@@ -167,6 +180,7 @@ class TestVerifyClaim:
         # Each worker checks the run's clock before every cell and s, so the
         # sweep stops mid-part, not after whole parts of this 201 x 201 grid.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_POOL_AFTER_S", 0)
         config = SweepConfig(
             p_range=(-100, 100), q_range=(-100, 100), n_max=2000, mode=Mode.MODULAR, worker_count=2, time_budget_s=0.2
         )
@@ -174,6 +188,16 @@ class TestVerifyClaim:
         with pytest.raises(ResourceLimitError, match="sweep stopped after"):
             verify_claim(ClaimId.Thm1_1_Equiv, config)
         assert time.monotonic() - start < 1.5
+
+    def test_budget_shorter_than_the_hand_off_starts_no_pool(self, monkeypatch):
+        pools, _ = recording_pool(monkeypatch)
+        config = SweepConfig(
+            p_range=(-100, 100), q_range=(-100, 100), n_max=2000, mode=Mode.MODULAR, worker_count=2,
+            time_budget_s=verify._POOL_AFTER_S / 2,
+        )
+        with pytest.raises(ResourceLimitError, match="sweep stopped after"):
+            verify_claim(ClaimId.Thm1_1_Equiv, config)
+        assert pools == []
 
     @pytest.mark.parametrize("cpus,started", [(None, []), (1, []), (4, [4]), (1000, [81])])
     def test_pool_size_is_capped(self, monkeypatch, cpus, started):
@@ -196,9 +220,37 @@ class TestVerifyClaim:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(verify, "_POOL_AFTER_S", 0)
         report = verify_claim(ClaimId.Thm1_1_Equiv, small_config(worker_count=100000))  # 81 cells
         assert pools == started
         serial = verify_claim(ClaimId.Thm1_1_Equiv, small_config())
+        assert reporting.to_json(reporting.report_to_dict(report)) == reporting.to_json(reporting.report_to_dict(serial))
+
+    def test_short_sweep_starts_no_pool(self, monkeypatch):
+        pools, _ = recording_pool(monkeypatch)
+        report = verify_claim(ClaimId.Thm1_1_Equiv, small_config(worker_count=2))  # done well before the hand-off
+        assert pools == []
+        serial = verify_claim(ClaimId.Thm1_1_Equiv, small_config())
+        assert reporting.to_json(reporting.report_to_dict(report)) == reporting.to_json(reporting.report_to_dict(serial))
+
+    def test_pool_takes_the_cells_left_at_the_hand_off(self, monkeypatch):
+        pools, parts = recording_pool(monkeypatch)
+        ticks = itertools.count()
+
+        class FakeTime:
+            """A clock that gains 0.1 s at each read: the start, then one read before each cell."""
+
+            @staticmethod
+            def monotonic():
+                return next(ticks) / 10
+
+        monkeypatch.setattr(verify, "time", FakeTime)
+        config = small_config(s_source="divisors-of-r4", worker_count=2)  # 81 cells
+        report = verify_claim(ClaimId.Thm1_1_MultDiv, config)
+        # Reads 0.1 to 0.4 walk the first four cells here; at 0.5 the other 77 go to the pool.
+        assert pools == [2] and parts == [(lo, lo + 10) for lo in range(4, 81, 10)]
+        serial = verify_claim(ClaimId.Thm1_1_MultDiv, config._replace(worker_count=1))
+        assert report.points_checked > 0
         assert reporting.to_json(reporting.report_to_dict(report)) == reporting.to_json(reporting.report_to_dict(serial))
 
     def test_empty_range_rejected(self):
@@ -387,6 +439,21 @@ class TestQuotientMemo:
         for keys in calls:
             assert len(set(keys)) == len(keys)
         assert sum(map(len, calls[:2])) == 28432
+
+    def test_parallel_walk_before_the_hand_off_shares_one_memo(self, monkeypatch):
+        # Walked cell by cell in this process, a 2-worker sweep still calls
+        # the quotient once per key, as often as a serial one.
+        monkeypatch.setattr(verify, "_POOL_AFTER_S", math.inf)
+        pools, _ = recording_pool(monkeypatch)
+        lifted_quotient = claims._lifted_quotient
+        keys = []
+        monkeypatch.setattr(claims, "_lifted_quotient", lambda *key: keys.append(key) or lifted_quotient(*key))
+        counts = []
+        for config in self.CRITERION_2:
+            keys.clear()
+            assert verify_claim(ClaimId.Thm1_1_MultDiv, config._replace(worker_count=2)).verdict is Verdict.ALL_PASS
+            counts.append(len(keys))
+        assert pools == [] and counts == [23840, 4592]
 
     def test_capped_memo_gives_the_same_results(self, monkeypatch):
         results, calls = self.recorded(monkeypatch)
