@@ -330,10 +330,7 @@ def applicable_claims(params: SequenceParams, s: int) -> list[ClaimId]:
     return [spec.claim for spec in REGISTRY if hypothesis_check(spec.claim, params, s).applicable]
 
 
-# A quotient memo is emptied once it holds this many keys.
-_QUOTIENT_MEMO_CAP = 1 << 15
-
-
+@functools.lru_cache(maxsize=1 << 15)
 def _lifted_quotient(d: int, v: int, q_pow: int) -> int:
     """W mod d, where G_{d*n} = G_n * W, from V_n and (-q)^n mod d.
 
@@ -344,9 +341,16 @@ def _lifted_quotient(d: int, v: int, q_pow: int) -> int:
     x = G_{n+1}, whose term at m is m*x^(m-1).  So W mod d is a function of
     (d, V_n mod d, (-q)^n mod d) alone, whatever (p, q) and n gave them, and
     Cassini, (-q)^n = G_{n+1}^2 - p*G_n*G_{n+1} - q*G_n^2, gives (-q)^n mod d
-    from (G_n, G_{n+1}) mod d.
+    from (G_n, G_{n+1}) mod d.  Being pure, it is cached for the process, on
+    the 2^15 keys used last; cache_clear() frees them.
     """
     return _pair_mod(v, -q_pow, d, d)[0]
+
+
+@functools.lru_cache(maxsize=1)
+def _exact_table(params: SequenceParams, n_last: int) -> list[int]:
+    """[G_0, ..., G_{n_last}], one list shared by the s of a cell until another is asked for: read it only."""
+    return g_range(params, n_last)
 
 
 def _rank_is_modulus(params: SequenceParams, d: int, primes: list[int]) -> bool:
@@ -362,32 +366,25 @@ def _rank_is_modulus(params: SequenceParams, d: int, primes: list[int]) -> bool:
     return g_mod(params, d, d) == 0 and all(g_mod(params, d // ell, d) for ell in primes)
 
 
-def conclusion_failures(
-    claim: ClaimId, params: SequenceParams, s: int, ks, ns, *, modular: bool = False, table=None, quotients=None
-):
+def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, *, modular: bool = False):
     """Yield (k, n, witness) wherever the claim's conclusion fails, in (k, n) order.
 
-    This is the one place a conclusion is decided.  ks and ns are ascending
-    sequences of exponents and indices, and s >= 1.  The hypothesis need not
-    hold, so relaxed searches can probe failures.  Each kind has a
-    divisibility half, an equivalence half, or both, and each half is decided
-    from (G_n, G_{n+1}) mod d, where d = s^k (s for the base equivalence):
-    from one residue stream per modulus in modular mode, from the exact table
-    in exact mode (the cross-check).  A divisibility failure has the witness
-    {divisor, index, g_n, remainder}; an equivalence failure has {s_pow,
-    s_pow_divides_n, s_pow_divides_g, g_residue}; where a kind has both
-    halves, divisibility is checked first.  Modular mode builds the exact
-    table only to state G_n in a divisibility witness.  For a kind with no
-    divisibility half it skips the stream of a modulus whose rank of
-    apparition it certifies (_rank_is_modulus) where gcd(q, s) = 1 and s
-    factors within len(ns) trial divisions; exact mode never does.  table,
-    if given, returns [G_0, ..., G_N] with N > max(ns), so a caller can share
-    one exact table between the s of a cell; by default one is built here,
-    at most once and only when needed.  quotients, if given, is a dict that
-    memoizes W mod d (_lifted_quotient) on (d, V_n mod d, (-q)^n mod d), so a
-    caller can share it between the cells and s of one sweep part or search;
-    it is emptied once it holds _QUOTIENT_MEMO_CAP keys.  By default each call
-    has its own.
+    This is the one place a conclusion is decided.  ks is an ascending
+    iterable of exponents, read once and in order; ns is an ascending
+    sequence of indices; s >= 1.  The hypothesis need not hold, so relaxed
+    searches can probe failures.  Each kind has a divisibility half, an
+    equivalence half, or both, and each half is decided from
+    (G_n, G_{n+1}) mod d, where d = s^k (s for the base equivalence): from one
+    residue stream per modulus in modular mode, from the exact table
+    (_exact_table, up to G_{max(ns)+1}) in exact mode (the cross-check).  A
+    divisibility failure has the witness {divisor, index, g_n, remainder}; an
+    equivalence failure has {s_pow, s_pow_divides_n, s_pow_divides_g,
+    g_residue}; where a kind has both halves, divisibility is checked first.
+    Modular mode reads the exact table only to state G_n in a divisibility
+    witness.  For a kind with no divisibility half it skips the stream of a
+    modulus whose rank of apparition it certifies (_rank_is_modulus) where
+    gcd(q, s) = 1 and s factors within len(ns) trial divisions; exact mode
+    never does.
     """
     if s < 1:
         raise InputError(f"s must be >= 1, got {s}")
@@ -398,13 +395,12 @@ def conclusion_failures(
     # SCALED kind is decided once; its witness names the first scale.
     scale = DEFAULT_SCALE_FACTORS[0] if kind is ConclusionKind.SCALED else 1
     p, q = params.p, params.q
-    if quotients is None:
-        quotients = {}
-    if table is None:
-        table = functools.cache(lambda: g_range(params, max(ns, default=0) + 1))
     primes = None  # the primes of s, where a modulus may be certified
     if modular and not divisibility and math.gcd(params.q, s) == 1:
         primes = prime_factors(s, max_trials=len(ns))
+
+    def table():
+        return _exact_table(params, ns[-1] + 1 if ns else 1)
 
     def failures(d: int):
         if primes is not None and _rank_is_modulus(params, d, primes):
@@ -417,12 +413,8 @@ def conclusion_failures(
         for n, (g, g_next) in pairs:
             if divisibility:
                 g_next %= d
-                key = (d, (2 * g_next - p * g) % d, (g_next * (g_next - p * g) - q * g * g) % d)  # (-q)^n by Cassini
-                w = quotients.get(key)
-                if w is None:
-                    if len(quotients) >= _QUOTIENT_MEMO_CAP:
-                        quotients.clear()
-                    w = quotients[key] = _lifted_quotient(*key)
+                # W mod d on (d, V_n, (-q)^n by Cassini), all mod d
+                w = _lifted_quotient(d, (2 * g_next - p * g) % d, (g_next * (g_next - p * g) - q * g * g) % d)
                 if w:
                     # a*G_{d*n} = a*G_n*W with W = w (mod d), so modulo the
                     # divisor a*d*G_n its remainder is a*G_n*w.

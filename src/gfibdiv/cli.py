@@ -100,8 +100,11 @@ def _render(args, doc: dict, csv, text) -> None:
         else:
             out = "\n".join(text()) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise InputError(f"cannot write --output {args.output!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(out)
 
@@ -136,7 +139,7 @@ def _add_sweep_options(parser: argparse.ArgumentParser, *, k_max: int, n_max: in
         type=float,
         default=None,
         metavar="SECONDS",
-        help="stop with exit 4 once this many seconds have passed, checked before each (p, q) cell and each s",
+        help="stop with exit 4 once this many seconds have passed, checked before each (p, q) cell, each s and each k",
     )
 
 
@@ -176,6 +179,8 @@ def _cmd_compute(args) -> int:
     if args.mod is not None:
         doc["mod"] = args.mod
     if args.range is not None:
+        if args.range + 1 > args.max_terms:
+            raise ResourceLimitError(f"--range {args.range} exceeds the {args.max_terms}-term ceiling (--max-terms)")
         if args.mod is not None:
             values = [g for g, _ in g_pairs_mod(params, range(args.range + 1), args.mod)]
         else:

@@ -8,7 +8,6 @@ count.  Every conclusion is decided by claims.conclusion_failures.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import time
@@ -28,6 +27,7 @@ from .claims import (
     thm12_lift_condition,
     _applicable,
     _evaluate_conditions,
+    _exact_table,
 )
 from .errors import InputError, ResourceLimitError
 from .numtheory import divides, positive_divisors
@@ -145,50 +145,40 @@ def _resolve_s(config: SweepConfig, params: SequenceParams) -> list[int] | tuple
     return S_SOURCES[source](params.r) if isinstance(source, str) else source
 
 
-def _cell_table(config: SweepConfig, params: SequenceParams):
-    """The cell's exact table [G_0, ..., G_{n_max+1}], built on first call and then kept."""
-    return functools.cache(lambda: g_range(params, config.n_max + 1))
+def _cell_evaluator(claim: ClaimId, config: SweepConfig, params: SequenceParams, relaxed: str | None = None):
+    """The claim on the cell (p, q): None where hypothesis_gate rules it out, else evaluate.
 
-
-def _cell_evaluator(
-    claim: ClaimId, config: SweepConfig, params: SequenceParams, relaxed: str | None = None, *, quotients: dict
-):
-    """The claim on the cell (p, q): None where hypothesis_gate rules it out, else (evaluate, table).
-
-    evaluate(s) is None where s does not qualify: the gate's predicate fails,
-    or, for the lifted equivalence at s >= 2, the lift condition fails up to
-    t_max.  Otherwise it yields the conclusion's failures at s, k <= k_max and
-    n <= n_max (conclusion_failures).  table is _cell_table's, shared by the
-    evaluator at every s of the cell; quotients is the caller's quotient memo,
-    shared by every cell a sweep walks in its own process, by every cell of a
-    pool part, or by every cell of a search.  Sweep and search both decide a
-    cell here.
+    evaluate(s, ks) is None where s does not qualify: the gate's predicate
+    fails, or, for the lifted equivalence at s >= 2, the lift condition fails
+    up to t_max.  Otherwise it yields the conclusion's failures at s, each k
+    of ks and n <= n_max (conclusion_failures).  Sweep and search both decide
+    a cell here.
     """
     qualifies = hypothesis_gate(claim, params, relaxed)
     if qualifies is None:
         return None
-    table = _cell_table(config, params)
     lifted = claim is ClaimId.Thm1_2_LiftedEquiv
-    ks, ns = range(config.k_max + 1), range(config.n_max + 1)
+    ns = range(config.n_max + 1)
     modular = config.mode is Mode.MODULAR
 
-    def evaluate(s: int):
+    def evaluate(s: int, ks):
         if not qualifies(s) or (lifted and s >= 2 and not thm12_lift_condition(params, s, config.t_max).holds):
             return None
-        return conclusion_failures(claim, params, s, ks, ns, modular=modular, table=table, quotients=quotients)
+        return conclusion_failures(claim, params, s, ks, ns, modular=modular)
 
-    return evaluate, table
+    return evaluate
 
 
 def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False, start: float | None = None, part=(0, None)):
-    """Yield (params, s, value) for each cell of the part and each of its s values.
+    """Yield (params, s, value, ks) for each cell of the part and each of its s values.
 
     part = (lo, hi) is a slice of the _cells order, reached by index; (0, None)
     is the whole grid.  value = cell(params) is computed once for each cell that has an s,
-    and nothing of the cell is yielded where it is None.  This is the one
-    place that checks the budget: past config.time_budget_s since start (the
-    first request where start is None) it raises ResourceLimitError, checked
-    before each cell and before each s, in whichever process walks the part.
+    and nothing of the cell is yielded where it is None.  ks iterates the
+    exponents 0..k_max once, lazily.  This is the one place that checks the
+    budget: past config.time_budget_s since start (the first request where
+    start is None) it raises ResourceLimitError, checked before each cell,
+    each s and each k drawn from ks, in whichever process walks the part.
     A sweep passes its own start, so the parts of a process pool share the
     run's clock: time.monotonic is system-wide on Linux, so a forked worker
     reads the clock its parent started.
@@ -197,9 +187,9 @@ def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False, start: fl
     if start is None:
         start = time.monotonic()
 
-    def check(*at: int) -> None:  # at is the (p, q) or (p, q, s) about to be walked
+    def check(*at: int) -> None:  # at is the (p, q), (p, q, s) or (p, q, s, k) about to be walked
         if budget is not None and (elapsed := time.monotonic() - start) > budget:
-            where = f"({', '.join('pqs'[:len(at)])}) = ({', '.join(map(str, at))})"
+            where = f"({', '.join('pqsk'[:len(at)])}) = ({', '.join(map(str, at))})"
             raise ResourceLimitError(f"{what} stopped after {elapsed:.1f}s at {where}, over the {budget:.1f}s budget")
 
     for p, q in _cells(config, scan=scan, part=part):
@@ -211,17 +201,17 @@ def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False, start: fl
             continue
         for s in s_values:
             check(p, q, s)
-            yield params, s, value
+            yield params, s, value, (check(p, q, s, k) or k for k in range(config.k_max + 1))
 
 
 def _sweep_cell(args) -> tuple[int, list[Counterexample]]:
-    """Sweep one part (lo, hi) of the grid with the given quotient memo: a part walked in-process, or a pool task."""
-    claim, config, start, part, quotients = args
+    """Sweep one part (lo, hi) of the grid: a part walked in-process, or a pool task."""
+    claim, config, start, part = args
     points = 0
     violations: list[Counterexample] = []
-    cell = functools.partial(_cell_evaluator, claim, config, quotients=quotients)
-    for params, s, (evaluate, _) in _grid(config, "sweep", cell, start=start, part=part):
-        failures = evaluate(s)
+    cell = lambda params: _cell_evaluator(claim, config, params)
+    for params, s, evaluate, ks in _grid(config, "sweep", cell, start=start, part=part):
+        failures = evaluate(s, ks)
         if failures is not None:
             points += (config.k_max + 1) * (config.n_max + 1)
             violations.extend(Counterexample(claim, params.p, params.q, s, k, n, w) for k, n, w in failures)
@@ -237,11 +227,11 @@ _POOL_AFTER_S = 0.5
 def verify_claim(claim: ClaimId, config: SweepConfig) -> VerificationReport:
     """Sweep the grid; evaluate the conclusion wherever the hypothesis holds.
 
-    The sweep walks the cells in canonical order in this process, with one
-    quotient memo.  With more than one worker, it checks before each cell
-    whether the run has lasted _POOL_AFTER_S; once it has, the cells left go
-    to a process pool as about four parts per worker, each with its own memo.
-    Results merge in canonical order: this process's cells, then the parts.
+    The sweep walks the cells in canonical order in this process.  With more
+    than one worker, it checks before each cell whether the run has lasted
+    _POOL_AFTER_S; once it has, the cells left go to a process pool as about
+    four parts per worker.  Results merge in canonical order: this process's
+    cells, then the parts.
     Past config.time_budget_s it raises ResourceLimitError; a pool's parts
     that have not started are cancelled, and a budget shorter than
     _POOL_AFTER_S stops the run before any pool starts.
@@ -259,11 +249,10 @@ def verify_claim(claim: ClaimId, config: SweepConfig) -> VerificationReport:
     else:
         step, handoff = cells, math.inf
     results = []
-    lo, quotients = 0, {}
+    lo = 0
     while lo < cells and time.monotonic() - start < handoff:
-        results.append(_sweep_cell((claim, config, start, (lo, lo + step), quotients)))
+        results.append(_sweep_cell((claim, config, start, (lo, lo + step))))
         lo += step
-    del quotients  # freed before the pool forks or the report is built, which keeps the peak RSS down
     if lo < cells:
         # Imported only here, so a run that ends before the hand-off does not load the pool's modules.
         from concurrent.futures import ProcessPoolExecutor
@@ -271,7 +260,7 @@ def verify_claim(claim: ClaimId, config: SweepConfig) -> VerificationReport:
         workers = min(workers, cells - lo)
         step = -(-(cells - lo) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            tasks = [(claim, config, start, (i, i + step), {}) for i in range(lo, cells, step)]
+            tasks = [(claim, config, start, (i, i + step)) for i in range(lo, cells, step)]
             results.extend(pool.map(_sweep_cell, tasks))
     points = sum(part_points for part_points, _ in results)
     violations = [v for _, part_violations in results for v in part_violations]
@@ -491,7 +480,7 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
     lift condition must hold up to bounds.t_max, as in a sweep.  Each cell is
     decided by _cell_evaluator, the sweep's too, and each s's counterexamples
     are yielded as soon as it is decided.  Past bounds.time_budget_s, checked
-    by _grid before each cell and each s, it raises ResourceLimitError.
+    by _grid before each cell, each s and each k, it raises ResourceLimitError.
     """
     spec = claim_spec(claim)
     if relaxed_condition not in spec.condition_names:
@@ -500,14 +489,14 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
             f"conditions: {list(spec.condition_names)}"
         )
 
-    cell = functools.partial(_cell_evaluator, claim, bounds, relaxed=relaxed_condition, quotients={})
-    for params, s, (evaluate, table) in _grid(bounds, "search", cell, scan=True):
-        failures = evaluate(s)
+    cell = lambda params: _cell_evaluator(claim, bounds, params, relaxed_condition)
+    for params, s, evaluate, ks in _grid(bounds, "search", cell, scan=True):
+        failures = evaluate(s, ks)
         if failures is not None:
             yield from [
                 Counterexample(
                     claim, params.p, params.q, s, k, n,
-                    _search_witness(params, table()[n], s**k, n, witness),
+                    _search_witness(params, _exact_table(params, bounds.n_max + 1)[n], s**k, n, witness),
                     relaxed_condition,
                 )
                 for k, n, witness in sorted(failures, key=lambda f: (f[1], f[0]))
@@ -590,15 +579,8 @@ def converse_survey(bounds: SweepConfig) -> SurveyReport:
     spec = claim_spec(ClaimId.Thm1_2_BaseEquiv)
     modular = bounds.mode is Mode.MODULAR
     rows = []
-
-    def cell(params: SequenceParams):
-        return _cell_table(bounds, params) if params.r else None  # r = 0 is not surveyed
-
-    for params, s, table in _grid(bounds, "survey", cell):
-        first = next(
-            conclusion_failures(spec.claim, params, s, (1,), range(bounds.n_max + 1), modular=modular, table=table),
-            None,
-        )
+    for params, s, _, _ in _grid(bounds, "survey", lambda params: params.r or None):  # r = 0 is not surveyed
+        first = next(conclusion_failures(spec.claim, params, s, (1,), range(bounds.n_max + 1), modular=modular), None)
         if first is not None:
             values = _evaluate_conditions(spec, params.p, params.q, s)
             failing = tuple(name for name, held in values.items() if not held)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -466,15 +467,16 @@ class TestConclusionFailures:
         """On the Corollary 1.4 checks at k <= 5, n <= 5000, W mod s^k is computed
         once for each distinct (s^k, V_n mod s^k, (-q)^n mod s^k), where
         V_n = 2*G_{n+1} - p*G_n: not once per index, nor once per distinct
-        (G_n, G_{n+1}) mod s^k (8,909 of those)."""
+        (G_n, G_{n+1}) mod s^k (8,909 of those).  The cache starts empty, and
+        each miss calls _pair_mod(V_n, -(-q)^n, d, d) once."""
         calls = []
 
-        def recording_quotient(d, v, q_pow):
-            calls.append((d, v, q_pow))
-            return lifted_quotient(d, v, q_pow)
+        def recording_pair_mod(v, minus_q_pow, n, d):
+            calls.append((d, v, -minus_q_pow))
+            return pair_mod(v, minus_q_pow, n, d)
 
-        lifted_quotient = claims._lifted_quotient
-        monkeypatch.setattr(claims, "_lifted_quotient", recording_quotient)
+        pair_mod = claims._pair_mod
+        monkeypatch.setattr(claims, "_pair_mod", recording_pair_mod)
         total = 0
         for claim, p, q, s in (
             (ClaimId.Cor_Fibonacci, 1, 1, 5),
@@ -494,11 +496,12 @@ class TestConclusionFailures:
             total += len(calls)
         assert total == 1575
 
-    def test_shared_memo_matches_fresh_memo_and_big_residue(self):
-        """One quotient memo shared by every cell, s, kind and mode gives the
-        failures of a fresh memo per call, and each divisibility remainder is
-        the residue of the big index modulo the whole divisor."""
-        quotients = {}
+    def test_shared_memo_matches_fresh_memo_and_big_residue(self, monkeypatch):
+        """The process-wide quotient cache, shared by every cell, s, kind and
+        mode, gives the failures of a fresh cache per call, and each
+        divisibility remainder is the residue of the big index modulo the
+        whole divisor."""
+        shared_memo = claims._lifted_quotient
         fresh_states = zero_points = divisibility_failures = 0
         kinds = (ConclusionKind.MULT_DIV, ConclusionKind.SCALED, ConclusionKind.CLASSICAL)
         for p in range(-6, 7):
@@ -511,18 +514,12 @@ class TestConclusionFailures:
                     for kind, modular in itertools.product(kinds, (False, True)):
                         claim = next(spec.claim for spec in REGISTRY if spec.conclusion is kind)
                         scale = DEFAULT_SCALE_FACTORS[0] if kind is ConclusionKind.SCALED else 1
-                        shared = list(
-                            conclusion_failures(
-                                claim, params, s, range(4), range(21), modular=modular, quotients=quotients
-                            )
-                        )
-                        fresh_memo = {}
-                        fresh = list(
-                            conclusion_failures(
-                                claim, params, s, range(4), range(21), modular=modular, quotients=fresh_memo
-                            )
-                        )
-                        fresh_states += len(fresh_memo)
+                        shared = list(conclusion_failures(claim, params, s, range(4), range(21), modular=modular))
+                        fresh_memo = functools.lru_cache(maxsize=None)(shared_memo.__wrapped__)
+                        with monkeypatch.context() as patch:
+                            patch.setattr(claims, "_lifted_quotient", fresh_memo)
+                            fresh = list(conclusion_failures(claim, params, s, range(4), range(21), modular=modular))
+                        fresh_states += fresh_memo.cache_info().misses
                         assert shared == fresh, (kind, p, q, s, modular)
                         for k, n, witness in shared:
                             if "divisor" in witness:
@@ -533,7 +530,7 @@ class TestConclusionFailures:
                                 remainder = residues[s**k * n, modulus] * scale % modulus
                                 assert witness["remainder"] == remainder, (kind, p, q, s, k, n)
         assert zero_points > 0 and divisibility_failures > 0
-        assert len(quotients) < fresh_states
+        assert shared_memo.cache_info().misses < fresh_states
 
     def test_s_below_one_rejected(self):
         for s in (0, -5):

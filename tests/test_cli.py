@@ -129,6 +129,18 @@ class TestCompute:
         assert out == ""
         assert "--range" in err
 
+    @pytest.mark.parametrize("mod", [[], ["--mod", "7"]])
+    def test_range_over_the_term_ceiling(self, capsys, mod):
+        # --max-terms bounds every --range, modular or exact, before any term is computed.
+        argv = ["compute", "-p", "1", "-q", "1", "--max-terms", "10"] + mod
+        start = time.perf_counter()
+        code, out, err = run_main(argv + ["--range", "2000000"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (cli.EXIT_RESOURCE, "")
+        assert err == "resource limit: --range 2000000 exceeds the 10-term ceiling (--max-terms)\n"
+        code, out, _ = run_main(argv + ["--range", "9"], capsys)
+        assert code == 0 and len(out.split()) == 10
+
     def test_negative_max_terms_rejected(self, capsys):
         code, out, err = run_main(["compute", "-p", "1", "-q", "1", "-n", "10", "--max-terms", "-5"], capsys)
         assert (code, out) == (cli.EXIT_INPUT, "")
@@ -227,6 +239,19 @@ class TestCheck:
         )
         assert code == 0
         assert doc["verdict"] == "all-pass"
+
+    def test_time_budget_stops_between_exponents(self, capsys):
+        # One (p, q, s) whose k-th modulus 5^k costs more with each k: the
+        # budget is checked before each k, not only before the cell and s.
+        start = time.perf_counter()
+        code, out, err = run_main(
+            ["check", "--claim", "cor-fibonacci", "-p", "1", "-q", "1", "-s", "5", "--kmax", "800", "--nmax", "1",
+             "--mode", "modular", "--time-budget", "0.1"],
+            capsys,
+        )
+        assert time.perf_counter() - start < 3.0
+        assert (code, out) == (cli.EXIT_RESOURCE, "")
+        assert re.fullmatch(r"resource limit: sweep stopped after .* at \(p, q, s, k\) = \(1, 1, 5, \d+\), over .*\n", err)
 
     def test_never_applicable(self, capsys):
         code, doc = run_json(
@@ -591,6 +616,11 @@ class TestArgHandling:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["value"] == 55
+
+    def test_unwritable_output_is_an_input_error(self, capsys, tmp_path):
+        code, out, err = run_main(["examples", "--output", str(tmp_path / "missing" / "x.json")], capsys)
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err.startswith("error: cannot write --output ") and "Traceback" not in err
 
     def test_bad_format_env(self, capsys, monkeypatch):
         monkeypatch.setenv("GFIBDIV_FORMAT", "xml")

@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import itertools
 import json
 import math
@@ -350,7 +351,7 @@ class TestGrid:
 
     def test_grid_yields_each_cells_s_values(self):
         config = SweepConfig(p_range=(1, 2), q_range=(1, 1))
-        assert [(params.p, params.q, s) for params, s, _ in verify._grid(config, "test", lambda params: params)] == [
+        assert [(params.p, params.q, s) for params, s, _, _ in verify._grid(config, "test", lambda params: params)] == [
             (1, 1, 1), (1, 1, 5), (2, 1, 1), (2, 1, 2), (2, 1, 4), (2, 1, 8),
         ]
 
@@ -363,7 +364,7 @@ class TestGrid:
             called.append((params.p, params.q))
             return params.p
 
-        walked = [(params.p, params.q, s, value) for params, s, value in verify._grid(config, "test", cell)]
+        walked = [(params.p, params.q, s, value) for params, s, value, _ in verify._grid(config, "test", cell)]
         with_s = [(p, q) for p, q in verify._cells(config) if verify._resolve_s(config, SequenceParams(p, q))]
         assert called == with_s and len(with_s) < 49
         assert walked == [
@@ -386,6 +387,15 @@ class TestGrid:
         with pytest.raises(ResourceLimitError, match=r"test stopped after .* at \(p, q, s\) = \(1, 1, 1\), over"):
             next(walk)
 
+    def test_budget_is_checked_before_each_k(self):
+        # The exponents come lazily, each drawn only within the budget.
+        config = SweepConfig(p_range=(1, 1), q_range=(1, 1), k_max=3, time_budget_s=0.05)
+        _, s, _, ks = next(verify._grid(config, "test", lambda params: params))
+        assert (s, next(ks), next(ks)) == (1, 0, 1)
+        time.sleep(0.1)
+        with pytest.raises(ResourceLimitError, match=r"test stopped after .* at \(p, q, s, k\) = \(1, 1, 1, 2\), over"):
+            next(ks)
+
     @pytest.mark.parametrize("command", ["sweep", "search", "survey"])
     def test_serial_walk_is_lazy(self, command):
         # 1001 x 1001 cells: a walk that listed them first would peak at tens of MiB.
@@ -406,9 +416,10 @@ class TestGrid:
 
 
 class TestQuotientMemo:
-    """A sweep part or a search shares one quotient memo between its cells, so
-    W mod d is computed once per (d, V_n mod d, (-q)^n mod d); the memo is
-    emptied once it holds claims._QUOTIENT_MEMO_CAP keys."""
+    """W mod d is cached for the process (claims._lifted_quotient, an
+    lru_cache), so it is computed once per (d, V_n mod d, (-q)^n mod d) while
+    the key stays among the cache's most recent.  Each test starts with the
+    cache empty (conftest.py); each computation is one _pair_mod call."""
 
     # criterion 2: the exact Thm 1.1(1) sweeps, which hold everywhere
     CRITERION_2 = [
@@ -418,20 +429,30 @@ class TestQuotientMemo:
     # a relaxed search, where s need not divide r and the divisibility fails
     SEARCH = small_config(s_source=tuple(range(1, 13)), mode=Mode.MODULAR)
 
+    @staticmethod
+    def record_keys(monkeypatch) -> list:
+        """Record the key of each quotient computed, that is, of each cache miss."""
+        pair_mod = claims._pair_mod
+        keys = []
+        monkeypatch.setattr(claims, "_pair_mod", lambda v, q, n, d: keys.append((d, v, -q)) or pair_mod(v, q, n, d))
+        return keys
+
     def recorded(self, monkeypatch):
         """The criterion 2 JSON reports and the search's counterexamples, each
-        with the keys of its _lifted_quotient calls."""
-        lifted_quotient = claims._lifted_quotient
-        keys = []
-        monkeypatch.setattr(claims, "_lifted_quotient", lambda *key: keys.append(key) or lifted_quotient(*key))
+        run with the cache empty, and the keys of the quotients each computed."""
+        runs = [
+            lambda config=config: reporting.to_json(reporting.report_to_dict(verify_claim(ClaimId.Thm1_1_MultDiv, config)))
+            for config in self.CRITERION_2
+        ]
+        runs.append(lambda: list(iter_counterexamples(ClaimId.Thm1_1_MultDiv, "s-div-r", self.SEARCH)))
         results, calls = [], []
-        for config in self.CRITERION_2:
-            results.append(reporting.to_json(reporting.report_to_dict(verify_claim(ClaimId.Thm1_1_MultDiv, config))))
-            calls.append(keys[:])
-            keys.clear()
-        results.append(list(iter_counterexamples(ClaimId.Thm1_1_MultDiv, "s-div-r", self.SEARCH)))
-        calls.append(keys)
-        monkeypatch.setattr(claims, "_lifted_quotient", lifted_quotient)
+        with monkeypatch.context() as patch:
+            keys = self.record_keys(patch)
+            for run in runs:
+                claims._lifted_quotient.cache_clear()
+                results.append(run())
+                calls.append(keys[:])
+                keys.clear()
         return results, calls
 
     def test_one_quotient_per_state_per_part(self, monkeypatch):
@@ -445,12 +466,11 @@ class TestQuotientMemo:
         # the quotient once per key, as often as a serial one.
         monkeypatch.setattr(verify, "_POOL_AFTER_S", math.inf)
         pools, _ = recording_pool(monkeypatch)
-        lifted_quotient = claims._lifted_quotient
-        keys = []
-        monkeypatch.setattr(claims, "_lifted_quotient", lambda *key: keys.append(key) or lifted_quotient(*key))
+        keys = self.record_keys(monkeypatch)
         counts = []
         for config in self.CRITERION_2:
             keys.clear()
+            claims._lifted_quotient.cache_clear()
             assert verify_claim(ClaimId.Thm1_1_MultDiv, config._replace(worker_count=2)).verdict is Verdict.ALL_PASS
             counts.append(len(keys))
         assert pools == [] and counts == [23840, 4592]
@@ -458,19 +478,20 @@ class TestQuotientMemo:
     def test_capped_memo_gives_the_same_results(self, monkeypatch):
         results, calls = self.recorded(monkeypatch)
         assert results[-1]
-        monkeypatch.setattr(claims, "_QUOTIENT_MEMO_CAP", 4)
+        monkeypatch.setattr(claims, "_lifted_quotient", functools.lru_cache(maxsize=4)(claims._lifted_quotient.__wrapped__))
         capped_results, capped_calls = self.recorded(monkeypatch)
         assert capped_results == results
         assert all(len(capped) > len(keys) for capped, keys in zip(capped_calls, calls))
 
     def test_cap_bounds_a_serial_sweep(self, monkeypatch):
-        # One part holds the whole grid, and its r give moduli s^k that few
-        # cells share: a memo without a bound on its total size grows with the
-        # sweep, to about 0.4 MiB here at the default cap.
+        # The grid's r give moduli s^k that few cells share: a cache without
+        # a bound on its size grows with the sweep, to about 0.4 MiB here at
+        # the default cap.
         config = SweepConfig(p_range=(-4, 4), q_range=(-4, 4), mode=Mode.MODULAR)
+        quotient = claims._lifted_quotient.__wrapped__
 
         def peak(cap: int) -> int:
-            monkeypatch.setattr(claims, "_QUOTIENT_MEMO_CAP", cap)
+            monkeypatch.setattr(claims, "_lifted_quotient", functools.lru_cache(maxsize=cap)(quotient))
             tracemalloc.start()
             try:
                 assert verify_claim(ClaimId.Thm1_1_MultDiv, config).verdict is Verdict.ALL_PASS
@@ -478,8 +499,27 @@ class TestQuotientMemo:
             finally:
                 tracemalloc.stop()
 
-        assert peak(claims._QUOTIENT_MEMO_CAP) > 2**18
+        assert peak(claims._lifted_quotient.cache_info().maxsize) > 2**18
         assert peak(2**8) < 2**17
+
+    def test_warm_caches_change_no_bytes(self, monkeypatch):
+        # W depends only on its key, so quotients cached by an earlier run,
+        # non-zero ones among them, change no report: in this process, or in
+        # pool workers forked from it with its caches.
+        config = self.CRITERION_2[0]
+        cold = reporting.to_json(reporting.report_to_dict(verify_claim(ClaimId.Thm1_1_MultDiv, config)))
+        claims._lifted_quotient.cache_clear()
+        found = list(iter_counterexamples(ClaimId.Thm1_1_MultDiv, "s-div-r", self.SEARCH))
+        assert any("divisor" in ce.witness for ce in found)  # a failure: W != 0 was cached
+        misses = claims._lifted_quotient.cache_info().misses
+        warm = verify_claim(ClaimId.Thm1_1_MultDiv, config)
+        assert claims._lifted_quotient.cache_info().misses - misses < 23840  # some keys came from the search
+        assert reporting.to_json(reporting.report_to_dict(warm)) == cold
+        pools, _ = recording_pool(monkeypatch)
+        monkeypatch.setattr(verify, "_POOL_AFTER_S", 0)
+        pooled = verify_claim(ClaimId.Thm1_1_MultDiv, config._replace(worker_count=2))
+        assert pools == [2]
+        assert reporting.to_json(reporting.report_to_dict(pooled._replace(config=config))) == cold
 
 
 class TestDivisibilitySequence:
@@ -626,7 +666,7 @@ class TestCounterexampleSearch:
         bounds = SweepConfig(p_range=(-10, 10), q_range=(-10, 10), s_source=tuple(range(1, 21)), k_max=2, n_max=12)
         spec = claims.claim_spec(ClaimId.Thm1_1_Equiv)
         qualifying = set()
-        for params, s, _ in verify._grid(bounds, "search", lambda params: params):
+        for params, s, _, _ in verify._grid(bounds, "search", lambda params: params):
             values = claims._evaluate_conditions(spec, params.p, params.q, s)
             relaxed = {**values, "gcd-pq": True}
             if not values["gcd-pq"] and not claims._applicable(spec, values) and claims._applicable(spec, relaxed):
