@@ -16,7 +16,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import InputError
-from .numtheory import divides, is_prime, prime_factors
+from .numtheory import divides, factorize, is_prime
 # g_exact and g_is_zero are not called here; they stay importable because
 # perfbench/tracer.py wraps claims.g_exact and claims.g_is_zero.
 from .sequences import SequenceParams, _pair_mod, g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
@@ -353,20 +353,26 @@ def _exact_table(params: SequenceParams, n_last: int) -> list[int]:
     return g_range(params, n_last)
 
 
-def _rank_is_modulus(params: SequenceParams, d: int, primes: list[int]) -> bool:
+def _rank_is_modulus(params: SequenceParams, d: int, factors: list[tuple[int, int]]) -> bool:
     """Whether the rank of apparition of d is d itself, so d | n <=> d | G_n for all n.
 
-    Requires gcd(q, d) = 1; primes are the primes dividing d.  If d | G_d,
+    Requires gcd(q, d) = 1; factors are the (prime, exponent) pairs of a
+    number with the same primes as d (factorize).  If d | G_d,
     let a be the least a >= 1 with d | G_a.  Cassini gives G_{a+1}^2 = (-q)^a
     (mod d), so G_{a+1} is a unit, and G_{a+n} = G_{a+1}*G_n + q*G_a*G_{n-1}
     = G_{a+1}*G_n (mod d): the zeros of G mod d are exactly the multiples of a
     (Lucas 1878; Carmichael 1913).  So a | d, and G_{d/l} != 0 (mod d) for
     each prime l | d rules out every proper divisor of d: a = d.
     """
-    return g_mod(params, d, d) == 0 and all(g_mod(params, d // ell, d) for ell in primes)
+    return g_mod(params, d, d) == 0 and all(g_mod(params, d // ell, d) for ell, _ in factors)
 
 
-def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, *, modular: bool = False):
+# Indices walked between two calls of conclusion_failures' check: one residue
+# seed per block, and no check at all where ns fits in one block.
+_BLOCK = 1 << 16
+
+
+def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, *, modular: bool = False, check=None):
     """Yield (k, n, witness) wherever the claim's conclusion fails, in (k, n) order.
 
     This is the one place a conclusion is decided.  ks is an ascending
@@ -384,7 +390,8 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
     witness.  For a kind with no divisibility half it skips the stream of a
     modulus whose rank of apparition it certifies (_rank_is_modulus) where
     gcd(q, s) = 1 and s factors within len(ns) trial divisions; exact mode
-    never does.
+    never does.  Each modulus walks ns in blocks of _BLOCK indices, and
+    check(), where given, runs between two blocks (the caller's budget).
     """
     if s < 1:
         raise InputError(f"s must be >= 1, got {s}")
@@ -395,36 +402,40 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
     # SCALED kind is decided once; its witness names the first scale.
     scale = DEFAULT_SCALE_FACTORS[0] if kind is ConclusionKind.SCALED else 1
     p, q = params.p, params.q
-    primes = None  # the primes of s, where a modulus may be certified
+    factors = None  # the factorization of s, where a modulus may be certified
     if modular and not divisibility and math.gcd(params.q, s) == 1:
-        primes = prime_factors(s, max_trials=len(ns))
+        factors = factorize(s, max_trials=len(ns))
 
     def table():
         return _exact_table(params, ns[-1] + 1 if ns else 1)
 
     def failures(d: int):
-        if primes is not None and _rank_is_modulus(params, d, primes):
+        if factors is not None and _rank_is_modulus(params, d, factors):
             return
-        if modular:
-            pairs = zip(ns, g_pairs_mod(params, ns, d))
-        else:
-            gs = table()
-            pairs = ((n, (gs[n] % d, gs[n + 1])) for n in ns)  # G_{n+1} is reduced where used
-        for n, (g, g_next) in pairs:
-            if divisibility:
-                g_next %= d
-                # W mod d on (d, V_n, (-q)^n by Cassini), all mod d
-                w = _lifted_quotient(d, (2 * g_next - p * g) % d, (g_next * (g_next - p * g) - q * g * g) % d)
-                if w:
-                    # a*G_{d*n} = a*G_n*W with W = w (mod d), so modulo the
-                    # divisor a*d*G_n its remainder is a*G_n*w.
-                    g_n = table()[n]
-                    divisor = scale * d * g_n
-                    remainder = scale * g_n * w % abs(divisor)
-                    yield n, {"divisor": divisor, "index": d * n, "g_n": g_n, "remainder": remainder}
-                    continue
-            if equivalence and (n % d == 0) != (g == 0):
-                yield n, {"s_pow": d, "s_pow_divides_n": n % d == 0, "s_pow_divides_g": g == 0, "g_residue": g}
+        for i in range(0, len(ns), _BLOCK):
+            if i and check is not None:
+                check()
+            block = ns[i : i + _BLOCK]
+            if modular:
+                pairs = zip(block, g_pairs_mod(params, block, d))
+            else:
+                gs = table()
+                pairs = ((n, (gs[n] % d, gs[n + 1])) for n in block)  # G_{n+1} is reduced where used
+            for n, (g, g_next) in pairs:
+                if divisibility:
+                    g_next %= d
+                    # W mod d on (d, V_n, (-q)^n by Cassini), all mod d
+                    w = _lifted_quotient(d, (2 * g_next - p * g) % d, (g_next * (g_next - p * g) - q * g * g) % d)
+                    if w:
+                        # a*G_{d*n} = a*G_n*W with W = w (mod d), so modulo the
+                        # divisor a*d*G_n its remainder is a*G_n*w.
+                        g_n = table()[n]
+                        divisor = scale * d * g_n
+                        remainder = scale * g_n * w % abs(divisor)
+                        yield n, {"divisor": divisor, "index": d * n, "g_n": g_n, "remainder": remainder}
+                        continue
+                if equivalence and (n % d == 0) != (g == 0):
+                    yield n, {"s_pow": d, "s_pow_divides_n": n % d == 0, "s_pow_divides_g": g == 0, "g_residue": g}
 
     # The modulus never decreases along ks, so the k sharing one are
     # adjacent: each distinct d is evaluated once and replayed.

@@ -1,5 +1,5 @@
 """Integer utilities: divisibility (with the 0|0 convention), s-adic
-valuation, divisor enumeration, prime factors by trial division,
+valuation, factorization by trial division and the divisors built from it,
 deterministic primality below psi_12 (about 3.2e23)."""
 
 from __future__ import annotations
@@ -43,41 +43,36 @@ def valuation(m: int, s: int) -> Valuation:
     return Valuation(k)
 
 
-def positive_divisors(m: int) -> list[int]:
-    """Sorted positive divisors of |m|; m = 0 is an error (infinite set)."""
-    if m == 0:
-        raise DomainError("0 has infinitely many divisors")
-    m = abs(m)
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d * d != m:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
+def factorize(m: int, *, max_trials: int | None = None) -> list[tuple[int, int]] | None:
+    """Ascending (prime, exponent) pairs of |m|, by trial division.
 
-
-def prime_factors(m: int, *, max_trials: int | None = None) -> list[int] | None:
-    """Ascending distinct primes dividing |m|, by trial division.
-
-    With max_trials, None when factoring would take more trial divisors.
+    The trial divisors are 2, then the odd numbers, while their square is at
+    most the part of |m| not yet factored.  With max_trials, None when
+    factoring would take more trial divisors.
     """
     if m == 0:
-        raise DomainError("0 has infinitely many prime factors")
+        raise DomainError("0 has no prime factorization")
     m = abs(m)
-    primes, d, tried = [], 2, 0
+    pairs, d, tried = [], 2, 0
     while d * d <= m:
         if tried == max_trials:
             return None
         tried += 1
         if m % d == 0:
-            primes.append(d)
+            e = 0
             while m % d == 0:
-                m //= d
+                m, e = m // d, e + 1
+            pairs.append((d, e))
         d += 1 if d == 2 else 2
-    return primes + [m] if m > 1 else primes
+    return pairs + [(m, 1)] if m > 1 else pairs
+
+
+def positive_divisors(m: int) -> list[int]:
+    """Sorted positive divisors of |m|, the products of its prime powers; m = 0 is an error."""
+    divisors = [1]
+    for prime, exponent in factorize(m):
+        divisors = [d * prime**e for e in range(exponent + 1) for d in divisors]
+    return sorted(divisors)
 
 
 # The first 12 primes as strong-probable-prime bases; psi_12 is the least

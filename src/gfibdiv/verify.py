@@ -151,8 +151,8 @@ def _cell_evaluator(claim: ClaimId, config: SweepConfig, params: SequenceParams,
     evaluate(s, ks) is None where s does not qualify: the gate's predicate
     fails, or, for the lifted equivalence at s >= 2, the lift condition fails
     up to t_max.  Otherwise it yields the conclusion's failures at s, each k
-    of ks and n <= n_max (conclusion_failures).  Sweep and search both decide
-    a cell here.
+    of ks and n <= n_max (conclusion_failures), which calls ks() to check the
+    budget within one modulus.  Sweep and search both decide a cell here.
     """
     qualifies = hypothesis_gate(claim, params, relaxed)
     if qualifies is None:
@@ -161,12 +161,30 @@ def _cell_evaluator(claim: ClaimId, config: SweepConfig, params: SequenceParams,
     ns = range(config.n_max + 1)
     modular = config.mode is Mode.MODULAR
 
-    def evaluate(s: int, ks):
+    def evaluate(s: int, ks: _Exponents):
         if not qualifies(s) or (lifted and s >= 2 and not thm12_lift_condition(params, s, config.t_max).holds):
             return None
-        return conclusion_failures(claim, params, s, ks, ns, modular=modular)
+        return conclusion_failures(claim, params, s, ks, ns, modular=modular, check=ks)
 
     return evaluate
+
+
+class _Exponents:
+    """The exponents 0..k_max of one (p, q, s), drawn lazily: check(p, q, s, k) runs before each k and at each call."""
+
+    def __init__(self, check, at: tuple[int, int, int], k_max: int):
+        self.check, self.at, self.ks = check, at, iter(range(k_max + 1))
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> int:
+        self.k = next(self.ks)
+        self()
+        return self.k
+
+    def __call__(self) -> None:
+        self.check(*self.at, self.k)
 
 
 def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False, start: float | None = None, part=(0, None)):
@@ -175,10 +193,11 @@ def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False, start: fl
     part = (lo, hi) is a slice of the _cells order, reached by index; (0, None)
     is the whole grid.  value = cell(params) is computed once for each cell that has an s,
     and nothing of the cell is yielded where it is None.  ks iterates the
-    exponents 0..k_max once, lazily.  This is the one place that checks the
-    budget: past config.time_budget_s since start (the first request where
-    start is None) it raises ResourceLimitError, checked before each cell,
-    each s and each k drawn from ks, in whichever process walks the part.
+    exponents 0..k_max once, lazily (_Exponents).  This is the one place that
+    reads the clock: past config.time_budget_s since start (the first request
+    where start is None) it raises ResourceLimitError, checked before each
+    cell, each s and each k drawn from ks, and at each call of ks(), in
+    whichever process walks the part.
     A sweep passes its own start, so the parts of a process pool share the
     run's clock: time.monotonic is system-wide on Linux, so a forked worker
     reads the clock its parent started.
@@ -201,7 +220,7 @@ def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False, start: fl
             continue
         for s in s_values:
             check(p, q, s)
-            yield params, s, value, (check(p, q, s, k) or k for k in range(config.k_max + 1))
+            yield params, s, value, _Exponents(check, (p, q, s), config.k_max)
 
 
 def _sweep_cell(args) -> tuple[int, list[Counterexample]]:

@@ -385,6 +385,32 @@ class TestConclusionFailures:
                             assert witness["remainder"] == g_mod(params, s**k * n, abs(divisor)), (p, q, s, k, n)
         assert repeats > 0 and shared_factor_failures > 0
 
+    @pytest.mark.parametrize("modular", [False, True])
+    def test_blocks_match_one_walk_and_check_between_them(self, modular, monkeypatch):
+        # Classical has both halves and no certificate, so each k >= 1 walks its modulus.
+        ks, ns = range(3), range(31)
+        grid = [(p, q, s) for p in range(-3, 4) for q in range(-3, 4) for s in (2, 3, 6)]
+        whole = {
+            (p, q, s): list(conclusion_failures(ClaimId.Cor_Fibonacci, SequenceParams(p, q), s, ks, ns, modular=modular))
+            for p, q, s in grid
+        }
+        assert any(whole.values())
+        monkeypatch.setattr(claims, "_BLOCK", 4)
+        for (p, q, s), want in whole.items():
+            checks = []
+            got = conclusion_failures(
+                ClaimId.Cor_Fibonacci, SequenceParams(p, q), s, ks, ns, modular=modular, check=lambda: checks.append(1)
+            )
+            assert list(got) == want, (p, q, s)
+            assert len(checks) == 2 * 7, (p, q, s)  # moduli s and s^2, 8 blocks each
+
+        def stop():
+            raise RuntimeError("over budget")
+
+        walk = conclusion_failures(ClaimId.Cor_Fibonacci, SequenceParams(1, 1), 5, ks, ns, modular=modular, check=stop)
+        with pytest.raises(RuntimeError, match="over budget"):
+            list(walk)
+
     @pytest.mark.parametrize(
         "claim", [ClaimId.Thm1_1_MultDiv, ClaimId.Cor_Fibonacci, ClaimId.Remark_Scaled]
     )

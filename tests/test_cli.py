@@ -17,7 +17,7 @@ import jsonschema
 import gfibdiv
 from gfibdiv import claims as claims_mod
 from gfibdiv import cli
-from gfibdiv.numtheory import prime_factors
+from gfibdiv.numtheory import factorize
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 GOLDEN = Path(__file__).resolve().parent / "cli_golden"
@@ -253,6 +253,19 @@ class TestCheck:
         assert (code, out) == (cli.EXIT_RESOURCE, "")
         assert re.fullmatch(r"resource limit: sweep stopped after .* at \(p, q, s, k\) = \(1, 1, 5, \d+\), over .*\n", err)
 
+    def test_time_budget_stops_within_one_modulus(self, capsys):
+        # One k whose modulus 5 walks 3 * 10^6 + 1 indices, several seconds of
+        # residues: the budget is checked between blocks of them.
+        start = time.perf_counter()
+        code, out, err = run_main(
+            ["check", "--claim", "thm1.1-multdiv", "-p", "1", "-q", "1", "-s", "5", "--kmax", "1", "--nmax", "3000000",
+             "--mode", "modular", "--time-budget", "0.1"],
+            capsys,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (cli.EXIT_RESOURCE, "")
+        assert re.fullmatch(r"resource limit: sweep stopped after .* at \(p, q, s, k\) = \(1, 1, 5, 1\), over .*\n", err)
+
     def test_never_applicable(self, capsys):
         code, doc = run_json(
             ["check", "--claim", "thm1.1-equiv", "-p", "3", "-q", "9", "-s", "3"], capsys
@@ -302,10 +315,10 @@ class TestCheck:
 
         def recording(m, *, max_trials):
             assert max_trials <= 201  # the check's indices 0..200
-            factored.append(prime_factors(m, max_trials=max_trials))
+            factored.append(factorize(m, max_trials=max_trials))
             return factored[-1]
 
-        monkeypatch.setattr(claims_mod, "prime_factors", recording)
+        monkeypatch.setattr(claims_mod, "factorize", recording)
         s = 10**18 + 9
         start = time.perf_counter()
         code, doc = run_json(

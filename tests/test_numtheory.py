@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gfibdiv import DomainError, divides, is_prime, positive_divisors, valuation
-from gfibdiv.numtheory import INFINITE, Valuation, prime_factors
+from gfibdiv.numtheory import INFINITE, Valuation, factorize
 
 
 class TestDivides:
@@ -79,26 +80,48 @@ class TestPositiveDivisors:
         assert all(am % d == 0 for d in ds)
         assert sorted(am // d for d in ds) == ds
 
+    def test_complete_to_5000(self):
+        # Closure and order alone would pass [1, |m|]; this lists every divisor.
+        for m in range(1, 5001):
+            expected = [d for d in range(1, m + 1) if m % d == 0]
+            assert positive_divisors(m) == expected, m
+            assert positive_divisors(-m) == expected, m
 
-class TestPrimeFactors:
-    def test_agrees_with_divisors_to_2000(self):
+
+def _brute_factorization(m: int) -> list[tuple[int, int]]:
+    """(d, e) for each d = 2, 3, ... dividing what is left of |m|, e times: d is prime, having no smaller factor left."""
+    m, pairs = abs(m), []
+    for d in range(2, m + 1):
+        e = 0
+        while m % d == 0:
+            m, e = m // d, e + 1
+        if e:
+            pairs.append((d, e))
+    return pairs
+
+
+class TestFactorize:
+    def test_agrees_with_brute_force_to_2000(self):
         for m in range(1, 2001):
-            expected = [d for d in positive_divisors(m) if is_prime(d)]
-            assert prime_factors(m) == expected, m
-            assert prime_factors(-m) == expected, m
+            pairs = factorize(m)
+            assert pairs == _brute_factorization(m) == factorize(-m), m
+            primes = [prime for prime, _ in pairs]
+            assert primes == sorted(set(primes)) and all(is_prime(prime) for prime in primes), m
+            assert all(e >= 1 for _, e in pairs), m
+            assert math.prod(prime**e for prime, e in pairs) == m, m
 
     def test_zero(self):
         with pytest.raises(DomainError):
-            prime_factors(0)
+            factorize(0)
 
     def test_trial_limit(self):
         # The trial divisors are 2 and the odd numbers: 97 is settled by
         # 2, 3, 5, 7, 9 (11^2 > 97), and 2^40 by 2 alone.
-        assert prime_factors(97, max_trials=5) == [97]
-        assert prime_factors(97, max_trials=4) is None
-        assert prime_factors(2**40, max_trials=1) == [2]
-        assert prime_factors(1, max_trials=0) == []
-        assert prime_factors(10**18 + 9, max_trials=1000) is None
+        assert factorize(97, max_trials=5) == [(97, 1)]
+        assert factorize(97, max_trials=4) is None
+        assert factorize(2**40, max_trials=1) == [(2, 40)]
+        assert factorize(1, max_trials=0) == []
+        assert factorize(10**18 + 9, max_trials=1000) is None
 
 
 class TestIsPrime:
