@@ -15,11 +15,11 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .numtheory import divides, factorize, is_prime
 # g_exact and g_is_zero are not called here; they stay importable because
 # perfbench/tracer.py wraps claims.g_exact and claims.g_is_zero.
-from .sequences import SequenceParams, _pair_mod, g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
+from .sequences import DEFAULT_MAX_TERMS, SequenceParams, _pair_mod, g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
 
 # Scale factors used by the scaled-seed claim (seeds (0, alpha) give alpha*G_n).
 DEFAULT_SCALE_FACTORS = (-3, -1, 2, 5)
@@ -347,12 +347,6 @@ def _lifted_quotient(d: int, v: int, q_pow: int) -> int:
     return _pair_mod(v, -q_pow, d, d)[0]
 
 
-@functools.lru_cache(maxsize=1)
-def _exact_table(params: SequenceParams, n_last: int) -> list[int]:
-    """[G_0, ..., G_{n_last}], one list shared by the s of a cell until another is asked for: read it only."""
-    return g_range(params, n_last)
-
-
 def _rank_is_modulus(params: SequenceParams, d: int, factors: list[tuple[int, int]]) -> bool:
     """Whether the rank of apparition of d is d itself, so d | n <=> d | G_n for all n.
 
@@ -367,9 +361,93 @@ def _rank_is_modulus(params: SequenceParams, d: int, factors: list[tuple[int, in
     return g_mod(params, d, d) == 0 and all(g_mod(params, d // ell, d) for ell, _ in factors)
 
 
+# The largest prime power whose residue lemma is decided: it takes about 30 ms
+# at 2^12 on a 2-vCPU host, and 0.8 s at 2^16.
+_LEMMA_CAP = 1 << 12
+
+
+class ResidueLemma(NamedTuple):
+    """L(s): G_s(a, b) = 0 (mod s) for every residue pair (a, b) mod s with s | a^2 + 4b."""
+
+    holds: bool | None  # None: undecided, as a prime power of s exceeds _LEMMA_CAP
+    pairs: int  # the residue pairs (a, b) mod s with s | a^2 + 4b; 0 where undecided
+
+
+@functools.lru_cache(maxsize=None)  # keyed by prime powers up to _LEMMA_CAP, so bounded
+def _prime_power_lemma(m: int) -> tuple[bool, int]:
+    """L(m) for a prime power m, with its count of residue pairs: one _pair_mod per pair."""
+    g = math.gcd(4, m)  # 4b = -a^2 (mod m) is solvable iff g | a^2, with g solutions b mod m
+    h = m // g
+    inverse = pow(4 // g, -1, h)
+    pairs = zeros = 0
+    for a in range(m):
+        if a * a % g == 0:
+            for b in range(-(a * a // g) * inverse % h, m, h):
+                pairs += 1
+                zeros += _pair_mod(a, b, m, m)[0] == 0
+    return zeros == pairs, pairs
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def residue_lemma(s: int) -> ResidueLemma:
+    """Decide L(s), s >= 1, through the prime powers l^e || s; cached per s.
+
+    With s | r, L(s) gives s^k*G_n | G_{s^k*n} for every k and n.  Lucas's
+    identity G_{mn} = G_n * W (_lifted_quotient), applied k times with m = s,
+    gives G_{s^k*n} = G_n * W_0 ... W_{k-1}, where W_j is G_s of
+    <V_j, -(-q)^(s^j*n)>, V_j = V_{s^j*n}, a sequence whose discriminant
+    V_j^2 - 4(-q)^(s^j*n) = r*G_{s^j*n}^2 is divisible by s.  So L(s) makes
+    each W_j = 0 (mod s).  L(l^e) for every l^e || s gives L(s): a pair with
+    s | a^2 + 4b has l^e | G_{l^e}(a, b), which divides G_s(a, b), and by the
+    Chinese remainder theorem the pairs mod s are the tuples of pairs mod
+    each l^e, so their count is the product.  Past _LEMMA_CAP on a prime
+    power the answer is undecided; trial division stops there as well, since
+    a factor left after _LEMMA_CAP trial divisors exceeds the cap.
+    """
+    factors = factorize(s, max_trials=_LEMMA_CAP)
+    if factors is None or any(ell**e > _LEMMA_CAP for ell, e in factors):
+        return ResidueLemma(None, 0)
+    holds, pairs = True, 1
+    for ell, e in factors:
+        held, count = _prime_power_lemma(ell**e)
+        holds, pairs = holds and held, pairs * count
+    return ResidueLemma(holds, pairs)
+
+
 # Indices walked between two calls of conclusion_failures' check: one residue
-# seed per block, and no check at all where ns fits in one block.
-_BLOCK = 1 << 16
+# seed, or one stretch of the exact table, per block, and no check at all where
+# ns fits in one block.  An exact block at n = 40,000 takes about 15 ms on a
+# 2-vCPU host, and more as n grows.
+_BLOCK = 1 << 12
+
+
+@functools.lru_cache(maxsize=1)
+def _exact_table(params: SequenceParams) -> list[int]:
+    """G_0, G_1, ... as far as _exact_terms has grown it: one list shared by the s of a cell until another is asked for.
+
+    A sweep, a search or a survey frees it when it ends (cache_clear()).
+    """
+    return []
+
+
+def _exact_terms(params: SequenceParams, n: int, n_last: int) -> list[int]:
+    """The cell's exact table, grown to at least G_n, for a walk that reads up to G_{n_last}: read it only.
+
+    The walk grows it a block at a time, so the caller's check between two
+    blocks bounds the table too, whose size in bits grows about
+    quadratically.  Past g_range's default ceiling on G_0..G_{n_last} it
+    raises ResourceLimitError before building anything.
+    """
+    if n_last + 1 > DEFAULT_MAX_TERMS:  # g_range's own refusal, for the whole walk
+        raise ResourceLimitError(f"g_range of {n_last + 1} terms exceeds ceiling {DEFAULT_MAX_TERMS}")
+    gs = _exact_table(params)
+    if len(gs) <= n:
+        if not gs:
+            gs += g_range(params, max(n, 1))  # G_0 and G_1 at least, which the recurrence reads
+        p, q = params
+        for _ in range(n + 1 - len(gs)):
+            gs.append(p * gs[-1] + q * gs[-2])
+    return gs
 
 
 def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, *, modular: bool = False, check=None):
@@ -382,16 +460,20 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
     equivalence half, or both, and each half is decided from
     (G_n, G_{n+1}) mod d, where d = s^k (s for the base equivalence): from one
     residue stream per modulus in modular mode, from the exact table
-    (_exact_table, up to G_{max(ns)+1}) in exact mode (the cross-check).  A
+    (_exact_terms, up to G_{max(ns)+1}) in exact mode (the cross-check).  A
     divisibility failure has the witness {divisor, index, g_n, remainder}; an
     equivalence failure has {s_pow, s_pow_divides_n, s_pow_divides_g,
     g_residue}; where a kind has both halves, divisibility is checked first.
     Modular mode reads the exact table only to state G_n in a divisibility
-    witness.  For a kind with no divisibility half it skips the stream of a
-    modulus whose rank of apparition it certifies (_rank_is_modulus) where
-    gcd(q, s) = 1 and s factors within len(ns) trial divisions; exact mode
-    never does.  Each modulus walks ns in blocks of _BLOCK indices, and
-    check(), where given, runs between two blocks (the caller's budget).
+    witness, and it certifies what it can without a stream; exact mode never
+    does.  Where s | r and the residue lemma L(s) holds (residue_lemma), the
+    divisibility half holds for every k and n and is not walked.  A modulus
+    left with only an equivalence half is skipped where its rank of
+    apparition is certified (_rank_is_modulus): gcd(q, s) = 1 and s factors
+    within len(ns) trial divisions.  So a certified point opens no stream,
+    yet ks is still drawn, each k in turn.  Each modulus walks ns in blocks
+    of _BLOCK indices, the exact table growing with them, and check(), where
+    given, runs between two blocks (the caller's budget).
     """
     if s < 1:
         raise InputError(f"s must be >= 1, got {s}")
@@ -402,15 +484,17 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
     # SCALED kind is decided once; its witness names the first scale.
     scale = DEFAULT_SCALE_FACTORS[0] if kind is ConclusionKind.SCALED else 1
     p, q = params.p, params.q
+    if modular and divisibility and params.r % s == 0 and residue_lemma(s).holds:
+        divisibility = False  # it holds for every k and n (residue_lemma)
     factors = None  # the factorization of s, where a modulus may be certified
-    if modular and not divisibility and math.gcd(params.q, s) == 1:
+    if modular and equivalence and not divisibility and math.gcd(params.q, s) == 1:
         factors = factorize(s, max_trials=len(ns))
 
-    def table():
-        return _exact_table(params, ns[-1] + 1 if ns else 1)
+    def table(n: int) -> list[int]:
+        return _exact_terms(params, n, ns[-1] + 1)
 
     def failures(d: int):
-        if factors is not None and _rank_is_modulus(params, d, factors):
+        if not (divisibility or equivalence) or factors is not None and _rank_is_modulus(params, d, factors):
             return
         for i in range(0, len(ns), _BLOCK):
             if i and check is not None:
@@ -419,7 +503,7 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
             if modular:
                 pairs = zip(block, g_pairs_mod(params, block, d))
             else:
-                gs = table()
+                gs = table(block[-1] + 1)
                 pairs = ((n, (gs[n] % d, gs[n + 1])) for n in block)  # G_{n+1} is reduced where used
             for n, (g, g_next) in pairs:
                 if divisibility:
@@ -429,7 +513,7 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
                     if w:
                         # a*G_{d*n} = a*G_n*W with W = w (mod d), so modulo the
                         # divisor a*d*G_n its remainder is a*G_n*w.
-                        g_n = table()[n]
+                        g_n = table(n)[n]
                         divisor = scale * d * g_n
                         remainder = scale * g_n * w % abs(divisor)
                         yield n, {"divisor": divisor, "index": d * n, "g_n": g_n, "remainder": remainder}

@@ -28,6 +28,7 @@ from .claims import (
     _applicable,
     _evaluate_conditions,
     _exact_table,
+    _exact_terms,
 )
 from .errors import InputError, ResourceLimitError
 from .numtheory import divides, positive_divisors
@@ -269,9 +270,12 @@ def verify_claim(claim: ClaimId, config: SweepConfig) -> VerificationReport:
         step, handoff = cells, math.inf
     results = []
     lo = 0
-    while lo < cells and time.monotonic() - start < handoff:
-        results.append(_sweep_cell((claim, config, start, (lo, lo + step))))
-        lo += step
+    try:
+        while lo < cells and time.monotonic() - start < handoff:
+            results.append(_sweep_cell((claim, config, start, (lo, lo + step))))
+            lo += step
+    finally:
+        _exact_table.cache_clear()  # the last cell's table is not kept past the walk
     if lo < cells:
         # Imported only here, so a run that ends before the hand-off does not load the pool's modules.
         from concurrent.futures import ProcessPoolExecutor
@@ -509,17 +513,20 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
         )
 
     cell = lambda params: _cell_evaluator(claim, bounds, params, relaxed_condition)
-    for params, s, evaluate, ks in _grid(bounds, "search", cell, scan=True):
-        failures = evaluate(s, ks)
-        if failures is not None:
-            yield from [
-                Counterexample(
-                    claim, params.p, params.q, s, k, n,
-                    _search_witness(params, _exact_table(params, bounds.n_max + 1)[n], s**k, n, witness),
-                    relaxed_condition,
-                )
-                for k, n, witness in sorted(failures, key=lambda f: (f[1], f[0]))
-            ]
+    try:
+        for params, s, evaluate, ks in _grid(bounds, "search", cell, scan=True):
+            failures = evaluate(s, ks)
+            if failures is not None:
+                yield from [
+                    Counterexample(
+                        claim, params.p, params.q, s, k, n,
+                        _search_witness(params, _exact_terms(params, n, bounds.n_max + 1)[n], s**k, n, witness),
+                        relaxed_condition,
+                    )
+                    for k, n, witness in sorted(failures, key=lambda f: (f[1], f[0]))
+                ]
+    finally:
+        _exact_table.cache_clear()  # the last cell's table is not kept past the search, or once it is dropped
 
 
 def _search_witness(params: SequenceParams, g_n: int, sk: int, n: int, witness: dict) -> dict:
@@ -597,11 +604,15 @@ def converse_survey(bounds: SweepConfig) -> SurveyReport:
     """
     spec = claim_spec(ClaimId.Thm1_2_BaseEquiv)
     modular = bounds.mode is Mode.MODULAR
+    ns = range(bounds.n_max + 1)
     rows = []
-    for params, s, _, _ in _grid(bounds, "survey", lambda params: params.r or None):  # r = 0 is not surveyed
-        first = next(conclusion_failures(spec.claim, params, s, (1,), range(bounds.n_max + 1), modular=modular), None)
-        if first is not None:
-            values = _evaluate_conditions(spec, params.p, params.q, s)
-            failing = tuple(name for name, held in values.items() if not held)
-            rows.append(SurveyRow(params.p, params.q, s, first[1], failing))
+    try:
+        for params, s, _, _ in _grid(bounds, "survey", lambda params: params.r or None):  # r = 0 is not surveyed
+            first = next(conclusion_failures(spec.claim, params, s, (1,), ns, modular=modular), None)
+            if first is not None:
+                values = _evaluate_conditions(spec, params.p, params.q, s)
+                failing = tuple(name for name, held in values.items() if not held)
+                rows.append(SurveyRow(params.p, params.q, s, first[1], failing))
+    finally:
+        _exact_table.cache_clear()  # the last cell's table is not kept past the survey
     return SurveyReport(note=_SURVEY_NOTE, config=bounds, rows=tuple(rows))

@@ -3,19 +3,26 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from gfibdiv import (
     ClaimId,
     InputError,
+    Mode,
+    ResourceLimitError,
     SequenceParams,
+    SweepConfig,
+    Verdict,
     applicable_claims,
     catalog,
     claim_by_name,
     conclusion_holds,
     hypothesis_check,
+    iter_counterexamples,
     thm12_lift_condition,
+    verify_claim,
 )
 from gfibdiv import claims
 from gfibdiv.claims import (
@@ -387,9 +394,10 @@ class TestConclusionFailures:
 
     @pytest.mark.parametrize("modular", [False, True])
     def test_blocks_match_one_walk_and_check_between_them(self, modular, monkeypatch):
-        # Classical has both halves and no certificate, so each k >= 1 walks its modulus.
+        # Classical has both halves, and where s does not divide r no
+        # certificate decides either, so each k >= 1 walks its modulus.
         ks, ns = range(3), range(31)
-        grid = [(p, q, s) for p in range(-3, 4) for q in range(-3, 4) for s in (2, 3, 6)]
+        grid = [(p, q, s) for p in range(-3, 4) for q in range(-3, 4) for s in (2, 3, 6) if (p * p + 4 * q) % s]
         whole = {
             (p, q, s): list(conclusion_failures(ClaimId.Cor_Fibonacci, SequenceParams(p, q), s, ks, ns, modular=modular))
             for p, q, s in grid
@@ -407,9 +415,26 @@ class TestConclusionFailures:
         def stop():
             raise RuntimeError("over budget")
 
-        walk = conclusion_failures(ClaimId.Cor_Fibonacci, SequenceParams(1, 1), 5, ks, ns, modular=modular, check=stop)
+        walk = conclusion_failures(ClaimId.Cor_Fibonacci, SequenceParams(1, 1), 2, ks, ns, modular=modular, check=stop)
         with pytest.raises(RuntimeError, match="over budget"):
             list(walk)
+
+    def test_exact_table_grows_with_the_walk(self, monkeypatch):
+        # Each block reads the table only as far as it walks, so the check
+        # between two blocks bounds the table's growth too.
+        monkeypatch.setattr(claims, "_BLOCK", 4)
+        params = SequenceParams(1, 1)
+        lengths = []
+        check = lambda: lengths.append(len(claims._exact_table(params)))
+        walk = conclusion_failures(ClaimId.Thm1_1_Equiv, params, 5, range(2), range(31), check=check)
+        assert list(walk) == []
+        assert lengths == [5 + 4 * i for i in range(7)]  # G_0..G_{4i+4} before block i + 1
+
+    def test_exact_table_refused_past_the_term_ceiling(self):
+        params = SequenceParams(1, 1)
+        with pytest.raises(ResourceLimitError, match="exceeds ceiling 1000000"):
+            list(conclusion_failures(ClaimId.Thm1_1_Equiv, params, 5, (1,), range(10**6)))
+        assert claims._exact_table(params) == []
 
     @pytest.mark.parametrize(
         "claim", [ClaimId.Thm1_1_MultDiv, ClaimId.Cor_Fibonacci, ClaimId.Remark_Scaled]
@@ -490,11 +515,12 @@ class TestConclusionFailures:
                     assert (-q) ** n == gs[n + 1] ** 2 - p * gs[n] * gs[n + 1] - q * gs[n] ** 2, (p, q, n)
 
     def test_one_quotient_per_orbit_state(self, monkeypatch):
-        """On the Corollary 1.4 checks at k <= 5, n <= 5000, W mod s^k is computed
-        once for each distinct (s^k, V_n mod s^k, (-q)^n mod s^k), where
-        V_n = 2*G_{n+1} - p*G_n: not once per index, nor once per distinct
-        (G_n, G_{n+1}) mod s^k (8,909 of those).  The cache starts empty, and
-        each miss calls _pair_mod(V_n, -(-q)^n, d, d) once."""
+        """On the Corollary 1.4 checks at k <= 5, n <= 5000, in exact mode (modular
+        mode certifies them by the residue lemma and computes no quotient), W
+        mod s^k is computed once for each distinct (s^k, V_n mod s^k,
+        (-q)^n mod s^k), where V_n = 2*G_{n+1} - p*G_n: not once per index, nor
+        once per distinct (G_n, G_{n+1}) mod s^k (8,909 of those).  The cache
+        starts empty, and each miss calls _pair_mod(V_n, -(-q)^n, d, d) once."""
         calls = []
 
         def recording_pair_mod(v, minus_q_pow, n, d):
@@ -511,7 +537,7 @@ class TestConclusionFailures:
         ):
             calls.clear()
             params = SequenceParams(p, q)
-            assert not list(conclusion_failures(claim, params, s, range(6), range(5001), modular=True))
+            assert not list(conclusion_failures(claim, params, s, range(6), range(5001)))
             gs = g_range(params, 5001)
             states = {
                 (s**k, (2 * gs[n + 1] - p * gs[n]) % s**k, pow(-q, n, s**k))
@@ -640,6 +666,129 @@ class TestRankCertificate:
         params = SequenceParams(1, (s - 1) // 4)
         assert list(conclusion_failures(ClaimId.Thm1_1_Equiv, params, s, range(3), range(201), modular=True)) == []
         assert streams == [s, s * s]
+
+
+class TestResidueLemma:
+    """L(s): G_s(a, b) = 0 (mod s) for every residue pair (a, b) mod s with
+    s | a^2 + 4b.  With s | r it gives the divisibility half for every k and
+    n, so modular mode walks no stream there; exact mode never uses it."""
+
+    def test_pairs_match_a_scan_of_every_pair(self):
+        # Each s's pairs, found by scanning 4b mod s for every b, and each
+        # checked by g_mod: the lemma must have counted as many.
+        total = 0
+        for s in range(1, 301):
+            by_residue = {}
+            for b in range(s):
+                by_residue.setdefault(4 * b % s, []).append(b)
+            pairs = [(a, b) for a in range(s) for b in by_residue.get(-a * a % s, [])]
+            assert all(g_mod(SequenceParams(a, b), s, s) == 0 for a, b in pairs), s
+            assert claims.residue_lemma(s) == (True, len(pairs)), s
+            total += len(pairs)
+        assert total == 1 + 56549  # s = 1 has the one pair (0, 0)
+
+    def test_one_pair_mod_per_pair_of_each_prime_power(self, monkeypatch):
+        calls = []
+        pair_mod = claims._pair_mod
+
+        def recording(a, b, n, m):
+            calls.append((a, b, n, m))
+            return pair_mod(a, b, n, m)
+
+        monkeypatch.setattr(claims, "_pair_mod", recording)
+        assert claims.residue_lemma(360) == (True, 16 * 9 * 5)  # 360 = 2^3 * 3^2 * 5
+        assert sorted(Counter(m for _, _, _, m in calls).items()) == [(5, 5), (8, 16), (9, 9)]
+        assert all(n == m and (a * a + 4 * b) % m == 0 for a, b, n, m in calls)
+        calls.clear()
+        assert claims.residue_lemma(40) == (True, 16 * 5)  # its prime powers are decided already
+        assert calls == []
+
+    def test_past_the_cap_it_is_undecided(self, monkeypatch):
+        def no_pairs(*args):
+            raise AssertionError("a pair was checked")
+
+        monkeypatch.setattr(claims, "_pair_mod", no_pairs)
+        # 2^13 and the prime 65537 exceed the cap; trial division stops at
+        # the cap, so a prime near 10^18 is undecided at once.
+        for s in (2 * claims._LEMMA_CAP, 3 * 2**13, 65537, 10**18 + 9):
+            assert claims.residue_lemma(s) == (None, 0), s
+
+    def test_lucas_product(self):
+        """G_{s^k*n} = G_n * W_0 ... W_{k-1}, exactly, where W_j is G_s of
+        <V_m, -(-q)^m>, m = s^j*n, V_m = 2*G_{m+1} - p*G_m, a sequence of
+        discriminant r*G_m^2: so where s | r, L(s) makes each W_j = 0 mod s."""
+        divisible = 0
+        for p in range(-3, 4):
+            for q in range(-3, 4):
+                params = SequenceParams(p, q)
+                gs = g_range(params, 4**3 * 5 + 1)
+                for s in range(1, 5):
+                    for k in range(4):
+                        for n in range(6):
+                            product = gs[n]
+                            for j in range(k):
+                                m = s**j * n
+                                v, b = 2 * gs[m + 1] - p * gs[m], -((-q) ** m)
+                                assert v * v + 4 * b == params.r * gs[m] ** 2, (p, q, m)
+                                w = g_exact(SequenceParams(v, b), s)
+                                if params.r % s == 0:
+                                    assert w % s == 0, (p, q, s, m)
+                                    divisible += 1
+                                product *= w
+                            assert gs[s**k * n] == product, (p, q, s, k, n)
+        assert divisible > 0
+
+    # The acceptance gate's grids: criterion 2's sweeps, and criterion 4's checks.
+    GATES = [
+        (claim, SweepConfig(p_range=(-8, 8), q_range=(-8, 8), s_source=source, k_max=3, n_max=40))
+        for claim in (ClaimId.Thm1_1_MultDiv, ClaimId.Remark_Scaled)
+        for source in ("divisors-of-r", "divisors-of-r4")
+    ] + [
+        (claim, SweepConfig(p_range=(p, p), q_range=(q, q), s_source=(s,), k_max=5, n_max=5000))
+        for claim, p, q, s in (
+            (ClaimId.Cor_Fibonacci, 1, 1, 5),
+            (ClaimId.Cor_Pell, 2, 1, 2),
+            (ClaimId.Cor_Jacobsthal, 1, 2, 3),
+        )
+    ]
+
+    @pytest.mark.parametrize("claim,config", GATES, ids=[f"{c.value}-{i}" for i, (c, _) in enumerate(GATES)])
+    def test_fast_path_matches_exact(self, claim, config, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("exact mode used the lemma")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(claims, "residue_lemma", forbidden)
+            exact = verify_claim(claim, config._replace(mode=Mode.EXACT))
+        streams = []
+        monkeypatch.setattr(claims, "g_pairs_mod", lambda params, ns, m: streams.append(m) or g_pairs_mod(params, ns, m))
+        modular = verify_claim(claim, config._replace(mode=Mode.MODULAR))
+        assert (modular.points_checked, modular.violations, modular.verdict) == (
+            exact.points_checked, exact.violations, exact.verdict
+        )
+        assert exact.verdict is Verdict.ALL_PASS and exact.points_checked > 0
+        # Every s of these grids divides r, and the Corollary 1.4 moduli also
+        # have their rank certified: no residue stream is opened.
+        assert streams == []
+
+    @pytest.mark.parametrize("claim", [ClaimId.Thm1_1_MultDiv, ClaimId.Cor_Fibonacci, ClaimId.Remark_Scaled])
+    def test_certified_point_still_draws_every_k(self, claim, monkeypatch):
+        # Drawing each k is what runs the caller's budget check before it.
+        def no_stream(*args):
+            raise AssertionError("a residue stream was opened")
+
+        monkeypatch.setattr(claims, "g_pairs_mod", no_stream)
+        drawn = []
+        ks = (drawn.append(k) or k for k in range(6))
+        assert list(conclusion_failures(claim, SequenceParams(1, 1), 5, ks, range(100), modular=True)) == []
+        assert drawn == list(range(6))
+
+    def test_relaxed_search_keeps_its_counterexamples(self):
+        # Where s does not divide r, the lemma says nothing, so the stream decides.
+        bounds = SweepConfig(p_range=(-4, 4), q_range=(-4, 4), s_source=range(1, 7), k_max=2, n_max=12)
+        modular = list(iter_counterexamples(ClaimId.Thm1_1_MultDiv, "s-div-r", bounds._replace(mode=Mode.MODULAR)))
+        assert len(modular) == 4544
+        assert modular == list(iter_counterexamples(ClaimId.Thm1_1_MultDiv, "s-div-r", bounds))
 
 
 class TestSoundness:

@@ -254,12 +254,28 @@ class TestCheck:
         assert re.fullmatch(r"resource limit: sweep stopped after .* at \(p, q, s, k\) = \(1, 1, 5, \d+\), over .*\n", err)
 
     def test_time_budget_stops_within_one_modulus(self, capsys):
-        # One k whose modulus 5 walks 3 * 10^6 + 1 indices, several seconds of
-        # residues: the budget is checked between blocks of them.
+        # One k whose modulus 65537 = r walks 3 * 10^6 + 1 indices, several
+        # seconds of residues: the budget is checked between blocks of them.
+        # The prime 65537 is past the residue lemma's cap, so the stream runs.
         start = time.perf_counter()
         code, out, err = run_main(
-            ["check", "--claim", "thm1.1-multdiv", "-p", "1", "-q", "1", "-s", "5", "--kmax", "1", "--nmax", "3000000",
-             "--mode", "modular", "--time-budget", "0.1"],
+            ["check", "--claim", "thm1.1-multdiv", "-p", "1", "-q", "16384", "-s", "65537", "--kmax", "1",
+             "--nmax", "3000000", "--mode", "modular", "--time-budget", "0.1"],
+            capsys,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (cli.EXIT_RESOURCE, "")
+        assert re.fullmatch(
+            r"resource limit: sweep stopped after .* at \(p, q, s, k\) = \(1, 16384, 65537, 1\), over .*\n", err
+        )
+
+    def test_time_budget_stops_the_exact_table(self, capsys):
+        # Exact mode's walk of G_0..G_40001 takes longer than the budget; the
+        # table grows with the walk, and the budget is checked between blocks.
+        start = time.perf_counter()
+        code, out, err = run_main(
+            ["check", "--claim", "thm1.1-equiv", "-p", "1", "-q", "1", "-s", "5", "--kmax", "1", "--nmax", "40000",
+             "--mode", "exact", "--time-budget", "0.1"],
             capsys,
         )
         assert time.perf_counter() - start < 1.0

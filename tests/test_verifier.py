@@ -1,5 +1,6 @@
 import concurrent.futures
 import functools
+import gc
 import itertools
 import json
 import math
@@ -486,8 +487,9 @@ class TestQuotientMemo:
     def test_cap_bounds_a_serial_sweep(self, monkeypatch):
         # The grid's r give moduli s^k that few cells share: a cache without
         # a bound on its size grows with the sweep, to about 0.4 MiB here at
-        # the default cap.
-        config = SweepConfig(p_range=(-4, 4), q_range=(-4, 4), mode=Mode.MODULAR)
+        # the default cap.  Exact mode computes every quotient; modular mode
+        # would certify these points by the residue lemma and compute none.
+        config = SweepConfig(p_range=(-4, 4), q_range=(-4, 4), mode=Mode.EXACT)
         quotient = claims._lifted_quotient.__wrapped__
 
         def peak(cap: int) -> int:
@@ -520,6 +522,35 @@ class TestQuotientMemo:
         pooled = verify_claim(ClaimId.Thm1_1_MultDiv, config._replace(worker_count=2))
         assert pools == [2]
         assert reporting.to_json(reporting.report_to_dict(pooled._replace(config=config))) == cold
+
+
+class TestExactTableFreed:
+    """The cell's exact table (claims._exact_table) is freed when a sweep, a
+    search or a survey ends, not kept until the next one."""
+
+    FIBONACCI = dict(p_range=(1, 1), q_range=(1, 1), k_max=1, n_max=3000, mode=Mode.EXACT)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda config: verify_claim(ClaimId.Thm1_1_Equiv, config._replace(s_source=(5,))),
+            lambda config: search_counterexample(ClaimId.Thm1_1_MultDiv, "s-div-r", config._replace(s_source=(2,))),
+            converse_survey,
+        ],
+        ids=["sweep", "search", "survey"],
+    )
+    def test_no_table_outlives_the_run(self, run):
+        tracemalloc.start()
+        try:
+            result = run(SweepConfig(**self.FIBONACCI))
+            gc.collect()  # empties the free lists of tuples, whose memory tracemalloc still counts
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result
+        # G_0..G_3001 of Fibonacci take about 0.4 MiB.
+        assert peak > 2**18 and held < 2**15, (peak, held)
+        assert claims._exact_table.cache_info().currsize == 0
 
 
 class TestDivisibilitySequence:
