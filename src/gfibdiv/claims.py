@@ -15,11 +15,11 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 from .numtheory import divides, factorize, is_prime
 # g_exact and g_is_zero are not called here; they stay importable because
 # perfbench/tracer.py wraps claims.g_exact and claims.g_is_zero.
-from .sequences import DEFAULT_MAX_TERMS, SequenceParams, _pair_mod, g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
+from .sequences import SequenceParams, _pair_mod, g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
 
 # Scale factors used by the scaled-seed claim (seeds (0, alpha) give alpha*G_n).
 DEFAULT_SCALE_FACTORS = (-3, -1, 2, 5)
@@ -388,9 +388,8 @@ def _prime_power_lemma(m: int) -> tuple[bool, int]:
     return zeros == pairs, pairs
 
 
-@functools.lru_cache(maxsize=1 << 12)
 def residue_lemma(s: int) -> ResidueLemma:
-    """Decide L(s), s >= 1, through the prime powers l^e || s; cached per s.
+    """Decide L(s), s >= 1, through the prime powers l^e || s, each cached.
 
     With s | r, L(s) gives s^k*G_n | G_{s^k*n} for every k and n.  Lucas's
     identity G_{mn} = G_n * W (_lifted_quotient), applied k times with m = s,
@@ -425,7 +424,7 @@ _BLOCK = 1 << 12
 def _exact_table(params: SequenceParams) -> list[int]:
     """G_0, G_1, ... as far as _exact_terms has grown it: one list shared by the s of a cell until another is asked for.
 
-    A sweep, a search or a survey frees it when it ends (cache_clear()).
+    verify._grid frees it when a sweep, a search or a survey ends (cache_clear()).
     """
     return []
 
@@ -433,21 +432,17 @@ def _exact_table(params: SequenceParams) -> list[int]:
 def _exact_terms(params: SequenceParams, n: int, n_last: int) -> list[int]:
     """The cell's exact table, grown to at least G_n, for a walk that reads up to G_{n_last}: read it only.
 
-    The walk grows it a block at a time, so the caller's check between two
-    blocks bounds the table too, whose size in bits grows about
-    quadratically.  Past g_range's default ceiling on G_0..G_{n_last} it
-    raises ResourceLimitError before building anything.
+    It grows by whole blocks, to at least _BLOCK indices past the last one
+    it held, but never past G_{n_last}: one g_range call per block, so the
+    caller's check between two blocks bounds the table too, whose size in
+    bits grows about quadratically.  Where G_0..G_{n_last} would pass
+    g_range's default ceiling, the first call that would grow the table
+    raises ResourceLimitError instead, so no table ever passes it.
     """
-    if n_last + 1 > DEFAULT_MAX_TERMS:  # g_range's own refusal, for the whole walk
-        raise ResourceLimitError(f"g_range of {n_last + 1} terms exceeds ceiling {DEFAULT_MAX_TERMS}")
     gs = _exact_table(params)
-    if len(gs) <= n:
-        if not gs:
-            gs += g_range(params, max(n, 1))  # G_0 and G_1 at least, which the recurrence reads
-        p, q = params
-        for _ in range(n + 1 - len(gs)):
-            gs.append(p * gs[-1] + q * gs[-2])
-    return gs
+    if n < len(gs):
+        return gs
+    return g_range(params, min(n_last, max(n, len(gs) - 1 + _BLOCK)), out=gs, n_last=n_last)
 
 
 def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, *, modular: bool = False, check=None):

@@ -97,16 +97,28 @@ def g_exact(params: SequenceParams, n: int) -> int:
     return a
 
 
-def g_range(params: SequenceParams, n_max: int, *, max_terms: int = DEFAULT_MAX_TERMS) -> list[int]:
-    """[G_0, ..., G_{n_max}]; refuses to allocate beyond max_terms terms."""
+def g_range(
+    params: SequenceParams, n_max: int, *, max_terms: int = DEFAULT_MAX_TERMS, out: list[int] | None = None,
+    n_last: int | None = None,
+) -> list[int]:
+    """[G_0, ..., G_{n_max}]; refuses to allocate beyond max_terms terms.
+
+    Given out, a list of G_0, G_1, ... (possibly empty), it grows out itself
+    to at least G_{n_max} and returns it.  A caller that grows out in steps
+    names the last index it will read as n_last (>= n_max), and the ceiling
+    is checked on that, before any term is built.
+    """
     n_max = _parse_index(n_max)
-    if n_max + 1 > max_terms:
-        raise ResourceLimitError(f"g_range of {n_max + 1} terms exceeds ceiling {max_terms}")
+    last = n_max if n_last is None else n_last
+    if last + 1 > max_terms:
+        raise ResourceLimitError(f"g_range of {last + 1} terms exceeds ceiling {max_terms}")
     p, q = params.p, params.q
-    out = [0, 1]
-    for _ in range(n_max - 1):
-        out.append(p * out[-1] + q * out[-2])
-    return out[: n_max + 1]
+    gs = [] if out is None else out
+    if len(gs) < 2:
+        gs[:] = [0, 1]
+    for _ in range(n_max + 1 - len(gs)):
+        gs.append(p * gs[-1] + q * gs[-2])
+    return gs[: n_max + 1] if out is None else gs
 
 
 def ab_exact(params: SequenceParams, n: int) -> ABPair:

@@ -201,7 +201,9 @@ def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False, start: fl
     whichever process walks the part.
     A sweep passes its own start, so the parts of a process pool share the
     run's clock: time.monotonic is system-wide on Linux, so a forked worker
-    reads the clock its parent started.
+    reads the clock its parent started.  When the walk ends, stops or is
+    dropped, it frees the last cell's exact table (claims._exact_table), so
+    sweeps, searches and surveys keep none past their run.
     """
     budget = config.time_budget_s
     if start is None:
@@ -212,16 +214,19 @@ def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False, start: fl
             where = f"({', '.join('pqsk'[:len(at)])}) = ({', '.join(map(str, at))})"
             raise ResourceLimitError(f"{what} stopped after {elapsed:.1f}s at {where}, over the {budget:.1f}s budget")
 
-    for p, q in _cells(config, scan=scan, part=part):
-        check(p, q)
-        params = SequenceParams(p, q)
-        s_values = _resolve_s(config, params)
-        value = cell(params) if s_values else None
-        if value is None:
-            continue
-        for s in s_values:
-            check(p, q, s)
-            yield params, s, value, _Exponents(check, (p, q, s), config.k_max)
+    try:
+        for p, q in _cells(config, scan=scan, part=part):
+            check(p, q)
+            params = SequenceParams(p, q)
+            s_values = _resolve_s(config, params)
+            value = cell(params) if s_values else None
+            if value is None:
+                continue
+            for s in s_values:
+                check(p, q, s)
+                yield params, s, value, _Exponents(check, (p, q, s), config.k_max)
+    finally:
+        _exact_table.cache_clear()  # the last cell's table is not kept past the walk, or once it is dropped
 
 
 def _sweep_cell(args) -> tuple[int, list[Counterexample]]:
@@ -270,12 +275,9 @@ def verify_claim(claim: ClaimId, config: SweepConfig) -> VerificationReport:
         step, handoff = cells, math.inf
     results = []
     lo = 0
-    try:
-        while lo < cells and time.monotonic() - start < handoff:
-            results.append(_sweep_cell((claim, config, start, (lo, lo + step))))
-            lo += step
-    finally:
-        _exact_table.cache_clear()  # the last cell's table is not kept past the walk
+    while lo < cells and time.monotonic() - start < handoff:
+        results.append(_sweep_cell((claim, config, start, (lo, lo + step))))
+        lo += step
     if lo < cells:
         # Imported only here, so a run that ends before the hand-off does not load the pool's modules.
         from concurrent.futures import ProcessPoolExecutor
@@ -513,20 +515,17 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
         )
 
     cell = lambda params: _cell_evaluator(claim, bounds, params, relaxed_condition)
-    try:
-        for params, s, evaluate, ks in _grid(bounds, "search", cell, scan=True):
-            failures = evaluate(s, ks)
-            if failures is not None:
-                yield from [
-                    Counterexample(
-                        claim, params.p, params.q, s, k, n,
-                        _search_witness(params, _exact_terms(params, n, bounds.n_max + 1)[n], s**k, n, witness),
-                        relaxed_condition,
-                    )
-                    for k, n, witness in sorted(failures, key=lambda f: (f[1], f[0]))
-                ]
-    finally:
-        _exact_table.cache_clear()  # the last cell's table is not kept past the search, or once it is dropped
+    for params, s, evaluate, ks in _grid(bounds, "search", cell, scan=True):
+        failures = evaluate(s, ks)
+        if failures is not None:
+            yield from [
+                Counterexample(
+                    claim, params.p, params.q, s, k, n,
+                    _search_witness(params, _exact_terms(params, n, bounds.n_max + 1)[n], s**k, n, witness),
+                    relaxed_condition,
+                )
+                for k, n, witness in sorted(failures, key=lambda f: (f[1], f[0]))
+            ]
 
 
 def _search_witness(params: SequenceParams, g_n: int, sk: int, n: int, witness: dict) -> dict:
@@ -606,13 +605,10 @@ def converse_survey(bounds: SweepConfig) -> SurveyReport:
     modular = bounds.mode is Mode.MODULAR
     ns = range(bounds.n_max + 1)
     rows = []
-    try:
-        for params, s, _, _ in _grid(bounds, "survey", lambda params: params.r or None):  # r = 0 is not surveyed
-            first = next(conclusion_failures(spec.claim, params, s, (1,), ns, modular=modular), None)
-            if first is not None:
-                values = _evaluate_conditions(spec, params.p, params.q, s)
-                failing = tuple(name for name, held in values.items() if not held)
-                rows.append(SurveyRow(params.p, params.q, s, first[1], failing))
-    finally:
-        _exact_table.cache_clear()  # the last cell's table is not kept past the survey
+    for params, s, _, _ in _grid(bounds, "survey", lambda params: params.r or None):  # r = 0 is not surveyed
+        first = next(conclusion_failures(spec.claim, params, s, (1,), ns, modular=modular), None)
+        if first is not None:
+            values = _evaluate_conditions(spec, params.p, params.q, s)
+            failing = tuple(name for name, held in values.items() if not held)
+            rows.append(SurveyRow(params.p, params.q, s, first[1], failing))
     return SurveyReport(note=_SURVEY_NOTE, config=bounds, rows=tuple(rows))

@@ -394,10 +394,17 @@ class TestConclusionFailures:
 
     @pytest.mark.parametrize("modular", [False, True])
     def test_blocks_match_one_walk_and_check_between_them(self, modular, monkeypatch):
-        # Classical has both halves, and where s does not divide r no
-        # certificate decides either, so each k >= 1 walks its modulus.
+        # Classical has both halves, and in exact mode, or in modular mode
+        # where s does not divide r, no certificate decides either, so each
+        # k >= 1 walks its modulus.
         ks, ns = range(3), range(31)
-        grid = [(p, q, s) for p in range(-3, 4) for q in range(-3, 4) for s in (2, 3, 6) if (p * p + 4 * q) % s]
+        grid = [
+            (p, q, s)
+            for p in range(-3, 4)
+            for q in range(-3, 4)
+            for s in (2, 3, 6)
+            if not modular or (p * p + 4 * q) % s
+        ]
         whole = {
             (p, q, s): list(conclusion_failures(ClaimId.Cor_Fibonacci, SequenceParams(p, q), s, ks, ns, modular=modular))
             for p, q, s in grid
@@ -415,7 +422,8 @@ class TestConclusionFailures:
         def stop():
             raise RuntimeError("over budget")
 
-        walk = conclusion_failures(ClaimId.Cor_Fibonacci, SequenceParams(1, 1), 2, ks, ns, modular=modular, check=stop)
+        s = 2 if modular else 5  # 5 divides r = 5, so modular mode certifies it
+        walk = conclusion_failures(ClaimId.Cor_Fibonacci, SequenceParams(1, 1), s, ks, ns, modular=modular, check=stop)
         with pytest.raises(RuntimeError, match="over budget"):
             list(walk)
 

@@ -115,6 +115,20 @@ class TestGRange:
             g_range(SequenceParams(1, 1), 10**7)
         assert len(g_range(SequenceParams(1, 1), 100, max_terms=101)) == 101
 
+    def test_grows_a_list_in_place(self):
+        params = SequenceParams(1, 2)
+        gs = []
+        assert g_range(params, 0, out=gs) is gs and gs == [0, 1]  # G_0 and G_1, which the recurrence reads
+        assert g_range(params, 5, out=gs) is gs and gs == g_range(params, 5)
+        assert g_range(params, 2, out=gs) == g_range(params, 5)  # never shortened
+
+    def test_ceiling_on_the_last_index_read(self):
+        gs = []
+        with pytest.raises(ResourceLimitError, match="g_range of 102 terms exceeds ceiling 101"):
+            g_range(SequenceParams(1, 1), 10, max_terms=101, out=gs, n_last=101)
+        assert gs == []  # refused before any term is built
+        assert len(g_range(SequenceParams(1, 1), 10, max_terms=101, out=gs, n_last=100)) == 11
+
 
 class TestABExact:
     def test_seeds(self):

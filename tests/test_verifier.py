@@ -526,7 +526,8 @@ class TestQuotientMemo:
 
 class TestExactTableFreed:
     """The cell's exact table (claims._exact_table) is freed when a sweep, a
-    search or a survey ends, not kept until the next one."""
+    search or a survey ends, not kept until the next one: verify._grid frees
+    it, so a pool's part, walked by _sweep_cell in a worker, frees its own."""
 
     FIBONACCI = dict(p_range=(1, 1), q_range=(1, 1), k_max=1, n_max=3000, mode=Mode.EXACT)
 
@@ -536,8 +537,11 @@ class TestExactTableFreed:
             lambda config: verify_claim(ClaimId.Thm1_1_Equiv, config._replace(s_source=(5,))),
             lambda config: search_counterexample(ClaimId.Thm1_1_MultDiv, "s-div-r", config._replace(s_source=(2,))),
             converse_survey,
+            lambda config: verify._sweep_cell(
+                (ClaimId.Thm1_1_Equiv, config._replace(s_source=(5,)), time.monotonic(), (0, 1))
+            ),
         ],
-        ids=["sweep", "search", "survey"],
+        ids=["sweep", "search", "survey", "pool-part"],
     )
     def test_no_table_outlives_the_run(self, run):
         tracemalloc.start()
