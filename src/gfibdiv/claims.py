@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 from .errors import InputError
 from .numtheory import divides, factorize, is_prime
-# g_exact and g_is_zero are not called here; they stay importable because
-# perfbench/tracer.py wraps claims.g_exact and claims.g_is_zero.
+# g_is_zero is not called here; it stays importable because perfbench/tracer.py
+# wraps claims.g_is_zero.
 from .sequences import SequenceParams, _pair_mod, g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
 
 # Scale factors used by the scaled-seed claim (seeds (0, alpha) give alpha*G_n).
@@ -416,33 +416,17 @@ def residue_lemma(s: int) -> ResidueLemma:
 # Indices walked between two calls of conclusion_failures' check: one residue
 # seed, or one stretch of the exact table, per block, and no check at all where
 # ns fits in one block.  An exact block at n = 40,000 takes about 15 ms on a
-# 2-vCPU host, and more as n grows.
+# 2-vCPU host, and more as n grows.  thm12_lift_condition checks as often.
 _BLOCK = 1 << 12
 
 
 @functools.lru_cache(maxsize=1)
 def _exact_table(params: SequenceParams) -> list[int]:
-    """G_0, G_1, ... as far as _exact_terms has grown it: one list shared by the s of a cell until another is asked for.
+    """G_0, G_1, ... as far as exact walks have grown it: one list shared by the s of a cell until another is asked for.
 
     verify._grid frees it when a sweep, a search or a survey ends (cache_clear()).
     """
     return []
-
-
-def _exact_terms(params: SequenceParams, n: int, n_last: int) -> list[int]:
-    """The cell's exact table, grown to at least G_n, for a walk that reads up to G_{n_last}: read it only.
-
-    It grows by whole blocks, to at least _BLOCK indices past the last one
-    it held, but never past G_{n_last}: one g_range call per block, so the
-    caller's check between two blocks bounds the table too, whose size in
-    bits grows about quadratically.  Where G_0..G_{n_last} would pass
-    g_range's default ceiling, the first call that would grow the table
-    raises ResourceLimitError instead, so no table ever passes it.
-    """
-    gs = _exact_table(params)
-    if n < len(gs):
-        return gs
-    return g_range(params, min(n_last, max(n, len(gs) - 1 + _BLOCK)), out=gs, n_last=n_last)
 
 
 def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, *, modular: bool = False, check=None):
@@ -454,21 +438,25 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
     searches can probe failures.  Each kind has a divisibility half, an
     equivalence half, or both, and each half is decided from
     (G_n, G_{n+1}) mod d, where d = s^k (s for the base equivalence): from one
-    residue stream per modulus in modular mode, from the exact table
-    (_exact_terms, up to G_{max(ns)+1}) in exact mode (the cross-check).  A
-    divisibility failure has the witness {divisor, index, g_n, remainder}; an
-    equivalence failure has {s_pow, s_pow_divides_n, s_pow_divides_g,
-    g_residue}; where a kind has both halves, divisibility is checked first.
-    Modular mode reads the exact table only to state G_n in a divisibility
-    witness, and it certifies what it can without a stream; exact mode never
-    does.  Where s | r and the residue lemma L(s) holds (residue_lemma), the
-    divisibility half holds for every k and n and is not walked.  A modulus
-    left with only an equivalence half is skipped where its rank of
-    apparition is certified (_rank_is_modulus): gcd(q, s) = 1 and s factors
-    within len(ns) trial divisions.  So a certified point opens no stream,
-    yet ks is still drawn, each k in turn.  Each modulus walks ns in blocks
-    of _BLOCK indices, the exact table growing with them, and check(), where
-    given, runs between two blocks (the caller's budget).
+    residue stream per modulus in modular mode, from the cell's exact table
+    (_exact_table, grown up to G_{max(ns)+1}) in exact mode (the
+    cross-check).  A divisibility failure has the witness {divisor, index,
+    g_n, remainder}; an equivalence failure has {s_pow, s_pow_divides_n,
+    s_pow_divides_g, g_residue}; where a kind has both halves, divisibility
+    is checked first.  Modular mode never reads the exact table: a
+    divisibility witness takes G_n from g_exact.  It also certifies what it
+    can without a stream; exact mode never does.  Where s | r and the residue
+    lemma L(s) holds (residue_lemma), the divisibility half holds for every k
+    and n and is not walked.  A modulus left with only an equivalence half is
+    skipped where its rank of apparition is certified (_rank_is_modulus):
+    gcd(q, s) = 1 and s factors within len(ns) trial divisions.  So a
+    certified point opens no stream, yet ks is still drawn, each k in turn.
+    Each modulus walks ns in blocks of _BLOCK indices, the exact table
+    growing with them, one g_range call per block, so the table's size in
+    bits, about quadratic in n, grows only as far as the walk has got; where
+    G_0..G_{max(ns)+1} would pass g_range's default ceiling, the first block
+    raises ResourceLimitError instead.  check(k), where given, runs before
+    each k and between two blocks of its modulus (the caller's budget).
     """
     if s < 1:
         raise InputError(f"s must be >= 1, got {s}")
@@ -485,20 +473,19 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
     if modular and equivalence and not divisibility and math.gcd(params.q, s) == 1:
         factors = factorize(s, max_trials=len(ns))
 
-    def table(n: int) -> list[int]:
-        return _exact_terms(params, n, ns[-1] + 1)
-
-    def failures(d: int):
+    def failures(d: int, k: int):
         if not (divisibility or equivalence) or factors is not None and _rank_is_modulus(params, d, factors):
             return
         for i in range(0, len(ns), _BLOCK):
             if i and check is not None:
-                check()
+                check(k)
             block = ns[i : i + _BLOCK]
             if modular:
                 pairs = zip(block, g_pairs_mod(params, block, d))
             else:
-                gs = table(block[-1] + 1)
+                gs = _exact_table(params)
+                if len(gs) <= block[-1] + 1:
+                    g_range(params, block[-1] + 1, out=gs, n_last=ns[-1] + 1)
                 pairs = ((n, (gs[n] % d, gs[n + 1])) for n in block)  # G_{n+1} is reduced where used
             for n, (g, g_next) in pairs:
                 if divisibility:
@@ -508,7 +495,7 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
                     if w:
                         # a*G_{d*n} = a*G_n*W with W = w (mod d), so modulo the
                         # divisor a*d*G_n its remainder is a*G_n*w.
-                        g_n = table(n)[n]
+                        g_n = g_exact(params, n) if modular else gs[n]
                         divisor = scale * d * g_n
                         remainder = scale * g_n * w % abs(divisor)
                         yield n, {"divisor": divisor, "index": d * n, "g_n": g_n, "remainder": remainder}
@@ -520,6 +507,8 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
     # adjacent: each distinct d is evaluated once and replayed.
     last_d, last = 1, []  # d = 1 never fails
     for k in ks:
+        if check is not None:
+            check(k)
         # The base equivalence asserts only the exponent-1 instance.
         d = s ** min(k, 1) if kind is ConclusionKind.BASE_EQUIV else s**k
         if d == last_d:
@@ -527,7 +516,7 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
                 yield k, n, dict(witness)
             continue
         last_d, last = d, []
-        for n, witness in failures(d):
+        for n, witness in failures(d, k):
             last.append((n, witness))
             yield k, n, witness
 
@@ -549,16 +538,19 @@ class LiftCheck(NamedTuple):
     first_failing_t: int | None = None
 
 
-def thm12_lift_condition(params: SequenceParams, s: int, t_max: int) -> LiftCheck:
+def thm12_lift_condition(params: SequenceParams, s: int, t_max: int, *, check=None) -> LiftCheck:
     """Check the lift hypothesis for all t <= t_max with s not dividing t.
 
     The hypothesis quantifies over all t in N; this is verified only up to
-    t_max and reported as such.
+    t_max and reported as such.  check(), where given, runs before every
+    _BLOCK-th t (the caller's budget).
     """
     if s < 2:
         raise InputError(f"lift condition needs s >= 2, got {s}")
     s2 = s * s
     for t in range(1, t_max + 1):
+        if t % _BLOCK == 0 and check is not None:
+            check()
         if t % s == 0:
             continue
         if g_mod(params, s * t, s2) == 0:

@@ -8,6 +8,7 @@ count.  Every conclusion is decided by claims.conclusion_failures.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -28,7 +29,6 @@ from .claims import (
     _applicable,
     _evaluate_conditions,
     _exact_table,
-    _exact_terms,
 )
 from .errors import InputError, ResourceLimitError
 from .numtheory import divides, positive_divisors
@@ -149,56 +149,41 @@ def _resolve_s(config: SweepConfig, params: SequenceParams) -> list[int] | tuple
 def _cell_evaluator(claim: ClaimId, config: SweepConfig, params: SequenceParams, relaxed: str | None = None):
     """The claim on the cell (p, q): None where hypothesis_gate rules it out, else evaluate.
 
-    evaluate(s, ks) is None where s does not qualify: the gate's predicate
-    fails, or, for the lifted equivalence at s >= 2, the lift condition fails
-    up to t_max.  Otherwise it yields the conclusion's failures at s, each k
-    of ks and n <= n_max (conclusion_failures), which calls ks() to check the
-    budget within one modulus.  Sweep and search both decide a cell here.
+    evaluate(s, check) is None where s does not qualify: the gate's
+    predicate fails, or, for the lifted equivalence at s >= 2, the lift
+    condition fails up to t_max.  Otherwise it yields the conclusion's
+    failures at s, k <= k_max and n <= n_max (conclusion_failures).  Both
+    walks get _grid's check for s, the lift condition calling check() and
+    the conclusion check(k).  Sweep and search both decide a cell here.
     """
     qualifies = hypothesis_gate(claim, params, relaxed)
     if qualifies is None:
         return None
     lifted = claim is ClaimId.Thm1_2_LiftedEquiv
-    ns = range(config.n_max + 1)
+    ks, ns = range(config.k_max + 1), range(config.n_max + 1)
     modular = config.mode is Mode.MODULAR
 
-    def evaluate(s: int, ks: _Exponents):
-        if not qualifies(s) or (lifted and s >= 2 and not thm12_lift_condition(params, s, config.t_max).holds):
+    def evaluate(s: int, check):
+        if not qualifies(s) or (
+            lifted and s >= 2 and not thm12_lift_condition(params, s, config.t_max, check=check).holds
+        ):
             return None
-        return conclusion_failures(claim, params, s, ks, ns, modular=modular, check=ks)
+        return conclusion_failures(claim, params, s, ks, ns, modular=modular, check=check)
 
     return evaluate
 
 
-class _Exponents:
-    """The exponents 0..k_max of one (p, q, s), drawn lazily: check(p, q, s, k) runs before each k and at each call."""
-
-    def __init__(self, check, at: tuple[int, int, int], k_max: int):
-        self.check, self.at, self.ks = check, at, iter(range(k_max + 1))
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> int:
-        self.k = next(self.ks)
-        self()
-        return self.k
-
-    def __call__(self) -> None:
-        self.check(*self.at, self.k)
-
-
 def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False, start: float | None = None, part=(0, None)):
-    """Yield (params, s, value, ks) for each cell of the part and each of its s values.
+    """Yield (params, s, value, check) for each cell of the part and each of its s values.
 
     part = (lo, hi) is a slice of the _cells order, reached by index; (0, None)
     is the whole grid.  value = cell(params) is computed once for each cell that has an s,
-    and nothing of the cell is yielded where it is None.  ks iterates the
-    exponents 0..k_max once, lazily (_Exponents).  This is the one place that
+    and nothing of the cell is yielded where it is None.  This is the one place that
     reads the clock: past config.time_budget_s since start (the first request
     where start is None) it raises ResourceLimitError, checked before each
-    cell, each s and each k drawn from ks, and at each call of ks(), in
-    whichever process walks the part.
+    cell and each s, and at each call of check (the budget at this s: check()
+    names (p, q, s), check(k) names (p, q, s, k)), in whichever process walks
+    the part.
     A sweep passes its own start, so the parts of a process pool share the
     run's clock: time.monotonic is system-wide on Linux, so a forked worker
     reads the clock its parent started.  When the walk ends, stops or is
@@ -224,7 +209,7 @@ def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False, start: fl
                 continue
             for s in s_values:
                 check(p, q, s)
-                yield params, s, value, _Exponents(check, (p, q, s), config.k_max)
+                yield params, s, value, functools.partial(check, p, q, s)
     finally:
         _exact_table.cache_clear()  # the last cell's table is not kept past the walk, or once it is dropped
 
@@ -235,8 +220,8 @@ def _sweep_cell(args) -> tuple[int, list[Counterexample]]:
     points = 0
     violations: list[Counterexample] = []
     cell = lambda params: _cell_evaluator(claim, config, params)
-    for params, s, evaluate, ks in _grid(config, "sweep", cell, start=start, part=part):
-        failures = evaluate(s, ks)
+    for params, s, evaluate, check in _grid(config, "sweep", cell, start=start, part=part):
+        failures = evaluate(s, check)
         if failures is not None:
             points += (config.k_max + 1) * (config.n_max + 1)
             violations.extend(Counterexample(claim, params.p, params.q, s, k, n, w) for k, n, w in failures)
@@ -504,8 +489,9 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
     applicable, and the conclusion is false; for the lifted equivalence the
     lift condition must hold up to bounds.t_max, as in a sweep.  Each cell is
     decided by _cell_evaluator, the sweep's too, and each s's counterexamples
-    are yielded as soon as it is decided.  Past bounds.time_budget_s, checked
-    by _grid before each cell, each s and each k, it raises ResourceLimitError.
+    are yielded as soon as it is decided, each witness restated (with exact
+    G values) only as it is drawn.  Past bounds.time_budget_s, checked by
+    _grid before each cell, each s and each k, it raises ResourceLimitError.
     """
     spec = claim_spec(claim)
     if relaxed_condition not in spec.condition_names:
@@ -515,28 +501,30 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
         )
 
     cell = lambda params: _cell_evaluator(claim, bounds, params, relaxed_condition)
-    for params, s, evaluate, ks in _grid(bounds, "search", cell, scan=True):
-        failures = evaluate(s, ks)
+    for params, s, evaluate, check in _grid(bounds, "search", cell, scan=True):
+        failures = evaluate(s, check)
         if failures is not None:
-            yield from [
+            yield from (
                 Counterexample(
-                    claim, params.p, params.q, s, k, n,
-                    _search_witness(params, _exact_terms(params, n, bounds.n_max + 1)[n], s**k, n, witness),
-                    relaxed_condition,
+                    claim, params.p, params.q, s, k, n, _search_witness(params, s**k, n, witness), relaxed_condition
                 )
                 for k, n, witness in sorted(failures, key=lambda f: (f[1], f[0]))
-            ]
+            )
 
 
-def _search_witness(params: SequenceParams, g_n: int, sk: int, n: int, witness: dict) -> dict:
-    """Restate a failure with exact values, naming the half that failed."""
+def _search_witness(params: SequenceParams, sk: int, n: int, witness: dict) -> dict:
+    """Restate a failure with exact values, naming the half that failed.
+
+    G_n comes from a divisibility witness, which states it, or else from g_exact.
+    """
     if "divisor" in witness:
+        g_n = witness["g_n"]
         return {"divisor": sk * g_n, "index": sk * n, "g_n": g_n, "dividend_g": g_exact(params, sk * n)}
     return {
         "s_pow": witness["s_pow"],
         "s_pow_divides_n": witness["s_pow_divides_n"],
         "s_pow_divides_g": witness["s_pow_divides_g"],
-        "g_n": g_n,
+        "g_n": g_exact(params, n),
     }
 
 
@@ -599,14 +587,15 @@ def converse_survey(bounds: SweepConfig) -> SurveyReport:
     """Catalog where the base equivalence fails although s divides r (or r/4).
 
     Past bounds.time_budget_s, checked by _grid before each cell (one with no
-    s included) and each s, it raises ResourceLimitError.
+    s included) and each s, and by the walk of each s before its k = 1 and
+    between blocks of indices, it raises ResourceLimitError.
     """
     spec = claim_spec(ClaimId.Thm1_2_BaseEquiv)
     modular = bounds.mode is Mode.MODULAR
     ns = range(bounds.n_max + 1)
     rows = []
-    for params, s, _, _ in _grid(bounds, "survey", lambda params: params.r or None):  # r = 0 is not surveyed
-        first = next(conclusion_failures(spec.claim, params, s, (1,), ns, modular=modular), None)
+    for params, s, _, check in _grid(bounds, "survey", lambda params: params.r or None):  # r = 0 is not surveyed
+        first = next(conclusion_failures(spec.claim, params, s, (1,), ns, modular=modular, check=check), None)
         if first is not None:
             values = _evaluate_conditions(spec, params.p, params.q, s)
             failing = tuple(name for name, held in values.items() if not held)

@@ -414,12 +414,13 @@ class TestConclusionFailures:
         for (p, q, s), want in whole.items():
             checks = []
             got = conclusion_failures(
-                ClaimId.Cor_Fibonacci, SequenceParams(p, q), s, ks, ns, modular=modular, check=lambda: checks.append(1)
+                ClaimId.Cor_Fibonacci, SequenceParams(p, q), s, ks, ns, modular=modular, check=checks.append
             )
             assert list(got) == want, (p, q, s)
-            assert len(checks) == 2 * 7, (p, q, s)  # moduli s and s^2, 8 blocks each
+            # Once before each k, then between the 8 blocks of the moduli s and s^2.
+            assert checks == [0] + [1] * 8 + [2] * 8, (p, q, s)
 
-        def stop():
+        def stop(k):
             raise RuntimeError("over budget")
 
         s = 2 if modular else 5  # 5 divides r = 5, so modular mode certifies it
@@ -433,10 +434,11 @@ class TestConclusionFailures:
         monkeypatch.setattr(claims, "_BLOCK", 4)
         params = SequenceParams(1, 1)
         lengths = []
-        check = lambda: lengths.append(len(claims._exact_table(params)))
+        check = lambda k: lengths.append((k, len(claims._exact_table(params))))
         walk = conclusion_failures(ClaimId.Thm1_1_Equiv, params, 5, range(2), range(31), check=check)
         assert list(walk) == []
-        assert lengths == [5 + 4 * i for i in range(7)]  # G_0..G_{4i+4} before block i + 1
+        # None before k = 0 and k = 1 (d = 1 reads nothing), then G_0..G_{4i+4} before block i + 1.
+        assert lengths == [(0, 0), (1, 0)] + [(1, 5 + 4 * i) for i in range(7)]
 
     def test_exact_table_refused_past_the_term_ceiling(self):
         params = SequenceParams(1, 1)
@@ -454,9 +456,27 @@ class TestConclusionFailures:
         monkeypatch.setattr(claims, "g_range", no_table)
         n = 10**30  # 5 | n, so the Fibonacci equivalence holds as well
         assert conclusion_holds(claim, SequenceParams(1, 1), 5, 3, n, modular=True)
-        # A failing point states G_n exactly, so only it builds the table.
-        with pytest.raises(AssertionError, match="exact table built"):
-            conclusion_holds(claim, SequenceParams(1, 1), 2, 1, 1, modular=True)
+        # A failing point states G_n exactly, from g_exact, so it builds no table either:
+        # 2*F_n | F_{2n} = F_n*L_n fails where 3 does not divide n.
+        assert not conclusion_holds(claim, SequenceParams(1, 1), 2, 1, 1001, modular=True)
+        [(_, _, witness)] = conclusion_failures(claim, SequenceParams(1, 1), 2, (1,), (1001,), modular=True)
+        assert witness["g_n"] == g_exact(SequenceParams(1, 1), 1001)
+
+    def test_modular_witness_past_the_term_ceiling(self, monkeypatch):
+        # 3 does not divide r = 5, so the residue is streamed, and 3*F_n | F_{3n}
+        # fails at odd n; G_n comes from g_exact, not a 2,000,003-term table.
+        def no_table(*args, **kwargs):
+            raise AssertionError("exact table built")
+
+        monkeypatch.setattr(claims, "g_range", no_table)
+        assert not conclusion_holds(ClaimId.Thm1_1_MultDiv, SequenceParams(1, 1), 3, 1, 2_000_001, modular=True)
+
+    def test_lift_condition_checks_every_block(self, monkeypatch):
+        monkeypatch.setattr(claims, "_BLOCK", 4)
+        checks = []
+        lift = thm12_lift_condition(SequenceParams(1, 1), 5, 30, check=lambda: checks.append(1))
+        assert lift == thm12_lift_condition(SequenceParams(1, 1), 5, 30) and lift.holds
+        assert len(checks) == 7  # before t = 4, 8, ..., 28
 
     @pytest.mark.parametrize("modular", [False, True])
     @pytest.mark.parametrize("kind", list(ConclusionKind))

@@ -282,6 +282,19 @@ class TestCheck:
         assert (code, out) == (cli.EXIT_RESOURCE, "")
         assert re.fullmatch(r"resource limit: sweep stopped after .* at \(p, q, s, k\) = \(1, 1, 5, 1\), over .*\n", err)
 
+    def test_time_budget_stops_the_lift_condition(self, capsys):
+        # The lift condition at s = 5 holds for every t <= 2 * 10^6, several
+        # seconds of g_mod calls; it checks the budget every few thousand t.
+        start = time.perf_counter()
+        code, out, err = run_main(
+            ["check", "--claim", "thm1.2-lifted-equiv", "-p", "1", "-q", "1", "-s", "5", "--tmax", "2000000",
+             "--time-budget", "0.1"],
+            capsys,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (cli.EXIT_RESOURCE, "")
+        assert re.fullmatch(r"resource limit: sweep stopped after .* at \(p, q, s\) = \(1, 1, 5\), over .*\n", err)
+
     def test_never_applicable(self, capsys):
         code, doc = run_json(
             ["check", "--claim", "thm1.1-equiv", "-p", "3", "-q", "9", "-s", "3"], capsys
@@ -545,6 +558,19 @@ class TestSurvey:
         )
         assert (code, out) == (cli.EXIT_INPUT, "")
         assert field in err
+
+    def test_time_budget_stops_the_survey_within_one_modulus(self, capsys):
+        # The survey's one modulus 5 walks G_0..G_40001 exactly, past the
+        # budget; its walk checks the budget before k = 1 and between blocks.
+        start = time.perf_counter()
+        code, out, err = run_main(
+            ["survey", "--pmin", "1", "--pmax", "1", "--qmin", "1", "--qmax", "1", "--nmax", "40000",
+             "--mode", "exact", "--time-budget", "0.1"],
+            capsys,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (cli.EXIT_RESOURCE, "")
+        assert re.fullmatch(r"resource limit: survey stopped after .* at \(p, q, s, k\) = \(1, 1, 5, 1\), over .*\n", err)
 
 
 class TestRank:

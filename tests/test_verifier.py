@@ -389,13 +389,13 @@ class TestGrid:
             next(walk)
 
     def test_budget_is_checked_before_each_k(self):
-        # The exponents come lazily, each drawn only within the budget.
+        # The walk of an s calls check(k) before each k; it passes only within the budget.
         config = SweepConfig(p_range=(1, 1), q_range=(1, 1), k_max=3, time_budget_s=0.05)
-        _, s, _, ks = next(verify._grid(config, "test", lambda params: params))
-        assert (s, next(ks), next(ks)) == (1, 0, 1)
+        _, s, _, check = next(verify._grid(config, "test", lambda params: params))
+        assert (s, check(0), check(1)) == (1, None, None)
         time.sleep(0.1)
         with pytest.raises(ResourceLimitError, match=r"test stopped after .* at \(p, q, s, k\) = \(1, 1, 1, 2\), over"):
-            next(ks)
+            check(2)
 
     @pytest.mark.parametrize("command", ["sweep", "search", "survey"])
     def test_serial_walk_is_lazy(self, command):
@@ -557,6 +557,47 @@ class TestExactTableFreed:
         assert claims._exact_table.cache_info().currsize == 0
 
 
+class TestModularModeBuildsNoTable:
+    """Modular mode never reads the exact table: with claims.g_range refusing
+    every call, the benchmark's modular runs and criterion 6's searches
+    complete, with the results exact mode gives."""
+
+    @staticmethod
+    def refuse_tables(monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("exact table built")
+
+        monkeypatch.setattr(claims, "g_range", no_table)
+
+    def test_criterion_6_searches(self, monkeypatch):
+        bounds = SweepConfig(p_range=(-10, 10), q_range=(-10, 10), s_source=tuple(range(1, 21)), k_max=2, n_max=12)
+        searches = TestCounterexampleSearch.CRITERION_6
+        exact = [list(iter_counterexamples(claim, relaxed, bounds)) for claim, relaxed in searches]
+        self.refuse_tables(monkeypatch)
+        bounds = bounds._replace(mode=Mode.MODULAR)
+        modular = [list(iter_counterexamples(claim, relaxed, bounds)) for claim, relaxed in searches]
+        assert all(exact) and modular == exact
+
+    def test_equiv_grid_sweeps_and_survey(self, monkeypatch):
+        config = SweepConfig(p_range=(-8, 8), q_range=(-8, 8), k_max=3, n_max=2000)
+        survey = converse_survey(config)
+        self.refuse_tables(monkeypatch)
+        modular = config._replace(mode=Mode.MODULAR)
+        for claim in (ClaimId.Thm1_1_Equiv, ClaimId.Thm1_2_BaseEquiv):
+            assert verify_claim(claim, modular).verdict is Verdict.ALL_PASS
+        assert survey.rows and converse_survey(modular).rows == survey.rows
+
+    @pytest.mark.parametrize(
+        "claim, p, q, s",
+        [(ClaimId.Cor_Fibonacci, 1, 1, 5), (ClaimId.Cor_Pell, 2, 1, 2), (ClaimId.Cor_Jacobsthal, 1, 2, 3)],
+    )
+    def test_corollary_1_4_checks(self, monkeypatch, claim, p, q, s):
+        self.refuse_tables(monkeypatch)
+        config = SweepConfig(p_range=(p, p), q_range=(q, q), s_source=(s,), k_max=5, n_max=5000, mode=Mode.MODULAR)
+        report = verify_claim(claim, config)
+        assert (report.verdict, report.points_checked) == (Verdict.ALL_PASS, 6 * 5001)
+
+
 class TestDivisibilitySequence:
     @pytest.mark.parametrize("p", range(-8, 9, 2))
     @pytest.mark.parametrize("q", [-8, -5, -1, 1, 3, 8])
@@ -713,11 +754,10 @@ class TestCounterexampleSearch:
         assert set(built.values()) == {1}
         for ce in found:
             assert ce.witness["g_n"] == g_exact(SequenceParams(ce.p, ce.q), ce.n)
-        # Modular mode builds it only where a witness states G_n.
+        # Modular mode builds none: its witnesses state G_n from g_exact.
         built.clear()
-        found = list(iter_counterexamples(ClaimId.Thm1_1_Equiv, "gcd-pq", bounds._replace(mode=Mode.MODULAR)))
-        assert len(built) == 78 and set(built) == {(ce.p, ce.q) for ce in found}
-        assert set(built.values()) == {1}
+        modular = list(iter_counterexamples(ClaimId.Thm1_1_Equiv, "gcd-pq", bounds._replace(mode=Mode.MODULAR)))
+        assert not built and modular == found
 
     # Criterion 6's 15 searches (Examples 2.2-2.12), as tests/test_acceptance.py runs them.
     CRITERION_6 = (
@@ -765,6 +805,17 @@ class TestCounterexampleSearch:
                 "g_n": g[ce.n],
                 "dividend_g": g[sk * ce.n],
             }
+
+    def test_search_restates_only_the_witness_it_returns(self, monkeypatch):
+        restated = []
+        restate = verify._search_witness
+        monkeypatch.setattr(verify, "_search_witness", lambda *args: restated.append(args) or restate(*args))
+        first = search_counterexample(ClaimId.Thm1_1_Equiv, "gcd-pq", self.BOUNDS)
+        assert len(restated) == 1
+        # The s that gave it failed at more points than the one restated.
+        at_first = [ce for ce in iter_counterexamples(ClaimId.Thm1_1_Equiv, "gcd-pq", self.BOUNDS)
+                    if (ce.p, ce.q, ce.s) == (first.p, first.q, first.s)]
+        assert at_first[0] == first and len(at_first) > 1
 
     def test_modular_mode_reaches_the_evaluator(self, monkeypatch):
         modes = Counter()
