@@ -19,7 +19,7 @@ from .errors import InputError
 from .numtheory import divides, factorize, is_prime
 # g_is_zero is not called here; it stays importable because perfbench/tracer.py
 # wraps claims.g_is_zero.
-from .sequences import SequenceParams, _pair_mod, g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
+from .sequences import SequenceParams, _pair_mod, g_exact, g_is_zero, g_mod, g_pairs_mod
 
 # Scale factors used by the scaled-seed claim (seeds (0, alpha) give alpha*G_n).
 DEFAULT_SCALE_FACTORS = (-3, -1, 2, 5)
@@ -414,19 +414,9 @@ def residue_lemma(s: int) -> ResidueLemma:
 
 
 # Indices walked between two calls of conclusion_failures' check: one residue
-# seed, or one stretch of the exact table, per block, and no check at all where
-# ns fits in one block.  An exact block at n = 40,000 takes about 15 ms on a
-# 2-vCPU host, and more as n grows.  thm12_lift_condition checks as often.
+# seed per block, and no check at all where ns fits in one block.
+# thm12_lift_condition checks as often.
 _BLOCK = 1 << 12
-
-
-@functools.lru_cache(maxsize=1)
-def _exact_table(params: SequenceParams) -> list[int]:
-    """G_0, G_1, ... as far as exact walks have grown it: one list shared by the s of a cell until another is asked for.
-
-    verify._grid frees it when a sweep, a search or a survey ends (cache_clear()).
-    """
-    return []
 
 
 def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, *, modular: bool = False, check=None):
@@ -437,26 +427,23 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
     sequence of indices; s >= 1.  The hypothesis need not hold, so relaxed
     searches can probe failures.  Each kind has a divisibility half, an
     equivalence half, or both, and each half is decided from
-    (G_n, G_{n+1}) mod d, where d = s^k (s for the base equivalence): from one
-    residue stream per modulus in modular mode, from the cell's exact table
-    (_exact_table, grown up to G_{max(ns)+1}) in exact mode (the
-    cross-check).  A divisibility failure has the witness {divisor, index,
-    g_n, remainder}; an equivalence failure has {s_pow, s_pow_divides_n,
+    (G_n, G_{n+1}) mod d, where d = s^k (s for the base equivalence), read
+    from one residue stream per modulus (g_pairs_mod) in both modes.  A
+    divisibility failure has the witness {divisor, index, g_n, remainder},
+    G_n from g_exact; an equivalence failure has {s_pow, s_pow_divides_n,
     s_pow_divides_g, g_residue}; where a kind has both halves, divisibility
-    is checked first.  Modular mode never reads the exact table: a
-    divisibility witness takes G_n from g_exact.  It also certifies what it
-    can without a stream; exact mode never does.  Where s | r and the residue
-    lemma L(s) holds (residue_lemma), the divisibility half holds for every k
-    and n and is not walked.  A modulus left with only an equivalence half is
-    skipped where its rank of apparition is certified (_rank_is_modulus):
-    gcd(q, s) = 1 and s factors within len(ns) trial divisions.  So a
-    certified point opens no stream, yet ks is still drawn, each k in turn.
-    Each modulus walks ns in blocks of _BLOCK indices, the exact table
-    growing with them, one g_range call per block, so the table's size in
-    bits, about quadratic in n, grows only as far as the walk has got; where
-    G_0..G_{max(ns)+1} would pass g_range's default ceiling, the first block
-    raises ResourceLimitError instead.  check(k), where given, runs before
-    each k and between two blocks of its modulus (the caller's budget).
+    is checked first.  The modes differ only in what may skip the walk.
+    Exact mode walks every (k, n) through the Lucas quotient and the
+    equivalence test.  Modular mode certifies what it can first: where s | r
+    and the residue lemma L(s) holds (residue_lemma), the divisibility half
+    holds for every k and n and is not walked, and a modulus left with only
+    an equivalence half is skipped where its rank of apparition is
+    certified (_rank_is_modulus): gcd(q, s) = 1 and s factors within
+    len(ns) trial divisions.  So a certified point opens no stream, yet ks
+    is still drawn, each k in turn.  Each modulus walks ns in blocks of
+    _BLOCK indices, so memory does not grow with max(ns).  check(k), where
+    given, runs before each k and between two blocks of its modulus (the
+    caller's budget).
     """
     if s < 1:
         raise InputError(f"s must be >= 1, got {s}")
@@ -480,22 +467,14 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
             if i and check is not None:
                 check(k)
             block = ns[i : i + _BLOCK]
-            if modular:
-                pairs = zip(block, g_pairs_mod(params, block, d))
-            else:
-                gs = _exact_table(params)
-                if len(gs) <= block[-1] + 1:
-                    g_range(params, block[-1] + 1, out=gs, n_last=ns[-1] + 1)
-                pairs = ((n, (gs[n] % d, gs[n + 1])) for n in block)  # G_{n+1} is reduced where used
-            for n, (g, g_next) in pairs:
+            for n, (g, g_next) in zip(block, g_pairs_mod(params, block, d)):
                 if divisibility:
-                    g_next %= d
                     # W mod d on (d, V_n, (-q)^n by Cassini), all mod d
                     w = _lifted_quotient(d, (2 * g_next - p * g) % d, (g_next * (g_next - p * g) - q * g * g) % d)
                     if w:
                         # a*G_{d*n} = a*G_n*W with W = w (mod d), so modulo the
                         # divisor a*d*G_n its remainder is a*G_n*w.
-                        g_n = g_exact(params, n) if modular else gs[n]
+                        g_n = g_exact(params, n)
                         divisor = scale * d * g_n
                         remainder = scale * g_n * w % abs(divisor)
                         yield n, {"divisor": divisor, "index": d * n, "g_n": g_n, "remainder": remainder}

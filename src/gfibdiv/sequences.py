@@ -97,28 +97,20 @@ def g_exact(params: SequenceParams, n: int) -> int:
     return a
 
 
-def g_range(
-    params: SequenceParams, n_max: int, *, max_terms: int = DEFAULT_MAX_TERMS, out: list[int] | None = None,
-    n_last: int | None = None,
-) -> list[int]:
-    """[G_0, ..., G_{n_max}]; refuses to allocate beyond max_terms terms.
+def g_range(params: SequenceParams, n_max: int, *, max_terms: int = DEFAULT_MAX_TERMS) -> list[int]:
+    """[G_0, ..., G_{n_max}] by the linear recurrence; refuses to allocate beyond max_terms terms.
 
-    Given out, a list of G_0, G_1, ... (possibly empty), it grows out itself
-    to at least G_{n_max} and returns it.  A caller that grows out in steps
-    names the last index it will read as n_last (>= n_max), and the ceiling
-    is checked on that, before any term is built.
+    No conclusion reads it: both modes walk the residue stream g_pairs_mod,
+    which the tests check against these exact values.
     """
     n_max = _parse_index(n_max)
-    last = n_max if n_last is None else n_last
-    if last + 1 > max_terms:
-        raise ResourceLimitError(f"g_range of {last + 1} terms exceeds ceiling {max_terms}")
+    if n_max + 1 > max_terms:
+        raise ResourceLimitError(f"g_range of {n_max + 1} terms exceeds ceiling {max_terms}")
     p, q = params.p, params.q
-    gs = [] if out is None else out
-    if len(gs) < 2:
-        gs[:] = [0, 1]
-    for _ in range(n_max + 1 - len(gs)):
+    gs = [0, 1]
+    for _ in range(n_max - 1):
         gs.append(p * gs[-1] + q * gs[-2])
-    return gs[: n_max + 1] if out is None else gs
+    return gs[: n_max + 1]
 
 
 def ab_exact(params: SequenceParams, n: int) -> ABPair:
@@ -166,15 +158,17 @@ def g_pairs_mod(params: SequenceParams, ns, m: int):
 
 
 def _stream_pairs(p: int, q: int, ns, m: int):
-    at = None
+    after = None  # the index one step past the last
     for n in ns:
-        if at is not None and 0 <= n - at <= _STEP_LIMIT:
-            for _ in range(n - at):
+        if n == after:  # a run of consecutive indices steps without building a range
+            a, b = b, (p * b + q * a) % m
+        elif after is not None and -1 <= n - after < _STEP_LIMIT:
+            for _ in range(n - after + 1):
                 a, b = b, (p * b + q * a) % m
         else:
             n = _parse_index(n)
             a, b = _pair_mod(p, q, n, m)
-        at = n
+        after = n + 1
         yield a, b
 
 

@@ -28,7 +28,6 @@ from .claims import (
     thm12_lift_condition,
     _applicable,
     _evaluate_conditions,
-    _exact_table,
 )
 from .errors import InputError, ResourceLimitError
 from .numtheory import divides, positive_divisors
@@ -186,9 +185,7 @@ def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False, start: fl
     the part.
     A sweep passes its own start, so the parts of a process pool share the
     run's clock: time.monotonic is system-wide on Linux, so a forked worker
-    reads the clock its parent started.  When the walk ends, stops or is
-    dropped, it frees the last cell's exact table (claims._exact_table), so
-    sweeps, searches and surveys keep none past their run.
+    reads the clock its parent started.
     """
     budget = config.time_budget_s
     if start is None:
@@ -199,19 +196,16 @@ def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False, start: fl
             where = f"({', '.join('pqsk'[:len(at)])}) = ({', '.join(map(str, at))})"
             raise ResourceLimitError(f"{what} stopped after {elapsed:.1f}s at {where}, over the {budget:.1f}s budget")
 
-    try:
-        for p, q in _cells(config, scan=scan, part=part):
-            check(p, q)
-            params = SequenceParams(p, q)
-            s_values = _resolve_s(config, params)
-            value = cell(params) if s_values else None
-            if value is None:
-                continue
-            for s in s_values:
-                check(p, q, s)
-                yield params, s, value, functools.partial(check, p, q, s)
-    finally:
-        _exact_table.cache_clear()  # the last cell's table is not kept past the walk, or once it is dropped
+    for p, q in _cells(config, scan=scan, part=part):
+        check(p, q)
+        params = SequenceParams(p, q)
+        s_values = _resolve_s(config, params)
+        value = cell(params) if s_values else None
+        if value is None:
+            continue
+        for s in s_values:
+            check(p, q, s)
+            yield params, s, value, functools.partial(check, p, q, s)
 
 
 def _sweep_cell(args) -> tuple[int, list[Counterexample]]:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -11,7 +12,6 @@ from gfibdiv import (
     ClaimId,
     InputError,
     Mode,
-    ResourceLimitError,
     SequenceParams,
     SweepConfig,
     Verdict,
@@ -428,48 +428,41 @@ class TestConclusionFailures:
         with pytest.raises(RuntimeError, match="over budget"):
             list(walk)
 
-    def test_exact_table_grows_with_the_walk(self, monkeypatch):
-        # Each block reads the table only as far as it walks, so the check
-        # between two blocks bounds the table's growth too.
-        monkeypatch.setattr(claims, "_BLOCK", 4)
-        params = SequenceParams(1, 1)
-        lengths = []
-        check = lambda k: lengths.append((k, len(claims._exact_table(params))))
-        walk = conclusion_failures(ClaimId.Thm1_1_Equiv, params, 5, range(2), range(31), check=check)
-        assert list(walk) == []
-        # None before k = 0 and k = 1 (d = 1 reads nothing), then G_0..G_{4i+4} before block i + 1.
-        assert lengths == [(0, 0), (1, 0)] + [(1, 5 + 4 * i) for i in range(7)]
+    def test_exact_walk_memory_does_not_grow_with_n(self):
+        # Both modes read the residues from one stream per modulus, in blocks,
+        # so 40,001 indices hold a few residues, not G_0..G_40001 (about 72 MiB).
+        tracemalloc.start()
+        try:
+            found = list(conclusion_failures(ClaimId.Thm1_1_Equiv, SequenceParams(1, 1), 5, (1,), range(40001)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert found == [] and peak < 2**20, peak
 
-    def test_exact_table_refused_past_the_term_ceiling(self):
-        params = SequenceParams(1, 1)
-        with pytest.raises(ResourceLimitError, match="exceeds ceiling 1000000"):
-            list(conclusion_failures(ClaimId.Thm1_1_Equiv, params, 5, (1,), range(10**6)))
-        assert claims._exact_table(params) == []
+    def test_exact_walk_answers_past_the_term_ceiling(self):
+        # 5 | n and the rank of apparition of 5 is 5, so 5 | F_n: both modes
+        # decide the point from one fast-doubling seed, not 2,000,002 terms.
+        for modular in (False, True):
+            assert conclusion_holds(ClaimId.Thm1_1_Equiv, SequenceParams(1, 1), 5, 1, 2_000_000, modular=modular)
 
     @pytest.mark.parametrize(
         "claim", [ClaimId.Thm1_1_MultDiv, ClaimId.Cor_Fibonacci, ClaimId.Remark_Scaled]
     )
-    def test_modular_holding_point_builds_no_table(self, claim, monkeypatch):
-        def no_table(*args, **kwargs):
-            raise AssertionError("exact table built")
-
-        monkeypatch.setattr(claims, "g_range", no_table)
+    def test_modular_holding_point_builds_no_table(self, claim, no_g_range):
         n = 10**30  # 5 | n, so the Fibonacci equivalence holds as well
-        assert conclusion_holds(claim, SequenceParams(1, 1), 5, 3, n, modular=True)
-        # A failing point states G_n exactly, from g_exact, so it builds no table either:
-        # 2*F_n | F_{2n} = F_n*L_n fails where 3 does not divide n.
-        assert not conclusion_holds(claim, SequenceParams(1, 1), 2, 1, 1001, modular=True)
-        [(_, _, witness)] = conclusion_failures(claim, SequenceParams(1, 1), 2, (1,), (1001,), modular=True)
-        assert witness["g_n"] == g_exact(SequenceParams(1, 1), 1001)
+        for modular in (False, True):
+            assert conclusion_holds(claim, SequenceParams(1, 1), 5, 3, n, modular=modular)
+            # A failing point states G_n exactly, from g_exact, so it builds no table either:
+            # 2*F_n | F_{2n} = F_n*L_n fails where 3 does not divide n.
+            assert not conclusion_holds(claim, SequenceParams(1, 1), 2, 1, 1001, modular=modular)
+            [(_, _, witness)] = conclusion_failures(claim, SequenceParams(1, 1), 2, (1,), (1001,), modular=modular)
+            assert witness["g_n"] == g_exact(SequenceParams(1, 1), 1001)
 
-    def test_modular_witness_past_the_term_ceiling(self, monkeypatch):
+    def test_modular_witness_past_the_term_ceiling(self, no_g_range):
         # 3 does not divide r = 5, so the residue is streamed, and 3*F_n | F_{3n}
         # fails at odd n; G_n comes from g_exact, not a 2,000,003-term table.
-        def no_table(*args, **kwargs):
-            raise AssertionError("exact table built")
-
-        monkeypatch.setattr(claims, "g_range", no_table)
-        assert not conclusion_holds(ClaimId.Thm1_1_MultDiv, SequenceParams(1, 1), 3, 1, 2_000_001, modular=True)
+        for modular in (False, True):
+            assert not conclusion_holds(ClaimId.Thm1_1_MultDiv, SequenceParams(1, 1), 3, 1, 2_000_001, modular=modular)
 
     def test_lift_condition_checks_every_block(self, monkeypatch):
         monkeypatch.setattr(claims, "_BLOCK", 4)
@@ -678,11 +671,12 @@ class TestRankCertificate:
         found = list(conclusion_failures(ClaimId.Thm1_1_Equiv, SequenceParams(4, 1), 20, (1,), range(31), modular=True))
         assert [n for _, n, _ in found] == [10, 30]
         assert streams == [20]
-        streams.clear()
         # gcd(q, s) = 2 at (2, 2), s = 2: no certificate is tried.
         ns = range(31)
+        exact = list(conclusion_failures(ClaimId.Thm1_1_Equiv, SequenceParams(2, 2), 2, range(3), ns))
+        streams.clear()  # exact mode streams every modulus; count the modular call's alone
         found = list(conclusion_failures(ClaimId.Thm1_1_Equiv, SequenceParams(2, 2), 2, range(3), ns, modular=True))
-        assert found == list(conclusion_failures(ClaimId.Thm1_1_Equiv, SequenceParams(2, 2), 2, range(3), ns))
+        assert found == exact
         assert streams == [2, 4]
 
     def test_unfactored_modulus_keeps_its_stream(self, monkeypatch):

@@ -270,11 +270,11 @@ class TestCheck:
         )
 
     def test_time_budget_stops_the_exact_table(self, capsys):
-        # Exact mode's walk of G_0..G_40001 takes longer than the budget; the
-        # table grows with the walk, and the budget is checked between blocks.
+        # Exact mode walks all 3,000,001 indices, with no certificate, longer
+        # than the budget; the budget is checked between blocks of indices.
         start = time.perf_counter()
         code, out, err = run_main(
-            ["check", "--claim", "thm1.1-equiv", "-p", "1", "-q", "1", "-s", "5", "--kmax", "1", "--nmax", "40000",
+            ["check", "--claim", "thm1.1-equiv", "-p", "1", "-q", "1", "-s", "5", "--kmax", "1", "--nmax", "3000000",
              "--mode", "exact", "--time-budget", "0.1"],
             capsys,
         )
@@ -560,11 +560,11 @@ class TestSurvey:
         assert field in err
 
     def test_time_budget_stops_the_survey_within_one_modulus(self, capsys):
-        # The survey's one modulus 5 walks G_0..G_40001 exactly, past the
-        # budget; its walk checks the budget before k = 1 and between blocks.
+        # The survey's one modulus 5 walks 3,000,001 indices in exact mode,
+        # past the budget; its walk checks the budget before k = 1 and between blocks.
         start = time.perf_counter()
         code, out, err = run_main(
-            ["survey", "--pmin", "1", "--pmax", "1", "--qmin", "1", "--qmax", "1", "--nmax", "40000",
+            ["survey", "--pmin", "1", "--pmax", "1", "--qmin", "1", "--qmax", "1", "--nmax", "3000000",
              "--mode", "exact", "--time-budget", "0.1"],
             capsys,
         )

@@ -115,19 +115,11 @@ class TestGRange:
             g_range(SequenceParams(1, 1), 10**7)
         assert len(g_range(SequenceParams(1, 1), 100, max_terms=101)) == 101
 
-    def test_grows_a_list_in_place(self):
-        params = SequenceParams(1, 2)
-        gs = []
-        assert g_range(params, 0, out=gs) is gs and gs == [0, 1]  # G_0 and G_1, which the recurrence reads
-        assert g_range(params, 5, out=gs) is gs and gs == g_range(params, 5)
-        assert g_range(params, 2, out=gs) == g_range(params, 5)  # never shortened
-
     def test_ceiling_on_the_last_index_read(self):
-        gs = []
+        # G_0..G_{n_max} is n_max + 1 terms, refused before any is built.
         with pytest.raises(ResourceLimitError, match="g_range of 102 terms exceeds ceiling 101"):
-            g_range(SequenceParams(1, 1), 10, max_terms=101, out=gs, n_last=101)
-        assert gs == []  # refused before any term is built
-        assert len(g_range(SequenceParams(1, 1), 10, max_terms=101, out=gs, n_last=100)) == 11
+            g_range(SequenceParams(1, 1), 101, max_terms=101)
+        assert g_range(SequenceParams(1, 1), 100, max_terms=101)[-1] == naive_g(1, 1, 100)
 
 
 class TestABExact:
@@ -235,6 +227,33 @@ class TestGPairsMod:
         params = SequenceParams(p, q)
         pairs = list(g_pairs_mod(params, range(80), m))
         assert pairs == [(g_mod(params, n, m), g_mod(params, n + 1, m)) for n in range(80)]
+
+    def test_matches_exact_values_on_the_criterion_8_moduli(self):
+        # Every modulus d = s^k that the exact and modular sweeps of acceptance
+        # criterion 8 may walk (|p|, |q| <= 8; s >= 2 dividing r, which takes
+        # in every s | r/4; k <= 3; n <= 2000), against the exact values of
+        # the linear recurrence reduced mod d.
+        ns = range(2001)
+        for p, q in itertools.product(range(-8, 9), repeat=2):
+            params, r = SequenceParams(p, q), abs(p * p + 4 * q)
+            moduli = {s**k for s in range(2, r + 1) if r % s == 0 for k in (1, 2, 3)}
+            if not moduli:  # r in (-1, 0, 1)
+                continue
+            gs = [g % r**3 for g in g_range(params, 2001)]  # each d divides r^3
+            for d in sorted(moduli):
+                residues = [g % d for g in gs]
+                assert list(g_pairs_mod(params, ns, d)) == list(zip(residues, residues[1:])), (p, q, d)
+
+    def test_matches_exact_values_across_reseeds(self):
+        # Seeds where a block of claims.conclusion_failures starts (4096, 8192),
+        # gaps of _STEP_LIMIT = 64 (stepped) and 65 (seeded afresh), a repeated
+        # index, and backward steps.
+        ns = [4096, 4097, 4161, 4226, 4226, 4227, 8192, 8193, 8257, 8322, 8323, 4100, 4101, 0, 1, 65, 130, 129]
+        for p, q in [(1, 1), (-3, 5), (4, -7), (8, -8), (0, 3)]:
+            params = SequenceParams(p, q)
+            gs = g_range(params, max(ns) + 1)
+            for d in [2, 125, 4096, 8000, 10**9 + 7]:
+                assert list(g_pairs_mod(params, ns, d)) == [(gs[n] % d, gs[n + 1] % d) for n in ns], (p, q, d)
 
     def test_seeded_at_large_start(self):
         params = SequenceParams(-5, 3)

@@ -78,20 +78,11 @@ class TestVerifyClaim:
         assert report.verdict is Verdict.NEVER_APPLICABLE
         assert report.points_checked == 0
 
-    def test_one_exact_table_per_cell(self, monkeypatch):
-        built = Counter()  # (p, q) -> exact tables built by the sweep and the evaluator
-
-        def counting_range(params, n_max, **kwargs):
-            built[params.p, params.q] += 1
-            return g_range(params, n_max, **kwargs)
-
-        monkeypatch.setattr(verify, "g_range", counting_range)
-        monkeypatch.setattr(claims, "g_range", counting_range)
-        report = verify_claim(ClaimId.Thm1_1_MultDiv, small_config())  # exact mode
-        assert report.verdict is Verdict.ALL_PASS
-        # The hypothesis holds at every s | r, r != 0, and s = 1 needs no table.
-        assert set(built.values()) == {1}
-        assert set(built) == {(p, q) for p in range(-4, 5) for q in range(-4, 5) if abs(p * p + 4 * q) > 1}
+    def test_no_table_in_either_mode(self, no_g_range):
+        # Both modes read (G_n, G_{n+1}) mod s^k from the residue stream.
+        for mode in Mode:
+            report = verify_claim(ClaimId.Thm1_1_MultDiv, small_config(mode=mode))
+            assert report.verdict is Verdict.ALL_PASS and report.points_checked == 17640, mode
 
     def test_cell_without_s_evaluates_no_condition(self):
         # r = psi_12 is odd, so the cell has no divisor of r/4 to try, and the
@@ -525,9 +516,9 @@ class TestQuotientMemo:
 
 
 class TestExactTableFreed:
-    """The cell's exact table (claims._exact_table) is freed when a sweep, a
-    search or a survey ends, not kept until the next one: verify._grid frees
-    it, so a pool's part, walked by _sweep_cell in a worker, frees its own."""
+    """Exact mode keeps no table of G values: a sweep, a search, a survey
+    and a pool's part (_sweep_cell, as a worker walks it) each walk 3,001
+    indices within a small fraction of G_0..G_3001, and hold nothing after."""
 
     FIBONACCI = dict(p_range=(1, 1), q_range=(1, 1), k_max=1, n_max=3000, mode=Mode.EXACT)
 
@@ -535,7 +526,10 @@ class TestExactTableFreed:
         "run",
         [
             lambda config: verify_claim(ClaimId.Thm1_1_Equiv, config._replace(s_source=(5,))),
-            lambda config: search_counterexample(ClaimId.Thm1_1_MultDiv, "s-div-r", config._replace(s_source=(2,))),
+            # Example 2.3a: 20 | G_10 at (4, 1), though 20 does not divide 10.
+            lambda config: search_counterexample(
+                ClaimId.Thm1_1_Equiv, "s-prime", config._replace(p_range=(4, 4), s_source=(20,))
+            ),
             converse_survey,
             lambda config: verify._sweep_cell(
                 (ClaimId.Thm1_1_Equiv, config._replace(s_source=(5,)), time.monotonic(), (0, 1))
@@ -553,49 +547,39 @@ class TestExactTableFreed:
             tracemalloc.stop()
         assert result
         # G_0..G_3001 of Fibonacci take about 0.4 MiB.
-        assert peak > 2**18 and held < 2**15, (peak, held)
-        assert claims._exact_table.cache_info().currsize == 0
+        assert peak < 2**16 and held < 2**15, (peak, held)
 
 
 class TestModularModeBuildsNoTable:
-    """Modular mode never reads the exact table: with claims.g_range refusing
-    every call, the benchmark's modular runs and criterion 6's searches
-    complete, with the results exact mode gives."""
+    """No walk builds a table of G values, in either mode: with g_range
+    refusing every call, the benchmark's runs and criterion 6's searches
+    complete in both modes, with the same results."""
 
-    @staticmethod
-    def refuse_tables(monkeypatch):
-        def no_table(*args, **kwargs):
-            raise AssertionError("exact table built")
-
-        monkeypatch.setattr(claims, "g_range", no_table)
-
-    def test_criterion_6_searches(self, monkeypatch):
+    def test_criterion_6_searches(self, no_g_range):
         bounds = SweepConfig(p_range=(-10, 10), q_range=(-10, 10), s_source=tuple(range(1, 21)), k_max=2, n_max=12)
         searches = TestCounterexampleSearch.CRITERION_6
         exact = [list(iter_counterexamples(claim, relaxed, bounds)) for claim, relaxed in searches]
-        self.refuse_tables(monkeypatch)
         bounds = bounds._replace(mode=Mode.MODULAR)
         modular = [list(iter_counterexamples(claim, relaxed, bounds)) for claim, relaxed in searches]
         assert all(exact) and modular == exact
 
-    def test_equiv_grid_sweeps_and_survey(self, monkeypatch):
+    def test_equiv_grid_sweeps_and_survey(self, no_g_range):
         config = SweepConfig(p_range=(-8, 8), q_range=(-8, 8), k_max=3, n_max=2000)
-        survey = converse_survey(config)
-        self.refuse_tables(monkeypatch)
         modular = config._replace(mode=Mode.MODULAR)
         for claim in (ClaimId.Thm1_1_Equiv, ClaimId.Thm1_2_BaseEquiv):
-            assert verify_claim(claim, modular).verdict is Verdict.ALL_PASS
+            assert verify_claim(claim, config).verdict is verify_claim(claim, modular).verdict is Verdict.ALL_PASS
+        survey = converse_survey(config)
         assert survey.rows and converse_survey(modular).rows == survey.rows
 
     @pytest.mark.parametrize(
         "claim, p, q, s",
         [(ClaimId.Cor_Fibonacci, 1, 1, 5), (ClaimId.Cor_Pell, 2, 1, 2), (ClaimId.Cor_Jacobsthal, 1, 2, 3)],
     )
-    def test_corollary_1_4_checks(self, monkeypatch, claim, p, q, s):
-        self.refuse_tables(monkeypatch)
-        config = SweepConfig(p_range=(p, p), q_range=(q, q), s_source=(s,), k_max=5, n_max=5000, mode=Mode.MODULAR)
-        report = verify_claim(claim, config)
-        assert (report.verdict, report.points_checked) == (Verdict.ALL_PASS, 6 * 5001)
+    def test_corollary_1_4_checks(self, no_g_range, claim, p, q, s):
+        config = SweepConfig(p_range=(p, p), q_range=(q, q), s_source=(s,), k_max=5, n_max=5000)
+        for mode in Mode:
+            report = verify_claim(claim, config._replace(mode=mode))
+            assert (report.verdict, report.points_checked) == (Verdict.ALL_PASS, 6 * 5001), mode
 
 
 class TestDivisibilitySequence:
@@ -729,35 +713,16 @@ class TestCounterexampleSearch:
             assert {"divisor", "index", "g_n", "dividend_g"} <= set(multdiv.witness)
 
 
-    def test_one_exact_table_per_cell(self, monkeypatch):
-        built = Counter()  # (p, q) -> exact tables built by the search and the evaluator
-
-        def counting_range(params, n_max, **kwargs):
-            built[params.p, params.q] += 1
-            return g_range(params, n_max, **kwargs)
-
-        monkeypatch.setattr(verify, "g_range", counting_range)
-        monkeypatch.setattr(claims, "g_range", counting_range)
-        # Example 2.2 under criterion 6's bounds
+    def test_no_table_in_either_mode(self, no_g_range):
+        # Example 2.2 under criterion 6's bounds: both modes read the residue
+        # stream, and the witnesses state G_n from g_exact.
         bounds = SweepConfig(p_range=(-10, 10), q_range=(-10, 10), s_source=tuple(range(1, 21)), k_max=2, n_max=12)
-        spec = claims.claim_spec(ClaimId.Thm1_1_Equiv)
-        qualifying = set()
-        for params, s, _, _ in verify._grid(bounds, "search", lambda params: params):
-            values = claims._evaluate_conditions(spec, params.p, params.q, s)
-            relaxed = {**values, "gcd-pq": True}
-            if not values["gcd-pq"] and not claims._applicable(spec, values) and claims._applicable(spec, relaxed):
-                qualifying.add((params.p, params.q))
-        # Exact mode decides every qualifying point from the cell's one table;
-        # the parent commit built 216 here, one per s in the evaluator.
         found = list(iter_counterexamples(ClaimId.Thm1_1_Equiv, "gcd-pq", bounds))
-        assert len(qualifying) == 92 and set(built) == qualifying
-        assert set(built.values()) == {1}
+        assert {(ce.p, ce.q, ce.s) for ce in found} >= {(3, 9, 3)}
         for ce in found:
             assert ce.witness["g_n"] == g_exact(SequenceParams(ce.p, ce.q), ce.n)
-        # Modular mode builds none: its witnesses state G_n from g_exact.
-        built.clear()
         modular = list(iter_counterexamples(ClaimId.Thm1_1_Equiv, "gcd-pq", bounds._replace(mode=Mode.MODULAR)))
-        assert not built and modular == found
+        assert modular == found
 
     # Criterion 6's 15 searches (Examples 2.2-2.12), as tests/test_acceptance.py runs them.
     CRITERION_6 = (
@@ -956,22 +921,11 @@ class TestConverseSurvey:
         assert "s-div-r4" in row.failing_conditions
         assert "s-prime" in row.failing_conditions
 
-    def test_one_exact_table_per_cell(self, monkeypatch):
-        built = Counter()  # (p, q) -> exact tables built by the survey and the evaluator
-
-        def counting_range(params, n_max, **kwargs):
-            built[params.p, params.q] += 1
-            return g_range(params, n_max, **kwargs)
-
-        monkeypatch.setattr(verify, "g_range", counting_range)
-        monkeypatch.setattr(claims, "g_range", counting_range)
+    def test_no_table_in_either_mode(self, no_g_range):
         config = SweepConfig(p_range=(-8, 8), q_range=(-8, 8), k_max=1, n_max=300)
         exact = converse_survey(config)
-        # One table per s, unshared, would be 1,066 tables for these 278 cells, up to 11 per cell.
-        assert len(exact.rows) == 560 and set(built.values()) == {1}
-        built.clear()
-        modular = converse_survey(config._replace(mode=Mode.MODULAR))
-        assert not built and modular.rows == exact.rows
+        assert len(exact.rows) == 560
+        assert converse_survey(config._replace(mode=Mode.MODULAR)).rows == exact.rows
 
     def test_cells_with_r_zero_not_surveyed(self):
         # Given s values explicitly, the cells with r = 0 have s to walk, but the
