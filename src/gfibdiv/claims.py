@@ -420,7 +420,7 @@ _BLOCK = 1 << 12
 
 
 def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, *, modular: bool = False, check=None):
-    """Yield (k, n, witness) wherever the claim's conclusion fails, in (k, n) order.
+    """Yield (k, n, (d, g, w)) wherever the claim's conclusion fails, in (k, n) order.
 
     This is the one place a conclusion is decided.  ks is an ascending
     iterable of exponents, read once and in order; ns is an ascending
@@ -428,16 +428,17 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
     searches can probe failures.  Each kind has a divisibility half, an
     equivalence half, or both, and each half is decided from
     (G_n, G_{n+1}) mod d, where d = s^k (s for the base equivalence), read
-    from one residue stream per modulus (g_pairs_mod) in both modes.  A
-    divisibility failure has the witness {divisor, index, g_n, remainder},
-    G_n from g_exact; an equivalence failure has {s_pow, s_pow_divides_n,
-    s_pow_divides_g, g_residue}; where a kind has both halves, divisibility
-    is checked first.  The modes differ only in what may skip the walk.
-    Exact mode walks every (k, n) through the Lucas quotient and the
-    equivalence test.  Modular mode certifies what it can first: where s | r
-    and the residue lemma L(s) holds (residue_lemma), the divisibility half
-    holds for every k and n and is not walked, and a modulus left with only
-    an equivalence half is skipped where its rank of apparition is
+    from one residue stream per modulus (g_pairs_mod) in both modes.  The
+    evidence is d, g = G_n mod d and w = W mod d, the Lucas quotient
+    (_lifted_quotient): w is nonzero exactly where the divisibility half
+    failed, and 0 at an equivalence failure.  Where a kind has both halves,
+    divisibility is checked first.  witness() states a failure with exact
+    values; the walk computes none.  The modes differ only in what may skip
+    the walk.  Exact mode walks every (k, n) through the Lucas quotient and
+    the equivalence test.  Modular mode certifies what it can first: where
+    s | r and the residue lemma L(s) holds (residue_lemma), the divisibility
+    half holds for every k and n and is not walked, and a modulus left with
+    only an equivalence half is skipped where its rank of apparition is
     certified (_rank_is_modulus): gcd(q, s) = 1 and s factors within
     len(ns) trial divisions.  So a certified point opens no stream, yet ks
     is still drawn, each k in turn.  Each modulus walks ns in blocks of
@@ -450,9 +451,6 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
     kind = _BY_ID[claim].conclusion
     divisibility = kind in (ConclusionKind.MULT_DIV, ConclusionKind.CLASSICAL, ConclusionKind.SCALED)
     equivalence = kind in (ConclusionKind.EQUIV, ConclusionKind.BASE_EQUIV, ConclusionKind.CLASSICAL)
-    # a*s^k*G_n | a*G_{s^k*n} does not depend on the scale a != 0, so the
-    # SCALED kind is decided once; its witness names the first scale.
-    scale = DEFAULT_SCALE_FACTORS[0] if kind is ConclusionKind.SCALED else 1
     p, q = params.p, params.q
     if modular and divisibility and params.r % s == 0 and residue_lemma(s).holds:
         divisibility = False  # it holds for every k and n (residue_lemma)
@@ -472,15 +470,10 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
                     # W mod d on (d, V_n, (-q)^n by Cassini), all mod d
                     w = _lifted_quotient(d, (2 * g_next - p * g) % d, (g_next * (g_next - p * g) - q * g * g) % d)
                     if w:
-                        # a*G_{d*n} = a*G_n*W with W = w (mod d), so modulo the
-                        # divisor a*d*G_n its remainder is a*G_n*w.
-                        g_n = g_exact(params, n)
-                        divisor = scale * d * g_n
-                        remainder = scale * g_n * w % abs(divisor)
-                        yield n, {"divisor": divisor, "index": d * n, "g_n": g_n, "remainder": remainder}
+                        yield n, (d, g, w)
                         continue
                 if equivalence and (n % d == 0) != (g == 0):
-                    yield n, {"s_pow": d, "s_pow_divides_n": n % d == 0, "s_pow_divides_g": g == 0, "g_residue": g}
+                    yield n, (d, g, 0)
 
     # The modulus never decreases along ks, so the k sharing one are
     # adjacent: each distinct d is evaluated once and replayed.
@@ -491,13 +484,31 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
         # The base equivalence asserts only the exponent-1 instance.
         d = s ** min(k, 1) if kind is ConclusionKind.BASE_EQUIV else s**k
         if d == last_d:
-            for n, witness in last:
-                yield k, n, dict(witness)
+            for n, evidence in last:
+                yield k, n, evidence
             continue
         last_d, last = d, []
-        for n, witness in failures(d, k):
-            last.append((n, witness))
-            yield k, n, witness
+        for n, evidence in failures(d, k):
+            last.append((n, evidence))
+            yield k, n, evidence
+
+
+def witness(claim: ClaimId, params: SequenceParams, n: int, d: int, g: int, w: int) -> dict:
+    """A failure of conclusion_failures at index n, from its evidence (d, g, w), with exact values.
+
+    A divisibility failure (w != 0) gives {divisor, index, g_n, remainder}:
+    a*G_{d*n} = a*G_n*W with W = w (mod d), so modulo the divisor a*d*G_n
+    its remainder is a*G_n*w, where a is the first scale of the scaled kind
+    (a*d*G_n | a*G_{d*n} does not depend on a != 0) and 1 otherwise.  An
+    equivalence failure gives {s_pow, s_pow_divides_n, s_pow_divides_g,
+    g_residue}.
+    """
+    if w:
+        scale = DEFAULT_SCALE_FACTORS[0] if _BY_ID[claim].conclusion is ConclusionKind.SCALED else 1
+        g_n = g_exact(params, n)
+        divisor = scale * d * g_n
+        return {"divisor": divisor, "index": d * n, "g_n": g_n, "remainder": scale * g_n * w % abs(divisor)}
+    return {"s_pow": d, "s_pow_divides_n": n % d == 0, "s_pow_divides_g": g == 0, "g_residue": g}
 
 
 def conclusion_holds(

@@ -140,17 +140,13 @@ def _pair_mod(p: int, q: int, n: int, m: int) -> tuple[int, int]:
     return a, b
 
 
-# Past this many linear steps forward, one fast-doubling seed is cheaper.
-_STEP_LIMIT = 64
-
-
 def g_pairs_mod(params: SequenceParams, ns, m: int):
     """Lazily yield (G_n mod m, G_{n+1} mod m) for each nonnegative int n in ns.
 
-    The residue stream: one fast-doubling seed at the first n, then linear
-    steps forward, so a run of consecutive indices costs O(1) each.  An n that
-    is not a short step forward of the one before is seeded afresh, so ns may
-    come in any order and with any gaps.
+    The residue stream: an n one past the one before takes one linear step,
+    so a run of consecutive indices costs O(1) each; any other n, the first
+    included, is seeded afresh by fast doubling.  So ns may come in any order
+    and with any gaps.
     """
     if m < 1:
         raise DomainError(f"modulus must be >= 1, got {m}")
@@ -162,9 +158,6 @@ def _stream_pairs(p: int, q: int, ns, m: int):
     for n in ns:
         if n == after:  # a run of consecutive indices steps without building a range
             a, b = b, (p * b + q * a) % m
-        elif after is not None and -1 <= n - after < _STEP_LIMIT:
-            for _ in range(n - after + 1):
-                a, b = b, (p * b + q * a) % m
         else:
             n = _parse_index(n)
             a, b = _pair_mod(p, q, n, m)

@@ -26,6 +26,7 @@ from .claims import (
     hypothesis_check,
     hypothesis_gate,
     thm12_lift_condition,
+    witness,
     _applicable,
     _evaluate_conditions,
 )
@@ -218,7 +219,10 @@ def _sweep_cell(args) -> tuple[int, list[Counterexample]]:
         failures = evaluate(s, check)
         if failures is not None:
             points += (config.k_max + 1) * (config.n_max + 1)
-            violations.extend(Counterexample(claim, params.p, params.q, s, k, n, w) for k, n, w in failures)
+            violations.extend(
+                Counterexample(claim, params.p, params.q, s, k, n, witness(claim, params, n, *evidence))
+                for k, n, evidence in failures
+            )
     return points, violations
 
 
@@ -354,18 +358,9 @@ def identity_suite(
             first_failure.setdefault(name, context)
 
     gs = g_range(params, n_max)
-    abs_ = [ab_exact(params, n) for n in range(n_max + 1)]
-    ab_big = {}
-
-    def ab_at(n: int):
-        if n <= n_max:
-            return abs_[n]
-        if n not in ab_big:
-            ab_big[n] = ab_exact(params, n)
-        return ab_big[n]
-
+    ab_at = functools.cache(lambda n: ab_exact(params, n))
     for n in range(1, n_max + 1):
-        a_n, b_n = abs_[n].a, abs_[n].b
+        a_n, b_n = ab_at(n).a, ab_at(n).b
         pw = _ring_pow((params.p, 1), n, r)
         check("closed-form-pair", pw == (a_n, b_n), {"n": n, "got": pw, "want": (a_n, b_n)})
         check(
@@ -483,9 +478,10 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
     applicable, and the conclusion is false; for the lifted equivalence the
     lift condition must hold up to bounds.t_max, as in a sweep.  Each cell is
     decided by _cell_evaluator, the sweep's too, and each s's counterexamples
-    are yielded as soon as it is decided, each witness restated (with exact
-    G values) only as it is drawn.  Past bounds.time_budget_s, checked by
-    _grid before each cell, each s and each k, it raises ResourceLimitError.
+    are yielded as soon as it is decided, each witness written with exact G
+    values (_search_witness) only as it is drawn.  Past
+    bounds.time_budget_s, checked by _grid before each cell, each s and each
+    k, and before each witness is written, it raises ResourceLimitError.
     """
     spec = claim_spec(claim)
     if relaxed_condition not in spec.condition_names:
@@ -498,28 +494,24 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
     for params, s, evaluate, check in _grid(bounds, "search", cell, scan=True):
         failures = evaluate(s, check)
         if failures is not None:
-            yield from (
-                Counterexample(
-                    claim, params.p, params.q, s, k, n, _search_witness(params, s**k, n, witness), relaxed_condition
+            for k, n, evidence in sorted(failures, key=lambda f: (f[1], f[0])):
+                check(k)
+                yield Counterexample(
+                    claim, params.p, params.q, s, k, n, _search_witness(params, s**k, n, *evidence), relaxed_condition
                 )
-                for k, n, witness in sorted(failures, key=lambda f: (f[1], f[0]))
-            )
 
 
-def _search_witness(params: SequenceParams, sk: int, n: int, witness: dict) -> dict:
-    """Restate a failure with exact values, naming the half that failed.
+def _search_witness(params: SequenceParams, sk: int, n: int, d: int, g: int, w: int) -> dict:
+    """A search's failure at (s^k = sk, n) from the walk's evidence (d, g, w), with exact values.
 
-    G_n comes from a divisibility witness, which states it, or else from g_exact.
+    w != 0 is a divisibility failure, {divisor, index, g_n, dividend_g};
+    else the equivalence failed at d, {s_pow, s_pow_divides_n,
+    s_pow_divides_g, g_n}.
     """
-    if "divisor" in witness:
-        g_n = witness["g_n"]
+    g_n = g_exact(params, n)
+    if w:
         return {"divisor": sk * g_n, "index": sk * n, "g_n": g_n, "dividend_g": g_exact(params, sk * n)}
-    return {
-        "s_pow": witness["s_pow"],
-        "s_pow_divides_n": witness["s_pow_divides_n"],
-        "s_pow_divides_g": witness["s_pow_divides_g"],
-        "g_n": g_exact(params, n),
-    }
+    return {"s_pow": d, "s_pow_divides_n": n % d == 0, "s_pow_divides_g": g == 0, "g_n": g_n}
 
 
 def search_counterexample(

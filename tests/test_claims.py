@@ -24,7 +24,7 @@ from gfibdiv import (
     thm12_lift_condition,
     verify_claim,
 )
-from gfibdiv import claims
+from gfibdiv import claims, verify
 from gfibdiv.claims import (
     _CONDITIONS,
     _S_FREE,
@@ -355,7 +355,8 @@ class TestConclusionFailures:
                 }
             assert {(k, n) for k, n, _ in found} == expected, (p, q, s)
             scale = DEFAULT_SCALE_FACTORS[0] if kind is ConclusionKind.SCALED else 1
-            for k, n, witness in found:
+            for k, n, evidence in found:
+                witness = claims.witness(claim, params, n, *evidence)
                 assert ("divisor" in witness) == ((k, n) in divisibility), (p, q, s, k, n)
                 if "divisor" in witness:
                     # The remainder of a*G_{s^k*n} modulo the whole divisor,
@@ -387,7 +388,8 @@ class TestConclusionFailures:
                             conclusion_failures(ClaimId.Thm1_1_MultDiv, params, s, range(4), range(201), modular=modular)
                         )
                         assert {(k, n) for k, n, _ in found} == expected, (p, q, s, modular)
-                        for k, n, witness in found:
+                        for k, n, evidence in found:
+                            witness = claims.witness(ClaimId.Thm1_1_MultDiv, params, n, *evidence)
                             divisor = s**k * gs[n]
                             assert witness["remainder"] == g_mod(params, s**k * n, abs(divisor)), (p, q, s, k, n)
         assert repeats > 0 and shared_factor_failures > 0
@@ -452,15 +454,27 @@ class TestConclusionFailures:
         n = 10**30  # 5 | n, so the Fibonacci equivalence holds as well
         for modular in (False, True):
             assert conclusion_holds(claim, SequenceParams(1, 1), 5, 3, n, modular=modular)
-            # A failing point states G_n exactly, from g_exact, so it builds no table either:
+            # A failing point's witness states G_n exactly, from g_exact, so it builds no table either:
             # 2*F_n | F_{2n} = F_n*L_n fails where 3 does not divide n.
             assert not conclusion_holds(claim, SequenceParams(1, 1), 2, 1, 1001, modular=modular)
-            [(_, _, witness)] = conclusion_failures(claim, SequenceParams(1, 1), 2, (1,), (1001,), modular=modular)
+            [(_, n, evidence)] = conclusion_failures(claim, SequenceParams(1, 1), 2, (1,), (1001,), modular=modular)
+            witness = claims.witness(claim, SequenceParams(1, 1), n, *evidence)
             assert witness["g_n"] == g_exact(SequenceParams(1, 1), 1001)
 
     def test_modular_witness_past_the_term_ceiling(self, no_g_range):
         # 3 does not divide r = 5, so the residue is streamed, and 3*F_n | F_{3n}
         # fails at odd n; G_n comes from g_exact, not a 2,000,003-term table.
+        for modular in (False, True):
+            assert not conclusion_holds(ClaimId.Thm1_1_MultDiv, SequenceParams(1, 1), 3, 1, 2_000_001, modular=modular)
+
+    def test_failing_point_computes_no_exact_value(self, monkeypatch):
+        # The walk yields residue evidence, so a one-point check that fails
+        # never states F_2000001 (about 1.4 million bits) for a witness.
+        def no_exact(*args):
+            raise AssertionError("exact value computed")
+
+        monkeypatch.setattr(claims, "g_exact", no_exact)
+        monkeypatch.setattr(verify, "g_exact", no_exact)
         for modular in (False, True):
             assert not conclusion_holds(ClaimId.Thm1_1_MultDiv, SequenceParams(1, 1), 3, 1, 2_000_001, modular=modular)
 
@@ -495,11 +509,13 @@ class TestConclusionFailures:
 
     def test_witness_shapes(self):
         params = SequenceParams(1, 1)
-        _, _, equiv = next(conclusion_failures(ClaimId.Thm1_1_Equiv, params, 2, (1,), range(10)))
+        _, n, evidence = next(conclusion_failures(ClaimId.Thm1_1_Equiv, params, 2, (1,), range(10)))
+        equiv = claims.witness(ClaimId.Thm1_1_Equiv, params, n, *evidence)
         assert list(equiv) == ["s_pow", "s_pow_divides_n", "s_pow_divides_g", "g_residue"]
         # Fibonacci at s = 2: 2*F_1 = 2 does not divide F_2 = 1, so the
         # divisibility half fails first although 2 | 1 <=> 2 | F_1 holds.
-        k, n, classical = next(conclusion_failures(ClaimId.Cor_Fibonacci, params, 2, (1,), range(10)))
+        k, n, evidence = next(conclusion_failures(ClaimId.Cor_Fibonacci, params, 2, (1,), range(10)))
+        classical = claims.witness(ClaimId.Cor_Fibonacci, params, n, *evidence)
         assert (k, n) == (1, 1)
         assert classical == {"divisor": 2, "index": 2, "g_n": 1, "remainder": 1}
 
@@ -594,7 +610,8 @@ class TestConclusionFailures:
                             fresh = list(conclusion_failures(claim, params, s, range(4), range(21), modular=modular))
                         fresh_states += fresh_memo.cache_info().misses
                         assert shared == fresh, (kind, p, q, s, modular)
-                        for k, n, witness in shared:
+                        for k, n, evidence in shared:
+                            witness = claims.witness(claim, params, n, *evidence)
                             if "divisor" in witness:
                                 divisibility_failures += 1
                                 modulus = abs(scale * s**k * gs[n])

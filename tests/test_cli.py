@@ -494,6 +494,21 @@ class TestSearch:
         assert code == cli.EXIT_RESOURCE
         assert "search stopped after" in err and "budget" in err and out == ""
 
+    def test_time_budget_stops_writing_witnesses(self, capsys):
+        # The walk of s = 2 finds 13,334 failing n <= 20000 at once; stating
+        # two exact values for each takes seconds, so the budget is checked
+        # before each counterexample is written out.
+        start = time.perf_counter()
+        code, out, err = run_main(
+            ["search", "--claim", "thm1.1-multdiv", "--relax", "s-div-r", "--all", "--pmin", "1", "--pmax", "1",
+             "--qmin", "1", "--qmax", "1", "--s-source", "2", "--kmax", "1", "--nmax", "20000",
+             "--time-budget", "0.1"],
+            capsys,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (cli.EXIT_RESOURCE, "")
+        assert re.fullmatch(r"resource limit: search stopped after .* at \(p, q, s, k\) = \(1, 1, 2, 1\), over .*\n", err)
+
     @pytest.mark.parametrize("flag,field", [("--pmax", "p_range"), ("--qmax", "q_range")])
     def test_empty_range_rejected(self, capsys, flag, field):
         code, out, err = run_main(

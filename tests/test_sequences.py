@@ -246,8 +246,8 @@ class TestGPairsMod:
 
     def test_matches_exact_values_across_reseeds(self):
         # Seeds where a block of claims.conclusion_failures starts (4096, 8192),
-        # gaps of _STEP_LIMIT = 64 (stepped) and 65 (seeded afresh), a repeated
-        # index, and backward steps.
+        # gaps of 64 and 65, a repeated index, and backward steps: each index
+        # that is not one past the one before is seeded afresh.
         ns = [4096, 4097, 4161, 4226, 4226, 4227, 8192, 8193, 8257, 8322, 8323, 4100, 4101, 0, 1, 65, 130, 129]
         for p, q in [(1, 1), (-3, 5), (4, -7), (8, -8), (0, 3)]:
             params = SequenceParams(p, q)

@@ -782,6 +782,23 @@ class TestCounterexampleSearch:
                     if (ce.p, ce.q, ce.s) == (first.p, first.q, first.s)]
         assert at_first[0] == first and len(at_first) > 1
 
+    def test_first_counterexample_states_one_witness(self, monkeypatch):
+        # 2*F_n | F_{2n} = F_n*L_n fails wherever 3 does not divide n: at
+        # 13,334 indices n <= 20000.  The search sorts their residue evidence
+        # and states exact values for the one witness it returns.
+        exact = []
+
+        def counting_exact(params, n):
+            exact.append(n)
+            return g_exact(params, n)
+
+        monkeypatch.setattr(claims, "g_exact", counting_exact)
+        monkeypatch.setattr(verify, "g_exact", counting_exact)
+        bounds = SweepConfig(p_range=(1, 1), q_range=(1, 1), s_source=(2,), k_max=1, n_max=20000)
+        first = search_counterexample(ClaimId.Thm1_1_MultDiv, "s-div-r", bounds)
+        assert (first.k, first.n) == (1, 1)
+        assert len(exact) <= 2
+
     def test_modular_mode_reaches_the_evaluator(self, monkeypatch):
         modes = Counter()
 
