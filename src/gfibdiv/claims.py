@@ -361,58 +361,6 @@ def _rank_is_modulus(params: SequenceParams, d: int, factors: list[tuple[int, in
     return g_mod(params, d, d) == 0 and all(g_mod(params, d // ell, d) for ell, _ in factors)
 
 
-# The largest prime power whose residue lemma is decided: it takes about 30 ms
-# at 2^12 on a 2-vCPU host, and 0.8 s at 2^16.
-_LEMMA_CAP = 1 << 12
-
-
-class ResidueLemma(NamedTuple):
-    """L(s): G_s(a, b) = 0 (mod s) for every residue pair (a, b) mod s with s | a^2 + 4b."""
-
-    holds: bool | None  # None: undecided, as a prime power of s exceeds _LEMMA_CAP
-    pairs: int  # the residue pairs (a, b) mod s with s | a^2 + 4b; 0 where undecided
-
-
-@functools.lru_cache(maxsize=None)  # keyed by prime powers up to _LEMMA_CAP, so bounded
-def _prime_power_lemma(m: int) -> tuple[bool, int]:
-    """L(m) for a prime power m, with its count of residue pairs: one _pair_mod per pair."""
-    g = math.gcd(4, m)  # 4b = -a^2 (mod m) is solvable iff g | a^2, with g solutions b mod m
-    h = m // g
-    inverse = pow(4 // g, -1, h)
-    pairs = zeros = 0
-    for a in range(m):
-        if a * a % g == 0:
-            for b in range(-(a * a // g) * inverse % h, m, h):
-                pairs += 1
-                zeros += _pair_mod(a, b, m, m)[0] == 0
-    return zeros == pairs, pairs
-
-
-def residue_lemma(s: int) -> ResidueLemma:
-    """Decide L(s), s >= 1, through the prime powers l^e || s, each cached.
-
-    With s | r, L(s) gives s^k*G_n | G_{s^k*n} for every k and n.  Lucas's
-    identity G_{mn} = G_n * W (_lifted_quotient), applied k times with m = s,
-    gives G_{s^k*n} = G_n * W_0 ... W_{k-1}, where W_j is G_s of
-    <V_j, -(-q)^(s^j*n)>, V_j = V_{s^j*n}, a sequence whose discriminant
-    V_j^2 - 4(-q)^(s^j*n) = r*G_{s^j*n}^2 is divisible by s.  So L(s) makes
-    each W_j = 0 (mod s).  L(l^e) for every l^e || s gives L(s): a pair with
-    s | a^2 + 4b has l^e | G_{l^e}(a, b), which divides G_s(a, b), and by the
-    Chinese remainder theorem the pairs mod s are the tuples of pairs mod
-    each l^e, so their count is the product.  Past _LEMMA_CAP on a prime
-    power the answer is undecided; trial division stops there as well, since
-    a factor left after _LEMMA_CAP trial divisors exceeds the cap.
-    """
-    factors = factorize(s, max_trials=_LEMMA_CAP)
-    if factors is None or any(ell**e > _LEMMA_CAP for ell, e in factors):
-        return ResidueLemma(None, 0)
-    holds, pairs = True, 1
-    for ell, e in factors:
-        held, count = _prime_power_lemma(ell**e)
-        holds, pairs = holds and held, pairs * count
-    return ResidueLemma(holds, pairs)
-
-
 # Indices walked between two calls of conclusion_failures' check: one residue
 # seed per block, and no check at all where ns fits in one block.
 # thm12_lift_condition checks as often.
@@ -436,11 +384,11 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
     values; the walk computes none.  The modes differ only in what may skip
     the walk.  Exact mode walks every (k, n) through the Lucas quotient and
     the equivalence test.  Modular mode certifies what it can first: where
-    s | r and the residue lemma L(s) holds (residue_lemma), the divisibility
-    half holds for every k and n and is not walked, and a modulus left with
-    only an equivalence half is skipped where its rank of apparition is
-    certified (_rank_is_modulus): gcd(q, s) = 1 and s factors within
-    len(ns) trial divisions.  So a certified point opens no stream, yet ks
+    s | r, the divisibility half holds for every k and n (Theorem 1.1(1); the
+    comment where it is dropped proves it) and is not walked, and a modulus
+    left with only an equivalence half is skipped where its rank of
+    apparition is certified (_rank_is_modulus): gcd(q, s) = 1 and s factors
+    within len(ns) trial divisions.  So a certified point opens no stream, yet ks
     is still drawn, each k in turn.  Each modulus walks ns in blocks of
     _BLOCK indices, so memory does not grow with max(ns).  check(k), where
     given, runs before each k and between two blocks of its modulus (the
@@ -452,8 +400,16 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
     divisibility = kind in (ConclusionKind.MULT_DIV, ConclusionKind.CLASSICAL, ConclusionKind.SCALED)
     equivalence = kind in (ConclusionKind.EQUIV, ConclusionKind.BASE_EQUIV, ConclusionKind.CLASSICAL)
     p, q = params.p, params.q
-    if modular and divisibility and params.r % s == 0 and residue_lemma(s).holds:
-        divisibility = False  # it holds for every k and n (residue_lemma)
+    if modular and divisibility and params.r % s == 0:
+        # L(s): s | G_s(a, b) wherever s | a^2 + 4b.  It holds for every s by
+        # induction on the primes of s.  Repeated root: G_n(2c, -c^2) =
+        # n*c^(n-1), so a prime l | a^2 + 4b divides G_l(a, b) (c = a/2 mod l
+        # for odd l; a is even and G_2 = a for l = 2).  Lucas product
+        # (_lifted_quotient): G_{l*m} = G_m * W, W being G_l of
+        # <V_m, -(-b)^m>, of discriminant (a^2 + 4b)*G_m^2, so l | W, m | G_m.
+        # Applied k times, L(s) on the sequences <V_{s^j*n}, -(-q)^(s^j*n)>,
+        # of discriminant r*G_{s^j*n}^2, gives s^k*G_n | G_{s^k*n}.
+        divisibility = False
     factors = None  # the factorization of s, where a modulus may be certified
     if modular and equivalence and not divisibility and math.gcd(params.q, s) == 1:
         factors = factorize(s, max_trials=len(ns))

@@ -7,7 +7,6 @@ from gfibdiv import claims, sequences, verify
 def cold_caches():
     """Start each test with the process-wide caches of claims empty, as a fresh process does."""
     claims._lifted_quotient.cache_clear()
-    claims._prime_power_lemma.cache_clear()
 
 
 @pytest.fixture

@@ -4,7 +4,6 @@ import json
 import math
 import random
 import tracemalloc
-from collections import Counter
 
 import pytest
 
@@ -553,7 +552,7 @@ class TestConclusionFailures:
 
     def test_one_quotient_per_orbit_state(self, monkeypatch):
         """On the Corollary 1.4 checks at k <= 5, n <= 5000, in exact mode (modular
-        mode certifies them by the residue lemma and computes no quotient), W
+        mode certifies them, as s | r, and computes no quotient), W
         mod s^k is computed once for each distinct (s^k, V_n mod s^k,
         (-q)^n mod s^k), where V_n = 2*G_{n+1} - p*G_n: not once per index, nor
         once per distinct (G_n, G_{n+1}) mod s^k (8,909 of those).  The cache
@@ -709,12 +708,13 @@ class TestRankCertificate:
 
 class TestResidueLemma:
     """L(s): G_s(a, b) = 0 (mod s) for every residue pair (a, b) mod s with
-    s | a^2 + 4b.  With s | r it gives the divisibility half for every k and
-    n, so modular mode walks no stream there; exact mode never uses it."""
+    s | a^2 + 4b.  It holds for every s, by the repeated-root closed form and
+    the Lucas product (the proof in conclusion_failures); with s | r it gives
+    the divisibility half for every k and n, so modular mode walks no stream
+    there, while exact mode walks every point."""
 
     def test_pairs_match_a_scan_of_every_pair(self):
-        # Each s's pairs, found by scanning 4b mod s for every b, and each
-        # checked by g_mod: the lemma must have counted as many.
+        # Each s's pairs, found by scanning 4b mod s for every b.
         total = 0
         for s in range(1, 301):
             by_residue = {}
@@ -722,35 +722,44 @@ class TestResidueLemma:
                 by_residue.setdefault(4 * b % s, []).append(b)
             pairs = [(a, b) for a in range(s) for b in by_residue.get(-a * a % s, [])]
             assert all(g_mod(SequenceParams(a, b), s, s) == 0 for a, b in pairs), s
-            assert claims.residue_lemma(s) == (True, len(pairs)), s
             total += len(pairs)
         assert total == 1 + 56549  # s = 1 has the one pair (0, 0)
 
-    def test_one_pair_mod_per_pair_of_each_prime_power(self, monkeypatch):
-        calls = []
-        pair_mod = claims._pair_mod
+    def test_repeated_root_closed_form(self):
+        # G_n(2c, -c^2) = n*c^(n-1): r = 0, the root c repeated.
+        for c in range(-7, 8):
+            gs = g_range(SequenceParams(2 * c, -c * c), 40)
+            assert gs == [n * c ** (n - 1) if n else 0 for n in range(41)], c
 
-        def recording(a, b, n, m):
-            calls.append((a, b, n, m))
-            return pair_mod(a, b, n, m)
+    def test_every_s_dividing_r_is_certified(self, monkeypatch):
+        def no_stream(*args):
+            raise AssertionError("a residue stream was opened")
 
-        monkeypatch.setattr(claims, "_pair_mod", recording)
-        assert claims.residue_lemma(360) == (True, 16 * 9 * 5)  # 360 = 2^3 * 3^2 * 5
-        assert sorted(Counter(m for _, _, _, m in calls).items()) == [(5, 5), (8, 16), (9, 9)]
-        assert all(n == m and (a * a + 4 * b) % m == 0 for a, b, n, m in calls)
-        calls.clear()
-        assert claims.residue_lemma(40) == (True, 16 * 5)  # its prime powers are decided already
-        assert calls == []
+        monkeypatch.setattr(claims, "g_pairs_mod", no_stream)
+        # s = r at each cell, up to the prime 10^18 + 9: s is neither factored
+        # nor bounded.
+        for s, params in (
+            (2**13, SequenceParams(0, 2**11)),
+            (3 * 2**13, SequenceParams(0, 3 * 2**11)),
+            (65537, SequenceParams(1, 16384)),
+            (10**18 + 9, SequenceParams(1, (10**18 + 8) // 4)),
+        ):
+            assert params.r == s
+            for claim in (ClaimId.Thm1_1_MultDiv, ClaimId.Remark_Scaled):
+                assert list(conclusion_failures(claim, params, s, range(4), range(201), modular=True)) == [], s
 
-    def test_past_the_cap_it_is_undecided(self, monkeypatch):
-        def no_pairs(*args):
-            raise AssertionError("a pair was checked")
-
-        monkeypatch.setattr(claims, "_pair_mod", no_pairs)
-        # 2^13 and the prime 65537 exceed the cap; trial division stops at
-        # the cap, so a prime near 10^18 is undecided at once.
-        for s in (2 * claims._LEMMA_CAP, 3 * 2**13, 65537, 10**18 + 9):
-            assert claims.residue_lemma(s) == (None, 0), s
+    def test_r_zero_cells_hold_in_both_modes(self, monkeypatch):
+        # At r = 0 every s divides r, so the certificate covers every s; the
+        # r-nonzero search probes just those cells, here (2, -1) and (4, -4).
+        streams = []
+        monkeypatch.setattr(claims, "g_pairs_mod", lambda params, ns, m: streams.append(m) or g_pairs_mod(params, ns, m))
+        bounds = SweepConfig(p_range=(2, 4), q_range=(-4, -1), s_source=(2, 4096, 8192, 65537), k_max=2, n_max=40)
+        assert list(iter_counterexamples(ClaimId.Thm1_1_MultDiv, "r-nonzero", bounds)) == []
+        assert len(streams) == 2 * 4 * 2  # exact mode walks each cell, s and k >= 1
+        streams.clear()
+        modular = bounds._replace(mode=Mode.MODULAR)
+        assert list(iter_counterexamples(ClaimId.Thm1_1_MultDiv, "r-nonzero", modular)) == []
+        assert streams == []
 
     def test_lucas_product(self):
         """G_{s^k*n} = G_n * W_0 ... W_{k-1}, exactly, where W_j is G_s of
@@ -793,14 +802,11 @@ class TestResidueLemma:
 
     @pytest.mark.parametrize("claim,config", GATES, ids=[f"{c.value}-{i}" for i, (c, _) in enumerate(GATES)])
     def test_fast_path_matches_exact(self, claim, config, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("exact mode used the lemma")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(claims, "residue_lemma", forbidden)
-            exact = verify_claim(claim, config._replace(mode=Mode.EXACT))
         streams = []
         monkeypatch.setattr(claims, "g_pairs_mod", lambda params, ns, m: streams.append(m) or g_pairs_mod(params, ns, m))
+        exact = verify_claim(claim, config._replace(mode=Mode.EXACT))
+        assert streams  # exact mode certifies nothing: it walks the points
+        streams.clear()
         modular = verify_claim(claim, config._replace(mode=Mode.MODULAR))
         assert (modular.points_checked, modular.violations, modular.verdict) == (
             exact.points_checked, exact.violations, exact.verdict

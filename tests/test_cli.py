@@ -253,22 +253,6 @@ class TestCheck:
         assert (code, out) == (cli.EXIT_RESOURCE, "")
         assert re.fullmatch(r"resource limit: sweep stopped after .* at \(p, q, s, k\) = \(1, 1, 5, \d+\), over .*\n", err)
 
-    def test_time_budget_stops_within_one_modulus(self, capsys):
-        # One k whose modulus 65537 = r walks 3 * 10^6 + 1 indices, several
-        # seconds of residues: the budget is checked between blocks of them.
-        # The prime 65537 is past the residue lemma's cap, so the stream runs.
-        start = time.perf_counter()
-        code, out, err = run_main(
-            ["check", "--claim", "thm1.1-multdiv", "-p", "1", "-q", "16384", "-s", "65537", "--kmax", "1",
-             "--nmax", "3000000", "--mode", "modular", "--time-budget", "0.1"],
-            capsys,
-        )
-        assert time.perf_counter() - start < 1.0
-        assert (code, out) == (cli.EXIT_RESOURCE, "")
-        assert re.fullmatch(
-            r"resource limit: sweep stopped after .* at \(p, q, s, k\) = \(1, 16384, 65537, 1\), over .*\n", err
-        )
-
     def test_time_budget_stops_the_exact_table(self, capsys):
         # Exact mode walks all 3,000,001 indices, with no certificate, longer
         # than the budget; the budget is checked between blocks of indices.
@@ -508,6 +492,22 @@ class TestSearch:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (cli.EXIT_RESOURCE, "")
         assert re.fullmatch(r"resource limit: search stopped after .* at \(p, q, s, k\) = \(1, 1, 2, 1\), over .*\n", err)
+
+    def test_time_budget_stops_within_one_modulus(self, capsys):
+        # 12 does not divide r = 5, so modular mode certifies nothing and
+        # streams all 10^7 + 1 indices of its one modulus, several seconds of
+        # residues (12*F_n | F_{12n} holds at each): the budget is checked
+        # between blocks of them.
+        start = time.perf_counter()
+        code, out, err = run_main(
+            ["search", "--claim", "thm1.1-multdiv", "--relax", "s-div-r", "--pmin", "1", "--pmax", "1", "--qmin", "1",
+             "--qmax", "1", "--s-source", "12", "--kmax", "1", "--nmax", "10000000", "--mode", "modular",
+             "--time-budget", "0.1"],
+            capsys,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (cli.EXIT_RESOURCE, "")
+        assert re.fullmatch(r"resource limit: search stopped after .* at \(p, q, s, k\) = \(1, 1, 12, 1\), over .*\n", err)
 
     @pytest.mark.parametrize("flag,field", [("--pmax", "p_range"), ("--qmax", "q_range")])
     def test_empty_range_rejected(self, capsys, flag, field):

@@ -479,7 +479,7 @@ class TestQuotientMemo:
         # The grid's r give moduli s^k that few cells share: a cache without
         # a bound on its size grows with the sweep, to about 0.4 MiB here at
         # the default cap.  Exact mode computes every quotient; modular mode
-        # would certify these points by the residue lemma and compute none.
+        # would certify these points, as s | r, and compute none.
         config = SweepConfig(p_range=(-4, 4), q_range=(-4, 4), mode=Mode.EXACT)
         quotient = claims._lifted_quotient.__wrapped__
 
