@@ -26,8 +26,10 @@ GRID60 = ("--pmin", "-60", "--pmax", "60", "--qmin", "-60", "--qmax", "60")
 # (name, argv): relaxed divisibility searches, whose points mostly fail, the
 # exact-mode counterparts of equiv-grid's modular runs, a sweep with
 # violations (the lift condition checked only up to t = 3), since every
-# benchmark sweep passes and so writes no witness, and modular divisibility
-# sweeps whose r have divisors s past 2^12 (certified by s | r alone).
+# benchmark sweep passes and so writes no witness, a sweep whose lift
+# condition holds at some points for all t <= 20000, and modular
+# divisibility sweeps whose r have divisors s past 2^12 (certified by s | r
+# alone).
 EXTRA = (
     ("search-multdiv-s-div-r", ("search", "--claim", "thm1.1-multdiv", "--relax", "s-div-r", "--all") + GRID4
      + ("--s-source", ",".join(map(str, range(1, 21))), "--kmax", "2", "--nmax", "12")),
@@ -39,6 +41,8 @@ EXTRA = (
      + ("--kmax", "3", "--nmax", "2000", "--mode", "exact")),
     ("sweep-lifted-equiv-tmax3", ("sweep", "--claim", "thm1.2-lifted-equiv", "--pmin", "-10", "--pmax", "10",
      "--qmin", "-10", "--qmax", "10", "--kmax", "2", "--nmax", "200", "--tmax", "3")),
+    ("sweep-lifted-equiv-tmax20000", ("sweep", "--claim", "thm1.2-lifted-equiv", "--pmin", "-6", "--pmax", "6",
+     "--qmin", "-6", "--qmax", "6", "--kmax", "2", "--nmax", "100", "--tmax", "20000")),
     ("sweep-multdiv-modular-60", ("sweep", "--claim", "thm1.1-multdiv") + GRID60 + ("--mode", "modular")),
     ("sweep-scaled-modular-60", ("sweep", "--claim", "remark-scaled") + GRID60 + ("--mode", "modular")),
 )

@@ -4,7 +4,6 @@ from .claims import (
     ClaimId,
     HypothesisReport,
     LiftCheck,
-    applicable_claims,
     catalog,
     claim_by_name,
     conclusion_holds,
@@ -45,7 +44,6 @@ __all__ = [
     "Verdict",
     "VerificationReport",
     "ab_exact",
-    "applicable_claims",
     "catalog",
     "claim_by_name",
     "conclusion_holds",

@@ -301,8 +301,11 @@ def hypothesis_gate(claim: ClaimId, params: SequenceParams, relaxed: str | None 
     if relaxed in _S_FREE and _CONDITIONS[relaxed](p, q):
         return None
     # A relaxed case (every case without relaxed, else one that names it)
-    # must hold; any other case holding makes the hypothesis hold.
+    # must hold.  Any other case holding makes the hypothesis hold, and so
+    # does a relaxed condition on s holding: it is the first other case.
     relaxed_cases, other_cases = [], []
+    if relaxed is not None and relaxed not in _S_FREE:
+        other_cases.append([_CONDITIONS[relaxed]])
     for case in _CASES[claim]:
         names = [name for name in case if name != relaxed]  # relaxed is forced true
         if all(_CONDITIONS[name](p, q) for name in names if name in _S_FREE):
@@ -310,24 +313,12 @@ def hypothesis_gate(claim: ClaimId, params: SequenceParams, relaxed: str | None 
             (relaxed_cases if relaxed is None or relaxed in case else other_cases).append(on_s)
     if not relaxed_cases:
         return None
-    must_fail = _CONDITIONS[relaxed] if relaxed is not None and relaxed not in _S_FREE else None
-
-    def holds(conditions, s: int) -> bool:
-        return all(condition(p, q, s) for condition in conditions)
 
     def qualifies(s: int) -> bool:
-        return (
-            not (must_fail is not None and must_fail(p, q, s))
-            and not any(holds(case, s) for case in other_cases)
-            and any(holds(case, s) for case in relaxed_cases)
-        )
+        holds = lambda case: all(condition(p, q, s) for condition in case)
+        return not any(map(holds, other_cases)) and any(map(holds, relaxed_cases))
 
     return qualifies
-
-
-def applicable_claims(params: SequenceParams, s: int) -> list[ClaimId]:
-    """All claims whose hypothesis holds at (p, q, s), in registry order."""
-    return [spec.claim for spec in REGISTRY if hypothesis_check(spec.claim, params, s).applicable]
 
 
 @functools.lru_cache(maxsize=1 << 15)
@@ -488,18 +479,20 @@ def thm12_lift_condition(params: SequenceParams, s: int, t_max: int, *, check=No
     """Check the lift hypothesis for all t <= t_max with s not dividing t.
 
     The hypothesis quantifies over all t in N; this is verified only up to
-    t_max and reported as such.  check(), where given, runs before every
-    _BLOCK-th t (the caller's budget).
+    t_max and reported as such.  By the Lucas product (_lifted_quotient),
+    G_{s*t} = G_s * H_t with H = <V_s, -(-q)^s>, so one residue stream of H
+    mod s^2 (g_pairs_mod) walks every t, seeded by G_s and G_{s+1} mod s^2.
+    check(), where given, runs before every _BLOCK-th t (the caller's budget).
     """
     if s < 2:
         raise InputError(f"lift condition needs s >= 2, got {s}")
     s2 = s * s
-    for t in range(1, t_max + 1):
+    g_s, g_next = _pair_mod(params.p, params.q, s, s2)
+    lifted = SequenceParams(2 * g_next - params.p * g_s, -pow(-params.q, s, s2))
+    for t, (h, _) in enumerate(g_pairs_mod(lifted, range(1, t_max + 1), s2), 1):
         if t % _BLOCK == 0 and check is not None:
             check()
-        if t % s == 0:
-            continue
-        if g_mod(params, s * t, s2) == 0:
+        if t % s and g_s * h % s2 == 0:
             return LiftCheck(holds=False, t_max=t_max, first_failing_t=t)
     return LiftCheck(holds=True, t_max=t_max)
 

@@ -497,20 +497,21 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
             for k, n, evidence in sorted(failures, key=lambda f: (f[1], f[0])):
                 check(k)
                 yield Counterexample(
-                    claim, params.p, params.q, s, k, n, _search_witness(params, s**k, n, *evidence), relaxed_condition
+                    claim, params.p, params.q, s, k, n, _search_witness(params, n, *evidence), relaxed_condition
                 )
 
 
-def _search_witness(params: SequenceParams, sk: int, n: int, d: int, g: int, w: int) -> dict:
-    """A search's failure at (s^k = sk, n) from the walk's evidence (d, g, w), with exact values.
+def _search_witness(params: SequenceParams, n: int, d: int, g: int, w: int) -> dict:
+    """A search's failure at index n from the walk's evidence (d, g, w), with exact values.
 
-    w != 0 is a divisibility failure, {divisor, index, g_n, dividend_g};
-    else the equivalence failed at d, {s_pow, s_pow_divides_n,
-    s_pow_divides_g, g_n}.
+    w != 0 is a divisibility failure, {divisor, index, g_n, dividend_g}, and
+    there d = s^k (only the base equivalence clamps d, and it has no
+    divisibility half); else the equivalence failed at d, {s_pow,
+    s_pow_divides_n, s_pow_divides_g, g_n}.
     """
     g_n = g_exact(params, n)
     if w:
-        return {"divisor": sk * g_n, "index": sk * n, "g_n": g_n, "dividend_g": g_exact(params, sk * n)}
+        return {"divisor": d * g_n, "index": d * n, "g_n": g_n, "dividend_g": g_exact(params, d * n)}
     return {"s_pow": d, "s_pow_divides_n": n % d == 0, "s_pow_divides_g": g == 0, "g_n": g_n}
 
 

@@ -14,7 +14,6 @@ from gfibdiv import (
     SequenceParams,
     SweepConfig,
     Verdict,
-    applicable_claims,
     catalog,
     claim_by_name,
     conclusion_holds,
@@ -209,8 +208,14 @@ class TestHypothesisGate:
 
 
 class TestApplicableClaims:
+    """The claims whose hypothesis holds at a point, read from hypothesis_check."""
+
+    @staticmethod
+    def applicable(params, s):
+        return {spec.claim for spec in REGISTRY if hypothesis_check(spec.claim, params, s).applicable}
+
     def test_fibonacci_point(self):
-        found = set(applicable_claims(SequenceParams(1, 1), 5))
+        found = self.applicable(SequenceParams(1, 1), 5)
         assert {
             ClaimId.Thm1_1_MultDiv,
             ClaimId.Thm1_1_Equiv,
@@ -221,12 +226,12 @@ class TestApplicableClaims:
         assert ClaimId.Cor_Pell not in found
 
     def test_pell_point(self):
-        found = set(applicable_claims(SequenceParams(2, 1), 2))
+        found = self.applicable(SequenceParams(2, 1), 2)
         assert ClaimId.Cor_Pell in found
         assert ClaimId.Cor_Square not in found  # 4 does not divide r/4 = 2
 
     def test_degenerate_point(self):
-        found = set(applicable_claims(SequenceParams(3, 9), 3))
+        found = self.applicable(SequenceParams(3, 9), 3)
         assert found == {ClaimId.Thm1_1_MultDiv, ClaimId.Remark_Scaled}
 
 
@@ -875,7 +880,39 @@ class TestCaseThreeReduction:
                         assert (r // 4) % s == 0, (p, q, s)
 
 
+def _lift_oracle(params, s, t_max):
+    """The lift condition by one g_mod doubling chain per t."""
+    for t in range(1, t_max + 1):
+        if t % s and g_mod(params, s * t, s * s) == 0:
+            return claims.LiftCheck(holds=False, t_max=t_max, first_failing_t=t)
+    return claims.LiftCheck(holds=True, t_max=t_max)
+
+
 class TestLiftCondition:
+    def test_matches_per_t_oracle_on_grid(self):
+        # The grid holds q = 0, p = q = 0, gcd(q, s) > 1 and s not dividing r.
+        seen = set()
+        for p in range(-12, 13):
+            for q in range(-12, 13):
+                params = SequenceParams(p, q)
+                for s in range(2, 40):
+                    lift = thm12_lift_condition(params, s, 60)
+                    assert lift == _lift_oracle(params, s, 60), (p, q, s)
+                    seen.add(lift.holds)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("p,q,s", [(1, 1, 5), (1, 4, 17)])
+    def test_matches_per_t_oracle_far(self, p, q, s):
+        params = SequenceParams(p, q)
+        lift = thm12_lift_condition(params, s, 200_000)
+        assert lift.holds and lift == _lift_oracle(params, s, 200_000)
+
+    @pytest.mark.parametrize("p,q,s,t", [(3, -2, 7, 3), (-10, -1, 12, 4)])
+    def test_pinned_first_failing_t(self, p, q, s, t):
+        params = SequenceParams(p, q)
+        assert thm12_lift_condition(params, s, 100) == claims.LiftCheck(holds=False, t_max=100, first_failing_t=t)
+        assert g_exact(params, s * t) % (s * s) == 0
+
     def test_holds_for_fibonacci_s5(self):
         check = thm12_lift_condition(SequenceParams(1, 1), 5, 100)
         assert check.holds and check.first_failing_t is None and check.t_max == 100

@@ -267,8 +267,8 @@ class TestCheck:
         assert re.fullmatch(r"resource limit: sweep stopped after .* at \(p, q, s, k\) = \(1, 1, 5, 1\), over .*\n", err)
 
     def test_time_budget_stops_the_lift_condition(self, capsys):
-        # The lift condition at s = 5 holds for every t <= 2 * 10^6, several
-        # seconds of g_mod calls; it checks the budget every few thousand t.
+        # The lift condition at s = 5 holds for every t <= 2 * 10^6, about a
+        # second of residue stream; it checks the budget every few thousand t.
         start = time.perf_counter()
         code, out, err = run_main(
             ["check", "--claim", "thm1.2-lifted-equiv", "-p", "1", "-q", "1", "-s", "5", "--tmax", "2000000",
