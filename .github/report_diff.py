@@ -27,9 +27,10 @@ GRID60 = ("--pmin", "-60", "--pmax", "60", "--qmin", "-60", "--qmax", "60")
 # exact-mode counterparts of equiv-grid's modular runs, a sweep with
 # violations (the lift condition checked only up to t = 3), since every
 # benchmark sweep passes and so writes no witness, a sweep whose lift
-# condition holds at some points for all t <= 20000, and modular
+# condition holds at some points for all t <= 20000, modular
 # divisibility sweeps whose r have divisors s past 2^12 (certified by s | r
-# alone).
+# alone), and a relaxed search of the lifted equivalence, whose lift
+# condition the grid walk decides before each conclusion walk.
 EXTRA = (
     ("search-multdiv-s-div-r", ("search", "--claim", "thm1.1-multdiv", "--relax", "s-div-r", "--all") + GRID4
      + ("--s-source", ",".join(map(str, range(1, 21))), "--kmax", "2", "--nmax", "12")),
@@ -45,6 +46,9 @@ EXTRA = (
      "--qmin", "-6", "--qmax", "6", "--kmax", "2", "--nmax", "100", "--tmax", "20000")),
     ("sweep-multdiv-modular-60", ("sweep", "--claim", "thm1.1-multdiv") + GRID60 + ("--mode", "modular")),
     ("sweep-scaled-modular-60", ("sweep", "--claim", "remark-scaled") + GRID60 + ("--mode", "modular")),
+    ("search-lifted-equiv-s-div-r", ("search", "--claim", "thm1.2-lifted-equiv", "--relax", "s-div-r", "--all",
+     "--pmin", "-6", "--pmax", "6", "--qmin", "-6", "--qmax", "6", "--s-source", ",".join(map(str, range(1, 13))),
+     "--kmax", "2", "--nmax", "40", "--tmax", "50")),
 )
 FORMATS = ("json", "text")
 FIELDS = ("report", "stdout", "stderr", "exit code")

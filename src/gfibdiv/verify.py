@@ -129,16 +129,21 @@ def _cells(config: SweepConfig, *, scan: bool = False, part=(0, None)):
 
     Canonical order is ascending.  Scan order sorts p and q by absolute value,
     positive before negative, so a search meets the smallest examples first.
-    Cells are reached by index, so a part starts at its first cell at once.
+    Cells and the values on each axis are reached by index, so a part starts
+    at its first cell at once, and nothing grows with the grid.
     """
 
-    def values(lo: int, hi: int):
-        span = range(lo, hi + 1)
-        return sorted(span, key=lambda v: (abs(v), v < 0)) if scan else span
+    def values(lo: int, hi: int):  # the map from index to value on the axis [lo, hi]
+        if not scan or lo >= 0:
+            return range(lo, hi + 1).__getitem__
+        if hi <= 0:
+            return range(hi, lo - 1, -1).__getitem__
+        m = min(hi, -lo)  # 0, 1, -1, ..., m, -m, then the longer side alone
+        return lambda i: ((i + 1) // 2 if i % 2 else -(i // 2)) if i <= 2 * m else (i - m if hi > m else m - i)
 
-    ps, qs = values(*config.p_range), values(*config.q_range)
-    width = len(qs)
-    return ((ps[i // width], qs[i % width]) for i in range(len(ps) * width)[slice(*part)])
+    (p_lo, p_hi), (q_lo, q_hi) = config.p_range, config.q_range
+    p_at, q_at, width = values(p_lo, p_hi), values(q_lo, q_hi), q_hi - q_lo + 1
+    return ((p_at(i // width), q_at(i % width)) for i in range((p_hi - p_lo + 1) * width)[slice(*part)])
 
 
 def _resolve_s(config: SweepConfig, params: SequenceParams) -> list[int] | tuple[int, ...]:
@@ -146,44 +151,21 @@ def _resolve_s(config: SweepConfig, params: SequenceParams) -> list[int] | tuple
     return S_SOURCES[source](params.r) if isinstance(source, str) else source
 
 
-def _cell_evaluator(claim: ClaimId, config: SweepConfig, params: SequenceParams, relaxed: str | None = None):
-    """The claim on the cell (p, q): None where hypothesis_gate rules it out, else evaluate.
-
-    evaluate(s, check) is None where s does not qualify: the gate's
-    predicate fails, or, for the lifted equivalence at s >= 2, the lift
-    condition fails up to t_max.  Otherwise it yields the conclusion's
-    failures at s, k <= k_max and n <= n_max (conclusion_failures).  Both
-    walks get _grid's check for s, the lift condition calling check() and
-    the conclusion check(k).  Sweep and search both decide a cell here.
-    """
-    qualifies = hypothesis_gate(claim, params, relaxed)
-    if qualifies is None:
-        return None
-    lifted = claim is ClaimId.Thm1_2_LiftedEquiv
-    ks, ns = range(config.k_max + 1), range(config.n_max + 1)
-    modular = config.mode is Mode.MODULAR
-
-    def evaluate(s: int, check):
-        if not qualifies(s) or (
-            lifted and s >= 2 and not thm12_lift_condition(params, s, config.t_max, check=check).holds
-        ):
-            return None
-        return conclusion_failures(claim, params, s, ks, ns, modular=modular, check=check)
-
-    return evaluate
-
-
-def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False, start: float | None = None, part=(0, None)):
-    """Yield (params, s, value, check) for each cell of the part and each of its s values.
+def _grid(config: SweepConfig, what: str, claim: ClaimId, gate, ks, *, scan=False, start=None, part=(0, None)):
+    """Yield (params, s, failures, check) for each (p, q, s) of the part where the claim's conclusion is walked.
 
     part = (lo, hi) is a slice of the _cells order, reached by index; (0, None)
-    is the whole grid.  value = cell(params) is computed once for each cell that has an s,
-    and nothing of the cell is yielded where it is None.  This is the one place that
+    is the whole grid.  gate(params) is called once for each cell that has an
+    s; None rules the cell out, else it is a predicate on s.  For each s, in
+    this order: the budget is checked, the predicate must hold, and, for the
+    lifted equivalence at s >= 2, the lift condition must hold up to
+    config.t_max.  Then failures is conclusion_failures(claim, params, s, ks,
+    range(config.n_max + 1)), not yet started.  This is the one place that
     reads the clock: past config.time_budget_s since start (the first request
     where start is None) it raises ResourceLimitError, checked before each
     cell and each s, and at each call of check (the budget at this s: check()
     names (p, q, s), check(k) names (p, q, s, k)), in whichever process walks
-    the part.
+    the part.  The lift condition calls check() and the conclusion check(k).
     A sweep passes its own start, so the parts of a process pool share the
     run's clock: time.monotonic is system-wide on Linux, so a forked worker
     reads the clock its parent started.
@@ -191,6 +173,9 @@ def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False, start: fl
     budget = config.time_budget_s
     if start is None:
         start = time.monotonic()
+    lifted = claim is ClaimId.Thm1_2_LiftedEquiv
+    ns = range(config.n_max + 1)
+    modular = config.mode is Mode.MODULAR
 
     def check(*at: int) -> None:  # at is the (p, q), (p, q, s) or (p, q, s, k) about to be walked
         if budget is not None and (elapsed := time.monotonic() - start) > budget:
@@ -201,12 +186,14 @@ def _grid(config: SweepConfig, what: str, cell, *, scan: bool = False, start: fl
         check(p, q)
         params = SequenceParams(p, q)
         s_values = _resolve_s(config, params)
-        value = cell(params) if s_values else None
-        if value is None:
+        qualifies = gate(params) if s_values else None
+        if qualifies is None:
             continue
         for s in s_values:
             check(p, q, s)
-            yield params, s, value, functools.partial(check, p, q, s)
+            at_s = functools.partial(check, p, q, s)
+            if qualifies(s) and (not lifted or s < 2 or thm12_lift_condition(params, s, config.t_max, check=at_s).holds):
+                yield params, s, conclusion_failures(claim, params, s, ks, ns, modular=modular, check=at_s), at_s
 
 
 def _sweep_cell(args) -> tuple[int, list[Counterexample]]:
@@ -214,15 +201,13 @@ def _sweep_cell(args) -> tuple[int, list[Counterexample]]:
     claim, config, start, part = args
     points = 0
     violations: list[Counterexample] = []
-    cell = lambda params: _cell_evaluator(claim, config, params)
-    for params, s, evaluate, check in _grid(config, "sweep", cell, start=start, part=part):
-        failures = evaluate(s, check)
-        if failures is not None:
-            points += (config.k_max + 1) * (config.n_max + 1)
-            violations.extend(
-                Counterexample(claim, params.p, params.q, s, k, n, witness(claim, params, n, *evidence))
-                for k, n, evidence in failures
-            )
+    gate = functools.partial(hypothesis_gate, claim)
+    for params, s, failures, _ in _grid(config, "sweep", claim, gate, range(config.k_max + 1), start=start, part=part):
+        points += (config.k_max + 1) * (config.n_max + 1)
+        violations.extend(
+            Counterexample(claim, params.p, params.q, s, k, n, witness(claim, params, n, *evidence))
+            for k, n, evidence in failures
+        )
     return points, violations
 
 
@@ -476,8 +461,8 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
     A point qualifies when every hypothesis condition of some case holds
     except the relaxed one (which must fail), the full hypothesis is not
     applicable, and the conclusion is false; for the lifted equivalence the
-    lift condition must hold up to bounds.t_max, as in a sweep.  Each cell is
-    decided by _cell_evaluator, the sweep's too, and each s's counterexamples
+    lift condition must hold up to bounds.t_max, as in a sweep.  Each s is
+    decided by _grid, the sweep's too, and each s's counterexamples
     are yielded as soon as it is decided, each witness written with exact G
     values (_search_witness) only as it is drawn.  Past
     bounds.time_budget_s, checked by _grid before each cell, each s and each
@@ -490,15 +475,13 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
             f"conditions: {list(spec.condition_names)}"
         )
 
-    cell = lambda params: _cell_evaluator(claim, bounds, params, relaxed_condition)
-    for params, s, evaluate, check in _grid(bounds, "search", cell, scan=True):
-        failures = evaluate(s, check)
-        if failures is not None:
-            for k, n, evidence in sorted(failures, key=lambda f: (f[1], f[0])):
-                check(k)
-                yield Counterexample(
-                    claim, params.p, params.q, s, k, n, _search_witness(params, n, *evidence), relaxed_condition
-                )
+    gate = functools.partial(hypothesis_gate, claim, relaxed=relaxed_condition)
+    for params, s, failures, check in _grid(bounds, "search", claim, gate, range(bounds.k_max + 1), scan=True):
+        for k, n, evidence in sorted(failures, key=lambda f: (f[1], f[0])):
+            check(k)
+            yield Counterexample(
+                claim, params.p, params.q, s, k, n, _search_witness(params, n, *evidence), relaxed_condition
+            )
 
 
 def _search_witness(params: SequenceParams, n: int, d: int, g: int, w: int) -> dict:
@@ -578,11 +561,10 @@ def converse_survey(bounds: SweepConfig) -> SurveyReport:
     between blocks of indices, it raises ResourceLimitError.
     """
     spec = claim_spec(ClaimId.Thm1_2_BaseEquiv)
-    modular = bounds.mode is Mode.MODULAR
-    ns = range(bounds.n_max + 1)
+    every_s = lambda params: (lambda s: True) if params.r else None  # r = 0 is not surveyed
     rows = []
-    for params, s, _, check in _grid(bounds, "survey", lambda params: params.r or None):  # r = 0 is not surveyed
-        first = next(conclusion_failures(spec.claim, params, s, (1,), ns, modular=modular, check=check), None)
+    for params, s, failures, _ in _grid(bounds, "survey", spec.claim, every_s, (1,)):
+        first = next(failures, None)
         if first is not None:
             values = _evaluate_conditions(spec, params.p, params.q, s)
             failing = tuple(name for name, held in values.items() if not held)

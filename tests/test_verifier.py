@@ -1,6 +1,7 @@
 import concurrent.futures
 import functools
 import gc
+import inspect
 import itertools
 import json
 import math
@@ -341,9 +342,14 @@ class TestGrid:
             assert list(verify._cells(config, scan=scan, part=(2001 * 2001 - 1, None))) == [last]
             assert time.perf_counter() - start < 0.05
 
+    @staticmethod
+    def walk(config, gate=lambda params: lambda s: True, claim=ClaimId.Thm1_2_BaseEquiv):
+        """_grid over config for claim at k = 1; the default gate admits every s of every cell."""
+        return verify._grid(config, "test", claim, gate, (1,))
+
     def test_grid_yields_each_cells_s_values(self):
         config = SweepConfig(p_range=(1, 2), q_range=(1, 1))
-        assert [(params.p, params.q, s) for params, s, _, _ in verify._grid(config, "test", lambda params: params)] == [
+        assert [(params.p, params.q, s) for params, s, _, _ in self.walk(config)] == [
             (1, 1, 1), (1, 1, 5), (2, 1, 1), (2, 1, 2), (2, 1, 4), (2, 1, 8),
         ]
 
@@ -352,37 +358,48 @@ class TestGrid:
         config = SweepConfig(p_range=(-3, 3), q_range=(-3, 3), s_source="divisors-of-r4")
         called = []
 
-        def cell(params):
+        def gate(params):
             called.append((params.p, params.q))
-            return params.p
+            return lambda s: True
 
-        walked = [(params.p, params.q, s, value) for params, s, value, _ in verify._grid(config, "test", cell)]
+        walked = [(params.p, params.q, s) for params, s, _, _ in self.walk(config, gate)]
         with_s = [(p, q) for p, q in verify._cells(config) if verify._resolve_s(config, SequenceParams(p, q))]
         assert called == with_s and len(with_s) < 49
         assert walked == [
-            (p, q, s, p) for p, q in with_s for s in verify._resolve_s(config, SequenceParams(p, q))
+            (p, q, s) for p, q in with_s for s in verify._resolve_s(config, SequenceParams(p, q))
         ]
+
+    def test_walk_is_handed_out_only_where_the_gate_and_lift_hold(self):
+        # At (p, q) = (5, 2) the lift condition fails at s = 3 (t = 1); s = 1 needs no lift.
+        config = SweepConfig(p_range=(5, 5), q_range=(2, 2), s_source=(1, 2, 3))
+        odd = lambda params: lambda s: s % 2 == 1
+        assert [s for _, s, _, _ in self.walk(config, odd)] == [1, 3]
+        assert [s for _, s, _, _ in self.walk(config, odd, ClaimId.Thm1_2_LiftedEquiv)] == [1]
+        # The conclusion walk is handed out unstarted: conclusion_failures at k = 1, n <= n_max.
+        for params, s, failures, _ in self.walk(config):
+            assert inspect.getgeneratorstate(failures) == inspect.GEN_CREATED
+            assert list(failures) == list(conclusion_failures(ClaimId.Thm1_2_BaseEquiv, params, s, (1,), range(41)))
 
     def test_ruled_out_cell_yields_nothing_but_is_budget_checked(self):
         config = SweepConfig(p_range=(1, 2), q_range=(1, 1))
-        assert list(verify._grid(config, "test", lambda params: None)) == []
+        assert list(self.walk(config, lambda params: None)) == []
         called = []
-        walk = verify._grid(config._replace(time_budget_s=0.0), "test", lambda params: called.append(params))
+        walk = self.walk(config._replace(time_budget_s=0.0), lambda params: called.append(params))
         with pytest.raises(ResourceLimitError, match=r"test stopped after .* at \(p, q\) = \(1, 1\), over"):
             next(walk)
         assert called == []
 
     def test_budget_is_checked_before_each_s(self):
-        # The cell passes its check at once; its routine then outlasts the budget.
+        # The cell passes its check at once; its gate then outlasts the budget.
         config = SweepConfig(p_range=(1, 2), q_range=(1, 1), time_budget_s=0.05)
-        walk = verify._grid(config, "test", lambda params: time.sleep(0.1) or params)
+        walk = self.walk(config, lambda params: time.sleep(0.1) or (lambda s: True))
         with pytest.raises(ResourceLimitError, match=r"test stopped after .* at \(p, q, s\) = \(1, 1, 1\), over"):
             next(walk)
 
     def test_budget_is_checked_before_each_k(self):
         # The walk of an s calls check(k) before each k; it passes only within the budget.
         config = SweepConfig(p_range=(1, 1), q_range=(1, 1), k_max=3, time_budget_s=0.05)
-        _, s, _, check = next(verify._grid(config, "test", lambda params: params))
+        _, s, _, check = next(self.walk(config))
         assert (s, check(0), check(1)) == (1, None, None)
         time.sleep(0.1)
         with pytest.raises(ResourceLimitError, match=r"test stopped after .* at \(p, q, s, k\) = \(1, 1, 1, 2\), over"):
@@ -391,20 +408,23 @@ class TestGrid:
     @pytest.mark.parametrize("command", ["sweep", "search", "survey"])
     def test_serial_walk_is_lazy(self, command):
         # 1001 x 1001 cells: a walk that listed them first would peak at tens of MiB.
-        config = SweepConfig(p_range=(-500, 500), q_range=(-500, 500), time_budget_s=0.0)
-        run = {
-            "sweep": lambda: verify_claim(ClaimId.Thm1_1_Equiv, config),
-            "search": lambda: list(iter_counterexamples(ClaimId.Thm1_1_Equiv, "gcd-pq", config)),
-            "survey": lambda: converse_survey(config),
-        }[command]
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceLimitError, match=f"{command} stopped after"):
-                run()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * 2**20
+        # At 800,001 values per axis, a search that sorted an axis first would peak past 100 MiB.
+        for half in (500, 400_000):
+            config = SweepConfig(p_range=(-half, half), q_range=(-half, half), time_budget_s=0.0)
+            run = {
+                "sweep": lambda: verify_claim(ClaimId.Thm1_1_Equiv, config),
+                "search": lambda: list(iter_counterexamples(ClaimId.Thm1_1_Equiv, "gcd-pq", config)),
+                "survey": lambda: converse_survey(config),
+            }[command]
+            first = "0, 0" if command == "search" else f"{-half}, {-half}"
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError, match=rf"{command} stopped after .* at \(p, q\) = \({first}\), over"):
+                    run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 5 * 2**20, half
 
 
 class TestQuotientMemo:
@@ -735,21 +755,29 @@ class TestCounterexampleSearch:
     )
 
     def test_criterion_6_walks_only_qualifying_cells(self, monkeypatch):
-        points = 0
-        grid = verify._grid
+        walks = gated = 0
+        grid, gate = verify._grid, verify.hypothesis_gate
 
         def counting_grid(*args, **kwargs):
-            nonlocal points
+            nonlocal walks
             for point in grid(*args, **kwargs):
-                points += 1
+                walks += 1
                 yield point
 
+        def counting_gate(*args, **kwargs):
+            nonlocal gated
+            qualifies = gate(*args, **kwargs)
+            gated += qualifies is not None
+            return qualifies
+
         monkeypatch.setattr(verify, "_grid", counting_grid)
+        monkeypatch.setattr(verify, "hypothesis_gate", counting_gate)
         bounds = SweepConfig(p_range=(-10, 10), q_range=(-10, 10), s_source=tuple(range(1, 21)), k_max=2, n_max=12)
         for claim, relaxed in self.CRITERION_6:
             assert list(iter_counterexamples(claim, relaxed, bounds))
-        # 1,851 of the 15 * 441 cells pass the hypothesis gate, 20 s values each.
-        assert points == 37_020
+        # 1,851 of the 15 * 441 cells pass the hypothesis gate, 20 s values
+        # each; the conclusion is walked at the 1,449 points that qualify.
+        assert (gated, walks) == (1_851, 1_449)
 
     def test_witness_dividends_from_one_pass_per_s(self):
         bounds = SweepConfig(p_range=(-4, 4), q_range=(-4, 4), s_source=tuple(range(1, 13)), k_max=2, n_max=12)
