@@ -29,8 +29,10 @@ GRID60 = ("--pmin", "-60", "--pmax", "60", "--qmin", "-60", "--qmax", "60")
 # benchmark sweep passes and so writes no witness, a sweep whose lift
 # condition holds at some points for all t <= 20000, modular
 # divisibility sweeps whose r have divisors s past 2^12 (certified by s | r
-# alone), and a relaxed search of the lifted equivalence, whose lift
-# condition the grid walk decides before each conclusion walk.
+# alone), a relaxed search of the lifted equivalence, whose lift
+# condition the grid walk decides before each conclusion walk, and a sweep at
+# |p| near 10^6, whose r near 10^12 take up to about 120 blocks of 2^12 trial
+# divisors, with the budget hook called between them.
 EXTRA = (
     ("search-multdiv-s-div-r", ("search", "--claim", "thm1.1-multdiv", "--relax", "s-div-r", "--all") + GRID4
      + ("--s-source", ",".join(map(str, range(1, 21))), "--kmax", "2", "--nmax", "12")),
@@ -49,6 +51,8 @@ EXTRA = (
     ("search-lifted-equiv-s-div-r", ("search", "--claim", "thm1.2-lifted-equiv", "--relax", "s-div-r", "--all",
      "--pmin", "-6", "--pmax", "6", "--qmin", "-6", "--qmax", "6", "--s-source", ",".join(map(str, range(1, 13))),
      "--kmax", "2", "--nmax", "40", "--tmax", "50")),
+    ("sweep-base-equiv-modular-wide-p", ("sweep", "--claim", "thm1.2-base-equiv", "--pmin", "1000000", "--pmax",
+     "1000014", "--qmin", "1", "--qmax", "14", "--mode", "modular")),
 )
 FORMATS = ("json", "text")
 FIELDS = ("report", "stdout", "stderr", "exit code")

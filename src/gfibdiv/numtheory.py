@@ -4,6 +4,7 @@ deterministic primality below psi_12 (about 3.2e23)."""
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -43,12 +44,18 @@ def valuation(m: int, s: int) -> Valuation:
     return Valuation(k)
 
 
-def factorize(m: int, *, max_trials: int | None = None) -> list[tuple[int, int]] | None:
+# Trial divisors tried between two calls of factorize's check.
+_TRIAL_BLOCK = 1 << 12
+
+
+def factorize(m: int, *, max_trials: int | None = None, check=None) -> list[tuple[int, int]] | None:
     """Ascending (prime, exponent) pairs of |m|, by trial division.
 
     The trial divisors are 2, then the odd numbers, while their square is at
     most the part of |m| not yet factored.  With max_trials, None when
-    factoring would take more trial divisors.
+    factoring would take more trial divisors.  check(), where given, runs
+    before each block of _TRIAL_BLOCK trial divisors after the first (the
+    caller's budget).
     """
     if m == 0:
         raise DomainError("0 has no prime factorization")
@@ -57,20 +64,27 @@ def factorize(m: int, *, max_trials: int | None = None) -> list[tuple[int, int]]
     while d * d <= m:
         if tried == max_trials:
             return None
-        tried += 1
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m, e = m // d, e + 1
-            pairs.append((d, e))
-        d += 1 if d == 2 else 2
+        if tried and check is not None:
+            check()
+        stop = tried + _TRIAL_BLOCK if max_trials is None else min(tried + _TRIAL_BLOCK, max_trials)
+        # the (tried + 1)-th to the stop-th of the trial divisors 2, 3, 5, 7, ...
+        for d in range(2 * tried + 1, 2 * stop + 1, 2) if tried else itertools.chain((2,), range(3, 2 * stop + 1, 2)):
+            if d * d > m:
+                break
+            if m % d == 0:
+                e = 0
+                while m % d == 0:
+                    m, e = m // d, e + 1
+                pairs.append((d, e))
+        else:
+            d, tried = 2 * stop + 1, stop
     return pairs + [(m, 1)] if m > 1 else pairs
 
 
-def positive_divisors(m: int) -> list[int]:
-    """Sorted positive divisors of |m|, the products of its prime powers; m = 0 is an error."""
+def positive_divisors(m: int, *, check=None) -> list[int]:
+    """Sorted positive divisors of |m|, the products of the prime powers of factorize(m, check=check); m = 0 is an error."""
     divisors = [1]
-    for prime, exponent in factorize(m):
+    for prime, exponent in factorize(m, check=check):
         divisors = [d * prime**e for e in range(exponent + 1) for d in divisors]
     return sorted(divisors)
 

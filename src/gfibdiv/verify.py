@@ -46,10 +46,11 @@ class Verdict(Enum):
     NEVER_APPLICABLE = "hypothesis-never-applicable"
 
 
-# The named sources of s, each a map from r to the s values of a cell
+# The named sources of s, each a map from r to the s values of a cell; check
+# is the budget, called while r is factored
 S_SOURCES = {
-    "divisors-of-r": lambda r: positive_divisors(r) if r != 0 else [],
-    "divisors-of-r4": lambda r: positive_divisors(r // 4) if r != 0 and r % 4 == 0 else [],
+    "divisors-of-r": lambda r, check: positive_divisors(r, check=check) if r != 0 else [],
+    "divisors-of-r4": lambda r, check: positive_divisors(r // 4, check=check) if r != 0 and r % 4 == 0 else [],
 }
 
 
@@ -146,9 +147,9 @@ def _cells(config: SweepConfig, *, scan: bool = False, part=(0, None)):
     return ((p_at(i // width), q_at(i % width)) for i in range((p_hi - p_lo + 1) * width)[slice(*part)])
 
 
-def _resolve_s(config: SweepConfig, params: SequenceParams) -> list[int] | tuple[int, ...]:
+def _resolve_s(config: SweepConfig, params: SequenceParams, check=None) -> list[int] | tuple[int, ...]:
     source = config.s_source
-    return S_SOURCES[source](params.r) if isinstance(source, str) else source
+    return S_SOURCES[source](params.r, check) if isinstance(source, str) else source
 
 
 def _grid(config: SweepConfig, what: str, claim: ClaimId, gate, ks, *, scan=False, start=None, part=(0, None)):
@@ -163,7 +164,8 @@ def _grid(config: SweepConfig, what: str, claim: ClaimId, gate, ks, *, scan=Fals
     range(config.n_max + 1)), not yet started.  This is the one place that
     reads the clock: past config.time_budget_s since start (the first request
     where start is None) it raises ResourceLimitError, checked before each
-    cell and each s, and at each call of check (the budget at this s: check()
+    cell, every 2^12 trial divisors while a named s_source factors its r,
+    before each s, and at each call of check (the budget at this s: check()
     names (p, q, s), check(k) names (p, q, s, k)), in whichever process walks
     the part.  The lift condition calls check() and the conclusion check(k).
     A sweep passes its own start, so the parts of a process pool share the
@@ -185,7 +187,7 @@ def _grid(config: SweepConfig, what: str, claim: ClaimId, gate, ks, *, scan=Fals
     for p, q in _cells(config, scan=scan, part=part):
         check(p, q)
         params = SequenceParams(p, q)
-        s_values = _resolve_s(config, params)
+        s_values = _resolve_s(config, params, functools.partial(check, p, q))
         qualifies = gate(params) if s_values else None
         if qualifies is None:
             continue

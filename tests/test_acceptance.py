@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import oracles
 from gfibdiv import (
     ClaimId,
     Mode,
@@ -29,27 +30,6 @@ GRID = (-8, 8)
 def report_line(criterion: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
-
-
-def mat_g_mod(p: int, q: int, n: int, m: int) -> int:
-    """Independent oracle: 2x2 companion-matrix power mod m."""
-
-    def mul(x, y):
-        return (
-            ((x[0][0] * y[0][0] + x[0][1] * y[1][0]) % m,
-             (x[0][0] * y[0][1] + x[0][1] * y[1][1]) % m),
-            ((x[1][0] * y[0][0] + x[1][1] * y[1][0]) % m,
-             (x[1][0] * y[0][1] + x[1][1] * y[1][1]) % m),
-        )
-
-    acc = ((1 % m, 0), (0, 1 % m))
-    base = ((p % m, q % m), (1 % m, 0))
-    while n:
-        if n & 1:
-            acc = mul(acc, base)
-        base = mul(base, base)
-        n >>= 1
-    return acc[1][0]
 
 
 def test_criterion_1_golden_examples():
@@ -172,7 +152,7 @@ def test_criterion_7_performance_kernel():
         p, q = rng.randint(-50, 50), rng.randint(-50, 50)
         m = rng.randint(1, 10**9)
         n = 10**18
-        if g_mod(SequenceParams(p, q), str(n), m) != mat_g_mod(p, q, n, m):
+        if g_mod(SequenceParams(p, q), str(n), m) != oracles.mat_g_mod(p, q, n, m):
             mismatches += 1
     queries = [
         (SequenceParams(rng.randint(-100, 100), rng.randint(-100, 100)),

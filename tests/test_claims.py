@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+import oracles
 from gfibdiv import (
     ClaimId,
     InputError,
@@ -35,8 +36,8 @@ from gfibdiv.claims import (
     conclusion_failures,
     hypothesis_gate,
 )
-from gfibdiv.numtheory import is_prime
-from gfibdiv.sequences import g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
+from gfibdiv.numtheory import factorize, is_prime
+from gfibdiv.sequences import g_exact, g_pairs_mod, g_range
 
 
 class TestRegistry:
@@ -207,7 +208,7 @@ class TestHypothesisGate:
         assert not any(gate(s) for s in range(3, 121, 3))
 
 
-class TestApplicableClaims:
+class TestHypothesesAtAPoint:
     """The claims whose hypothesis holds at a point, read from hypothesis_check."""
 
     @staticmethod
@@ -285,58 +286,16 @@ class TestConclusionHolds:
             assert conclusion_holds(ClaimId.Remark_Scaled, params, 5, 1, n) == expected
 
 
-def _divides(a: int, b: int) -> bool:
-    """a | b, where 0 divides only 0."""
-    return b == 0 if a == 0 else b % a == 0
-
-
-def _direct_failures(kind: ConclusionKind, gs: list[int], s: int, k_max: int, n_max: int) -> set:
-    """Failing (k, n) of the conclusion, straight from the statement with %."""
-    scales = DEFAULT_SCALE_FACTORS if kind is ConclusionKind.SCALED else (1,)
-    failing = set()
-    for k in range(k_max + 1):
-        sk = s**k
-        d = s ** min(k, 1) if kind is ConclusionKind.BASE_EQUIV else sk
-        for n in range(n_max + 1):
-            mult_div = all(_divides(a * sk * gs[n], a * gs[sk * n]) for a in scales)
-            equiv = (n % d == 0) == (gs[n] % d == 0)
-            holds = {
-                ConclusionKind.MULT_DIV: mult_div,
-                ConclusionKind.SCALED: mult_div,
-                ConclusionKind.EQUIV: equiv,
-                ConclusionKind.BASE_EQUIV: equiv,
-                ConclusionKind.CLASSICAL: mult_div and equiv,
-            }[kind]
-            if not holds:
-                failing.add((k, n))
-    return failing
-
-
-def _big_residue_failures(params: SequenceParams, gs: list[int], s: int, k_max: int, n_max: int) -> set:
-    """Failing (k, n) of s^k*G_n | G_{s^k*n}, from the residue of the big index
-    modulo the whole divisor (and, where G_n = 0, from whether G_{s^k*n} = 0)."""
-    return {
-        (k, n)
-        for k in range(k_max + 1)
-        for n in range(n_max + 1)
-        if not (
-            g_is_zero(params, s**k * n) if gs[n] == 0 else g_mod(params, s**k * n, s**k * abs(gs[n])) == 0
-        )
-    }
-
-
 @pytest.fixture(scope="module")
 def direct_divisibility_failures():
-    """(p, q, s) -> failing (k, n) of s^k*G_n | G_{s^k*n} on |p|,|q| <= 6,
-    s <= 12, k <= 3, n <= 30, by _big_residue_failures."""
-    failing = {}
-    for p in range(-6, 7):
-        for q in range(-6, 7):
-            params = SequenceParams(p, q)
-            gs = g_range(params, 30)
-            for s in range(1, 13):
-                failing[p, q, s] = _big_residue_failures(params, gs, s, 3, 30)
-    return failing
+    """(p, q, s) -> {(k, n): remainder} for each failure of s^k*G_n | G_{s^k*n}
+    on |p|,|q| <= 6, s <= 12, k <= 3, n <= 30, by oracles.divisibility_failures."""
+    return {
+        (p, q, s): failing
+        for p in range(-6, 7)
+        for q in range(-6, 7)
+        for s, failing in oracles.divisibility_failures(p, q, range(1, 13), 3, 30).items()
+    }
 
 
 class TestConclusionFailures:
@@ -348,25 +307,22 @@ class TestConclusionFailures:
         zero_points = 0
         for (p, q, s), divisibility in direct_divisibility_failures.items():
             params = SequenceParams(p, q)
-            gs = g_range(params, 30)
+            gs = oracles.g_values(p, q, 30)
             zero_points += sum(g == 0 for g in gs[1:])
             found = list(conclusion_failures(claim, params, s, range(4), range(31), modular=True))
             expected = set(divisibility)
             if kind is ConclusionKind.CLASSICAL:
-                expected |= {
-                    (k, n) for k in range(4) for n in range(31)
-                    if (n % s**k == 0) != (gs[n] % s**k == 0)
-                }
+                expected |= oracles.direct_failures("equiv", gs, s, 3, 30)
             assert {(k, n) for k, n, _ in found} == expected, (p, q, s)
             scale = DEFAULT_SCALE_FACTORS[0] if kind is ConclusionKind.SCALED else 1
             for k, n, evidence in found:
                 witness = claims.witness(claim, params, n, *evidence)
                 assert ("divisor" in witness) == ((k, n) in divisibility), (p, q, s, k, n)
                 if "divisor" in witness:
-                    # The remainder of a*G_{s^k*n} modulo the whole divisor,
-                    # from the residue of the big index.
+                    # The remainder of a*G_{s^k*n} modulo the whole divisor a*s^k*G_n,
+                    # from that of G_{s^k*n} modulo s^k*|G_n|.
                     divisor = scale * s**k * gs[n]
-                    remainder = g_mod(params, s**k * n, abs(divisor)) * scale % abs(divisor)
+                    remainder = divisibility[k, n] * scale % abs(divisor)
                     assert witness == {
                         "divisor": divisor, "index": s**k * n, "g_n": gs[n], "remainder": remainder
                     }, (p, q, s, k, n)
@@ -381,9 +337,9 @@ class TestConclusionFailures:
         for p in range(-3, 4):
             for q in range(-3, 4):
                 params = SequenceParams(p, q)
-                gs = g_range(params, 201)
-                for s in (2, 3, 5, 6):
-                    expected = _big_residue_failures(params, gs, s, 3, 200)
+                gs = oracles.g_values(p, q, 201)
+                divisibility = oracles.divisibility_failures(p, q, (2, 3, 5, 6), 3, 200)
+                for s, expected in divisibility.items():
                     shared_factor_failures += bool(expected) and math.gcd(q, s) > 1
                     for k in range(1, 4):
                         repeats += 201 - len({(gs[n] % s**k, gs[n + 1] % s**k) for n in range(201)})
@@ -391,11 +347,10 @@ class TestConclusionFailures:
                         found = list(
                             conclusion_failures(ClaimId.Thm1_1_MultDiv, params, s, range(4), range(201), modular=modular)
                         )
-                        assert {(k, n) for k, n, _ in found} == expected, (p, q, s, modular)
+                        assert {(k, n) for k, n, _ in found} == set(expected), (p, q, s, modular)
                         for k, n, evidence in found:
                             witness = claims.witness(ClaimId.Thm1_1_MultDiv, params, n, *evidence)
-                            divisor = s**k * gs[n]
-                            assert witness["remainder"] == g_mod(params, s**k * n, abs(divisor)), (p, q, s, k, n)
+                            assert witness["remainder"] == expected[k, n], (p, q, s, k, n)
         assert repeats > 0 and shared_factor_failures > 0
 
     @pytest.mark.parametrize("modular", [False, True])
@@ -498,7 +453,7 @@ class TestConclusionFailures:
         for p in range(-4, 5):
             for q in range(-4, 5):
                 params = SequenceParams(p, q)
-                gs = g_range(params, 8**k_max * n_max)
+                gs = oracles.g_values(p, q, 8**k_max * n_max)
                 for s in range(1, 9):
                     found = list(
                         conclusion_failures(
@@ -507,7 +462,8 @@ class TestConclusionFailures:
                     )
                     points = [(k, n) for k, n, _ in found]
                     assert points == sorted(set(points)), (p, q, s)
-                    assert set(points) == _direct_failures(kind, gs, s, k_max, n_max), (p, q, s)
+                    scales = DEFAULT_SCALE_FACTORS if kind is ConclusionKind.SCALED else (1,)
+                    assert set(points) == oracles.direct_failures(kind.value, gs, s, k_max, n_max, scales), (p, q, s)
                     total += len(points)
         assert total > 0
 
@@ -600,7 +556,7 @@ class TestConclusionFailures:
         for p in range(-6, 7):
             for q in range(-6, 7):
                 params = SequenceParams(p, q)
-                gs = g_range(params, 21)
+                gs = oracles.g_values(p, q, 21)
                 zero_points += sum(g == 0 for g in gs[1:21])
                 for s in range(1, 13):  # s need not divide r, so failures occur
                     residues = {}  # (index, |divisor|) -> G_index mod |divisor|
@@ -620,7 +576,7 @@ class TestConclusionFailures:
                                 divisibility_failures += 1
                                 modulus = abs(scale * s**k * gs[n])
                                 if (s**k * n, modulus) not in residues:
-                                    residues[s**k * n, modulus] = g_mod(params, s**k * n, modulus)
+                                    residues[s**k * n, modulus] = oracles.mat_g_mod(p, q, s**k * n, modulus)
                                 remainder = residues[s**k * n, modulus] * scale % modulus
                                 assert witness["remainder"] == remainder, (kind, p, q, s, k, n)
         assert zero_points > 0 and divisibility_failures > 0
@@ -667,6 +623,21 @@ class TestRankCertificate:
         assert any(exact[p, 0, s] for p in range(-6, 7) for s in range(2, 25))
         assert any(exact[0, q, s] for q in range(-6, 7) for s in range(2, 25))
         assert any(exact[p, q, s] for p, q, s in grid if math.gcd(q, s) > 1)
+
+    def test_certificate_matches_the_orbit_walk_rank(self):
+        # On |p|,|q| <= 8, gcd(q, s) = 1 and d = s^k <= 1,000, the certificate
+        # holds exactly where the rank of d is d.  d | G_d is part of that, so
+        # the orbit walk runs only where it holds.
+        moduli = [(s, s**k) for s in range(2, 1001) for k in range(1, 10) if s**k <= 1000]
+        held = 0
+        for p in range(-8, 9):
+            for q in range(-8, 9):
+                for s, d in moduli:
+                    if math.gcd(q, s) == 1:
+                        rank_is_d = oracles.mat_g_mod(p, q, d, d) == 0 and oracles.brute_rank(p, q, d) == d
+                        assert _rank_is_modulus(SequenceParams(p, q), d, factorize(s)) == rank_is_d, (p, q, s, d)
+                        held += rank_is_d
+        assert held == 5624
 
     @staticmethod
     def _streams(monkeypatch):
@@ -716,17 +687,14 @@ class TestResidueLemma:
     s | a^2 + 4b.  It holds for every s, by the repeated-root closed form and
     the Lucas product (the proof in conclusion_failures); with s | r it gives
     the divisibility half for every k and n, so modular mode walks no stream
-    there, while exact mode walks every point."""
+    there, while exact mode walks every point.  No code enumerates the
+    lemma's pairs any more; only oracles.residue_lemma_pairs does, here."""
 
     def test_pairs_match_a_scan_of_every_pair(self):
-        # Each s's pairs, found by scanning 4b mod s for every b.
         total = 0
         for s in range(1, 301):
-            by_residue = {}
-            for b in range(s):
-                by_residue.setdefault(4 * b % s, []).append(b)
-            pairs = [(a, b) for a in range(s) for b in by_residue.get(-a * a % s, [])]
-            assert all(g_mod(SequenceParams(a, b), s, s) == 0 for a, b in pairs), s
+            pairs = oracles.residue_lemma_pairs(s)
+            assert all(oracles.mat_g_mod(a, b, s, s) == 0 for a, b in pairs), s
             total += len(pairs)
         assert total == 1 + 56549  # s = 1 has the one pair (0, 0)
 
@@ -880,14 +848,6 @@ class TestCaseThreeReduction:
                         assert (r // 4) % s == 0, (p, q, s)
 
 
-def _lift_oracle(params, s, t_max):
-    """The lift condition by one g_mod doubling chain per t."""
-    for t in range(1, t_max + 1):
-        if t % s and g_mod(params, s * t, s * s) == 0:
-            return claims.LiftCheck(holds=False, t_max=t_max, first_failing_t=t)
-    return claims.LiftCheck(holds=True, t_max=t_max)
-
-
 class TestLiftCondition:
     def test_matches_per_t_oracle_on_grid(self):
         # The grid holds q = 0, p = q = 0, gcd(q, s) > 1 and s not dividing r.
@@ -897,7 +857,8 @@ class TestLiftCondition:
                 params = SequenceParams(p, q)
                 for s in range(2, 40):
                     lift = thm12_lift_condition(params, s, 60)
-                    assert lift == _lift_oracle(params, s, 60), (p, q, s)
+                    first = oracles.lift_failure(p, q, s, 60)
+                    assert lift == claims.LiftCheck(holds=first is None, t_max=60, first_failing_t=first), (p, q, s)
                     seen.add(lift.holds)
         assert seen == {True, False}
 
@@ -905,7 +866,8 @@ class TestLiftCondition:
     def test_matches_per_t_oracle_far(self, p, q, s):
         params = SequenceParams(p, q)
         lift = thm12_lift_condition(params, s, 200_000)
-        assert lift.holds and lift == _lift_oracle(params, s, 200_000)
+        assert oracles.lift_failure(p, q, s, 200_000) is None
+        assert lift == claims.LiftCheck(holds=True, t_max=200_000)
 
     @pytest.mark.parametrize("p,q,s,t", [(3, -2, 7, 3), (-10, -1, 12, 4)])
     def test_pinned_first_failing_t(self, p, q, s, t):

@@ -588,6 +588,40 @@ class TestSurvey:
         assert re.fullmatch(r"resource limit: survey stopped after .* at \(p, q, s, k\) = \(1, 1, 5, 1\), over .*\n", err)
 
 
+class TestBudgetWhileFactoring:
+    def test_divisor_search_of_r_stops_at_the_budget(self):
+        # At (10000000012, 1), r = 4 * 25000000060000000037 and that cofactor
+        # is prime: trial division would take about 9 minutes.  The budget is
+        # checked every 2^12 trial divisors, so each command exits 4 naming
+        # the cell.  The three run at once, each in its own process.
+        cell = ["--pmin", "10000000012", "--pmax", "10000000012", "--qmin", "1", "--qmax", "1", "--time-budget", "1"]
+        commands = [
+            ["sweep", "--claim", "thm1.1-multdiv", "--mode", "modular"],
+            ["survey"],
+            ["search", "--claim", "thm1.1-multdiv", "--relax", "s-div-r", "--s-source", "divisors-of-r"],
+        ]
+        src_dir = str(Path(gfibdiv.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        start = time.monotonic()
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "gfibdiv.cli", *argv, *cell],
+                stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            )
+            for argv in commands
+        ]
+        try:
+            results = [proc.communicate(timeout=60) for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+        assert time.monotonic() - start < 10.0
+        for argv, proc, (out, err) in zip(commands, procs, results):
+            assert (proc.returncode, out) == (cli.EXIT_RESOURCE, ""), (argv, err)
+            assert re.fullmatch(rf"resource limit: {argv[0]} stopped after .* at \(p, q\) = \(10000000012, 1\), over .*\n", err)
+
+
 class TestRank:
     def test_text(self, capsys):
         code, out, _ = run_main(["rank", "-p", "3", "-q", "4", "-s", "5", "--bound", "100"], capsys)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from gfibdiv import DomainError, divides, is_prime, positive_divisors, valuation
 from gfibdiv.numtheory import INFINITE, Valuation, factorize
 
@@ -88,23 +89,11 @@ class TestPositiveDivisors:
             assert positive_divisors(-m) == expected, m
 
 
-def _brute_factorization(m: int) -> list[tuple[int, int]]:
-    """(d, e) for each d = 2, 3, ... dividing what is left of |m|, e times: d is prime, having no smaller factor left."""
-    m, pairs = abs(m), []
-    for d in range(2, m + 1):
-        e = 0
-        while m % d == 0:
-            m, e = m // d, e + 1
-        if e:
-            pairs.append((d, e))
-    return pairs
-
-
 class TestFactorize:
     def test_agrees_with_brute_force_to_2000(self):
         for m in range(1, 2001):
             pairs = factorize(m)
-            assert pairs == _brute_factorization(m) == factorize(-m), m
+            assert pairs == oracles.brute_factorization(m) == factorize(-m), m
             primes = [prime for prime, _ in pairs]
             assert primes == sorted(set(primes)) and all(is_prime(prime) for prime in primes), m
             assert all(e >= 1 for _, e in pairs), m
@@ -113,6 +102,24 @@ class TestFactorize:
     def test_zero(self):
         with pytest.raises(DomainError):
             factorize(0)
+
+    def test_budget_checked_once_per_block_of_trial_divisors(self):
+        # (10^6 + 3)(10^6 + 33) takes the 500,002 trial divisors 2, 3, ...,
+        # 10^6 + 3: 123 blocks of 2^12, so a check before each block but the first.
+        m = (10**6 + 3) * (10**6 + 33)
+        checks = []
+        assert factorize(m, check=lambda: checks.append(1)) == factorize(m) == [(10**6 + 3, 1), (10**6 + 33, 1)]
+        assert len(checks) == 122
+        assert positive_divisors(m, check=lambda: checks.append(1)) == [1, 10**6 + 3, 10**6 + 33, m]
+        assert len(checks) == 244
+        # No block after the first: no check.
+        assert factorize(8191**2, check=lambda: checks.append(1)) == [(8191, 2)] and len(checks) == 244
+
+        def stop():
+            raise RuntimeError("over budget")
+
+        with pytest.raises(RuntimeError, match="over budget"):
+            factorize(10**18 + 9, check=stop)
 
     def test_trial_limit(self):
         # The trial divisors are 2 and the odd numbers: 97 is settled by

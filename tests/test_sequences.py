@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from gfibdiv import (
     ABPair,
     DomainError,
@@ -18,38 +19,6 @@ from gfibdiv import (
     g_range,
 )
 from gfibdiv.sequences import _parse_index, g_is_zero
-
-
-def naive_g(p: int, q: int, n: int) -> int:
-    """Independent oracle: the recurrence written as an explicit list."""
-    values = [0, 1]
-    while len(values) <= n:
-        values.append(p * values[-1] + q * values[-2])
-    return values[n]
-
-
-def matrix_g_mod(p: int, q: int, n: int, m: int) -> int:
-    """Independent modular oracle: companion-matrix exponentiation."""
-
-    def mat_mul(x, y):
-        return (
-            (x[0][0] * y[0][0] + x[0][1] * y[1][0]) % m,
-            (x[0][0] * y[0][1] + x[0][1] * y[1][1]) % m,
-        ), (
-            (x[1][0] * y[0][0] + x[1][1] * y[1][0]) % m,
-            (x[1][0] * y[0][1] + x[1][1] * y[1][1]) % m,
-        )
-
-    result = ((1 % m, 0), (0, 1 % m))
-    base = ((p % m, q % m), (1 % m, 0))
-    e = n
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    # result = M^n, and M^n @ (G_1, G_0) has G_{n+1} on top, G_n below
-    return result[1][0]
 
 
 class TestGExact:
@@ -67,7 +36,7 @@ class TestGExact:
 
     def test_negative_p_matches_naive_oracle(self):
         # 0, 1, -3, 16, -69, 319, -1440, 6553, -29739
-        assert naive_g(-3, 7, 8) == -29739
+        assert oracles.naive_g(-3, 7, 8) == -29739
         assert g_exact(SequenceParams(-3, 7), 8) == -29739
 
     @given(
@@ -76,13 +45,13 @@ class TestGExact:
         n=st.integers(0, 2000),
     )
     def test_matches_naive_oracle(self, p, q, n):
-        assert g_exact(SequenceParams(p, q), n) == naive_g(p, q, n)
+        assert g_exact(SequenceParams(p, q), n) == oracles.naive_g(p, q, n)
 
     @pytest.mark.parametrize("p,q", [(1, 1), (3, -2), (-5, -7), (0, 3), (0, -2)])
     @pytest.mark.parametrize("n", [10**4, 10**5])
     def test_large_index_matches_matrix_oracle(self, p, q, n):
         m = 10**12 + 39
-        assert g_exact(SequenceParams(p, q), n) % m == matrix_g_mod(p, q, n, m)
+        assert g_exact(SequenceParams(p, q), n) % m == oracles.mat_g_mod(p, q, n, m)
 
     def test_string_index_accepted(self):
         assert g_exact(SequenceParams(1, 1), "10") == 55
@@ -119,7 +88,7 @@ class TestGRange:
         # G_0..G_{n_max} is n_max + 1 terms, refused before any is built.
         with pytest.raises(ResourceLimitError, match="g_range of 102 terms exceeds ceiling 101"):
             g_range(SequenceParams(1, 1), 101, max_terms=101)
-        assert g_range(SequenceParams(1, 1), 100, max_terms=101)[-1] == naive_g(1, 1, 100)
+        assert g_range(SequenceParams(1, 1), 100, max_terms=101)[-1] == oracles.naive_g(1, 1, 100)
 
 
 class TestABExact:
@@ -192,7 +161,7 @@ class TestGMod:
             p, q = rng.randint(-20, 20), rng.randint(-20, 20)
             m = rng.randint(1, 10**9)
             n = rng.randint(10**17, 10**18)
-            assert g_mod(SequenceParams(p, q), str(n), m) == matrix_g_mod(p, q, n, m)
+            assert g_mod(SequenceParams(p, q), str(n), m) == oracles.mat_g_mod(p, q, n, m)
 
     @pytest.mark.parametrize("width", [639, 640, 641, 4301, 5000, 20000])
     def test_index_string_of_any_width(self, width):
@@ -203,7 +172,7 @@ class TestGMod:
             n = 10 * n + int(d)
         m = rng.randint(2, 10**9)
         assert _parse_index(" +00" + digits) == n
-        assert g_mod(SequenceParams(3, -2), digits, m) == matrix_g_mod(3, -2, n, m)
+        assert g_mod(SequenceParams(3, -2), digits, m) == oracles.mat_g_mod(3, -2, n, m)
 
     @given(
         p=st.integers(-8, 8),
@@ -239,7 +208,7 @@ class TestGPairsMod:
             moduli = {s**k for s in range(2, r + 1) if r % s == 0 for k in (1, 2, 3)}
             if not moduli:  # r in (-1, 0, 1)
                 continue
-            gs = [g % r**3 for g in g_range(params, 2001)]  # each d divides r^3
+            gs = [g % r**3 for g in oracles.g_values(p, q, 2001)]  # each d divides r^3
             for d in sorted(moduli):
                 residues = [g % d for g in gs]
                 assert list(g_pairs_mod(params, ns, d)) == list(zip(residues, residues[1:])), (p, q, d)
@@ -251,14 +220,14 @@ class TestGPairsMod:
         ns = [4096, 4097, 4161, 4226, 4226, 4227, 8192, 8193, 8257, 8322, 8323, 4100, 4101, 0, 1, 65, 130, 129]
         for p, q in [(1, 1), (-3, 5), (4, -7), (8, -8), (0, 3)]:
             params = SequenceParams(p, q)
-            gs = g_range(params, max(ns) + 1)
+            gs = oracles.g_values(p, q, max(ns) + 1)
             for d in [2, 125, 4096, 8000, 10**9 + 7]:
                 assert list(g_pairs_mod(params, ns, d)) == [(gs[n] % d, gs[n + 1] % d) for n in ns], (p, q, d)
 
     def test_seeded_at_large_start(self):
         params = SequenceParams(-5, 3)
         ns = range(10**30, 10**30 + 50)
-        expected = [(matrix_g_mod(-5, 3, n, 97), matrix_g_mod(-5, 3, n + 1, 97)) for n in ns]
+        expected = [(oracles.mat_g_mod(-5, 3, n, 97), oracles.mat_g_mod(-5, 3, n + 1, 97)) for n in ns]
         assert list(g_pairs_mod(params, ns, 97)) == expected
 
     def test_gaps_and_order(self):
@@ -294,7 +263,7 @@ class TestGIsZero:
     @pytest.mark.parametrize("q", range(-4, 5))
     def test_agrees_with_exact(self, p, q):
         params = SequenceParams(p, q)
-        gs = g_range(params, 100)
+        gs = oracles.g_values(p, q, 100)
         for n in range(101):
             assert g_is_zero(params, n) == (gs[n] == 0), (p, q, n)
 

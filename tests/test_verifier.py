@@ -13,6 +13,7 @@ from collections import Counter
 
 import pytest
 
+import oracles
 from gfibdiv import (
     ClaimId,
     Counterexample,
@@ -538,7 +539,8 @@ class TestQuotientMemo:
 class TestExactTableFreed:
     """Exact mode keeps no table of G values: a sweep, a search, a survey
     and a pool's part (_sweep_cell, as a worker walks it) each walk 3,001
-    indices within a small fraction of G_0..G_3001, and hold nothing after."""
+    indices within a small fraction of G_0..G_3001, and hold nothing after.
+    (The name is from when exact mode built a table and freed it.)"""
 
     FIBONACCI = dict(p_range=(1, 1), q_range=(1, 1), k_max=1, n_max=3000, mode=Mode.EXACT)
 
@@ -784,9 +786,9 @@ class TestCounterexampleSearch:
         found = list(iter_counterexamples(ClaimId.Thm1_1_MultDiv, "s-div-r", bounds))
         failing = {(ce.p, ce.q, ce.s) for ce in found}
         assert len(found) > len(failing) > 1
-        # The oracle: one linear g_range pass per failing (p, q, s), not g_exact's doubling.
+        # The oracle: one exact list per failing (p, q, s), not g_exact's doubling.
         passes = {
-            (p, q, s): g_range(SequenceParams(p, q), max(ce.s**ce.k * ce.n for ce in found if (ce.p, ce.q, ce.s) == (p, q, s)))
+            (p, q, s): oracles.g_values(p, q, max(ce.s**ce.k * ce.n for ce in found if (ce.p, ce.q, ce.s) == (p, q, s)))
             for p, q, s in failing
         }
         for ce in found:
@@ -899,7 +901,7 @@ class TestRankOfApparition:
             params = SequenceParams(p, q)
             rank = rank_of_apparition(params, s, 1000)
             assert rank is not None
-            gs = g_range(params, 4 * rank)
+            gs = oracles.g_values(p, q, 4 * rank)
             assert gs[rank] % s == 0
             assert all(gs[n] % s != 0 for n in range(1, rank))
             for mult in range(2, 5):
@@ -911,13 +913,7 @@ class TestRankOfApparition:
             for q in range(-6, 7):
                 params = SequenceParams(p, q)
                 for s in range(2, 16):
-                    # Walk (G_n, G_{n+1}) mod s from n = 1 until a state repeats.
-                    state, n, seen, rank = (1 % s, p % s), 1, set(), None
-                    while state not in seen and rank is None:
-                        seen.add(state)
-                        if state[0] == 0:
-                            rank = n
-                        state, n = (state[1], (p * state[1] + q * state[0]) % s), n + 1
+                    rank = oracles.brute_rank(p, q, s)
                     assert rank_of_apparition(params, s, 10**12) == rank, (p, q, s)
                     if rank is not None:
                         assert rank_of_apparition(params, s, rank) == rank, (p, q, s)
@@ -938,7 +934,7 @@ class TestRankOfApparition:
         for p in range(-7, 8):
             for q in range(-7, 8):
                 params = SequenceParams(p, q)
-                gs = g_range(params, 20 * 20)
+                gs = oracles.g_values(p, q, 20 * 20)
                 for s in range(2, 21):
                     streamed.clear()
                     want = next((n for n in range(1, s * s + 1) if gs[n] % s == 0), None)
