@@ -30,9 +30,14 @@ GRID60 = ("--pmin", "-60", "--pmax", "60", "--qmin", "-60", "--qmax", "60")
 # condition holds at some points for all t <= 20000, modular
 # divisibility sweeps whose r have divisors s past 2^12 (certified by s | r
 # alone), a relaxed search of the lifted equivalence, whose lift
-# condition the grid walk decides before each conclusion walk, and a sweep at
+# condition the grid walk decides before each conclusion walk, a sweep at
 # |p| near 10^6, whose r near 10^12 take up to about 120 blocks of 2^12 trial
-# divisors, with the budget hook called between them.
+# divisors, with the budget hook called between them, rank queries down each
+# path of rank_of_apparition (the laws of apparition and repetition where
+# gcd(q, s) = 1 and s factors, the capped scan where gcd(q, s) > 1 or s does
+# not factor within a quarter of the scan), and a modular relaxed search of
+# the equivalence, whose rank certificate meets primes of s that do not
+# divide r.
 EXTRA = (
     ("search-multdiv-s-div-r", ("search", "--claim", "thm1.1-multdiv", "--relax", "s-div-r", "--all") + GRID4
      + ("--s-source", ",".join(map(str, range(1, 21))), "--kmax", "2", "--nmax", "12")),
@@ -53,6 +58,12 @@ EXTRA = (
      "--kmax", "2", "--nmax", "40", "--tmax", "50")),
     ("sweep-base-equiv-modular-wide-p", ("sweep", "--claim", "thm1.2-base-equiv", "--pmin", "1000000", "--pmax",
      "1000014", "--qmin", "1", "--qmax", "14", "--mode", "modular")),
+    ("rank-prime-10000019", ("rank", "-p", "1", "-q", "1", "-s", "10000019", "--bound", "1000000000000")),
+    ("rank-6-not-dividing-r", ("rank", "-p", "3", "-q", "1", "-s", "6")),
+    ("rank-scan-gcd-q-s", ("rank", "-p", "2", "-q", "2", "-s", "12")),
+    ("rank-scan-unfactored", ("rank", "-p", "1", "-q", "1", "-s", "1000000016000000063")),
+    ("search-equiv-s-div-r-modular", ("search", "--claim", "thm1.1-equiv", "--relax", "s-div-r", "--all") + GRID8
+     + ("--s-source", ",".join(map(str, range(2, 31))), "--kmax", "2", "--nmax", "60", "--mode", "modular")),
 )
 FORMATS = ("json", "text")
 FIELDS = ("report", "stdout", "stderr", "exit code")

@@ -139,7 +139,7 @@ def _add_sweep_options(parser: argparse.ArgumentParser, *, k_max: int, n_max: in
         type=float,
         default=None,
         metavar="SECONDS",
-        help="stop with exit 4 once this many seconds have passed, checked before each (p, q) cell, each s and each k",
+        help="stop with exit 4 after this many seconds, checked per (p, q) cell, s and k and while r or s is factored",
     )
 
 

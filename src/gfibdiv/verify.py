@@ -29,9 +29,10 @@ from .claims import (
     witness,
     _applicable,
     _evaluate_conditions,
+    _rank,
 )
 from .errors import InputError, ResourceLimitError
-from .numtheory import divides, positive_divisors
+from .numtheory import divides, factorize, positive_divisors
 from .sequences import SequenceParams, ab_exact, g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
 
 
@@ -513,22 +514,26 @@ def search_counterexample(
 
 
 def rank_of_apparition(params: SequenceParams, s: int, n_bound: int) -> int | None:
-    """Smallest n in [1, n_bound] with s | G_n, by a modular linear scan.
+    """Smallest n in [1, n_bound] with s | G_n.
 
-    None without a scan where a prime l | s divides q but not p, since then
-    G_n = p^(n-1) != 0 (mod l) for every n >= 1.  The scan stops at n = s^2,
-    losing nothing: the states (G_n, G_{n+1}) mod s, n >= 1, take at most s^2
-    values and each fixes the next, so every state that ever occurs occurs
-    among the first s^2; a rank, if any, is <= s^2.
+    Where gcd(q, s) = 1 and s factors within a quarter of the scan below, it
+    is alpha(s) from the laws of apparition and repetition (claims._rank).
+    Else None without a scan where a prime l | s divides q but not p (then
+    G_n = p^(n-1) != 0 mod l for n >= 1), else a modular linear scan to
+    n = s^2, losing nothing: the states (G_n, G_{n+1}) mod s, n >= 1, take at
+    most s^2 values and each fixes the next, so a rank, if any, is <= s^2.
     """
     if s < 2:
         raise InputError(f"rank of apparition needs s >= 2, got {s}")
+    ns = range(1, min(n_bound, s * s) + 1)
+    if math.gcd(params.q, s) == 1 and (primes := factorize(s, max_trials=len(ns) // 4)) is not None:
+        rank = _rank(params, s, primes)
+        return rank if rank <= n_bound else None
     g = math.gcd(s, params.q)
     while (shared := math.gcd(g, params.p)) > 1:
         g //= shared
     if g > 1:
         return None
-    ns = range(1, min(n_bound, s * s) + 1)
     return next((n for n, (g, _) in zip(ns, g_pairs_mod(params, ns, s)) if g == 0), None)
 
 

@@ -28,6 +28,7 @@ from gfibdiv.claims import (
     _CONDITIONS,
     _S_FREE,
     _applicable,
+    _rank,
     _rank_is_modulus,
     DEFAULT_SCALE_FACTORS,
     REGISTRY,
@@ -638,6 +639,36 @@ class TestRankCertificate:
                         assert _rank_is_modulus(SequenceParams(p, q), d, factorize(s)) == rank_is_d, (p, q, s, d)
                         held += rank_is_d
         assert held == 5624
+
+    def test_rank_matches_the_orbit_walk(self):
+        # alpha(d) from the laws of apparition and repetition, on |p|,|q| <= 12,
+        # 2 <= d < 200 and gcd(q, d) = 1: p = 0, r = 0, d = 2^e, odd prime
+        # powers, primes dividing r and primes that do not.
+        factors = {d: factorize(d) for d in range(2, 200)}
+        compared = 0
+        for p in range(-12, 13):
+            for q in range(-12, 13):
+                for d in range(2, 200):
+                    if math.gcd(q, d) == 1:
+                        assert _rank(SequenceParams(p, q), d, factors[d]) == oracles.brute_rank(p, q, d), (p, q, d)
+                        compared += 1
+        assert compared == 73950
+
+    def test_certificate_factors_only_s(self, monkeypatch):
+        # The certificate starts alpha's descent from d itself, so no l - (r/l)
+        # is factored, also where a prime of s does not divide r.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the certificate factored a number")
+
+        monkeypatch.setattr(claims, "factorize", forbidden)
+        held = 0
+        for p in range(-6, 7):
+            for q in range(-6, 7):
+                for s in range(2, 40):
+                    if math.gcd(q, s) == 1 and SequenceParams(p, q).r % s:
+                        for k in (1, 2):
+                            held += _rank_is_modulus(SequenceParams(p, q), s**k, factorize(s))
+        assert held > 0
 
     @staticmethod
     def _streams(monkeypatch):

@@ -326,7 +326,7 @@ class TestCheck:
         # streams residues.
         factored = []
 
-        def recording(m, *, max_trials):
+        def recording(m, *, max_trials, check=None):
             assert max_trials <= 201  # the check's indices 0..200
             factored.append(factorize(m, max_trials=max_trials))
             return factored[-1]
@@ -588,7 +588,31 @@ class TestSurvey:
         assert re.fullmatch(r"resource limit: survey stopped after .* at \(p, q, s, k\) = \(1, 1, 5, 1\), over .*\n", err)
 
 
+def _src_env() -> dict:
+    """The environment of a CLI subprocess that imports gfibdiv from this tree."""
+    src_dir = str(Path(gfibdiv.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestBudgetWhileFactoring:
+    def test_factoring_s_stops_at_the_budget(self):
+        # s = r = 10^18 + 9 is prime: trial division up to 20,000,001 divisors
+        # (the indices 0..--nmax) would take about 2 s, and the budget is
+        # checked every 2^12 of them.
+        p, q, s = 1, 250000000000000002, 1000000000000000009
+        argv = ["check", "--claim", "thm1.1-equiv", "-p", str(p), "-q", str(q), "-s", str(s), "--kmax", "1",
+                "--nmax", "20000000", "--mode", "modular", "--time-budget", "0.1"]
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "gfibdiv.cli", *argv],
+            stdin=subprocess.DEVNULL, capture_output=True, text=True, env=_src_env(), timeout=60,
+        )
+        assert time.monotonic() - start < 1.0
+        assert (proc.returncode, proc.stdout) == (cli.EXIT_RESOURCE, "")
+        assert re.fullmatch(rf"resource limit: sweep stopped after .* at \(p, q, s\) = \({p}, {q}, {s}\), over .*\n", proc.stderr)
+
     def test_divisor_search_of_r_stops_at_the_budget(self):
         # At (10000000012, 1), r = 4 * 25000000060000000037 and that cofactor
         # is prime: trial division would take about 9 minutes.  The budget is
@@ -623,6 +647,38 @@ class TestBudgetWhileFactoring:
 
 
 class TestRank:
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            # s = 6 does not divide r = 13: alpha(2) = 3 and alpha(3) = 2 give lcm 6.
+            (["-p", "3", "-q", "1", "-s", "6"], "6"),
+            # 10^12 + 39 is prime and r = 5 is a non-residue: alpha divides 10^12 + 40.
+            (["-p", "1", "-q", "1", "-s", "1000000000039", "--bound", "1000000000000000"], "333333333346"),
+        ],
+    )
+    def test_rank_from_the_laws(self, capsys, argv, want):
+        code, out, _ = run_main(["rank", *argv], capsys)
+        assert (code, out.strip()) == (0, want)
+
+    def test_prime_near_10_to_the_7_answers_at_once(self):
+        # A linear scan takes 10,000,018 steps (about 3 s); the laws take a few g_mod calls.
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "gfibdiv.cli", "rank", "-p", "1", "-q", "1", "-s", "10000019", "--bound",
+             "1000000000000"],
+            stdin=subprocess.DEVNULL, capture_output=True, text=True, env=_src_env(), timeout=60,
+        )
+        assert time.monotonic() - start < 1.0
+        assert (proc.returncode, proc.stdout.strip()) == (0, "10000018")
+
+    def test_unfactored_s_falls_back_to_the_scan(self, capsys):
+        # s = (10^9 + 7)(10^9 + 9) does not factor within a quarter of the 10^6
+        # indices of the default bound, so the capped scan decides.
+        start = time.monotonic()
+        code, out, _ = run_main(["rank", "-p", "1", "-q", "1", "-s", "1000000016000000063"], capsys)
+        assert (code, out.strip()) == (0, "none")
+        assert time.monotonic() - start < 2
+
     def test_text(self, capsys):
         code, out, _ = run_main(["rank", "-p", "3", "-q", "4", "-s", "5", "--bound", "100"], capsys)
         assert code == 0

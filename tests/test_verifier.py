@@ -536,11 +536,10 @@ class TestQuotientMemo:
         assert reporting.to_json(reporting.report_to_dict(pooled._replace(config=config))) == cold
 
 
-class TestExactTableFreed:
+class TestExactModeKeepsNoTable:
     """Exact mode keeps no table of G values: a sweep, a search, a survey
     and a pool's part (_sweep_cell, as a worker walks it) each walk 3,001
-    indices within a small fraction of G_0..G_3001, and hold nothing after.
-    (The name is from when exact mode built a table and freed it.)"""
+    indices within a small fraction of G_0..G_3001, and hold nothing after."""
 
     FIBONACCI = dict(p_range=(1, 1), q_range=(1, 1), k_max=1, n_max=3000, mode=Mode.EXACT)
 
@@ -919,6 +918,20 @@ class TestRankOfApparition:
                         assert rank_of_apparition(params, s, rank) == rank, (p, q, s)
                         assert rank_of_apparition(params, s, rank - 1) is None, (p, q, s)
 
+
+    def test_coprime_s_opens_no_stream(self, monkeypatch):
+        """Where gcd(q, s) = 1, alpha(s) comes from the laws of apparition and repetition, with no scan."""
+        streamed, stream = [], verify.g_pairs_mod
+        monkeypatch.setattr(verify, "g_pairs_mod", lambda params, ns, m: streamed.append(m) or stream(params, ns, m))
+        for p in range(-7, 8):
+            for q in range(-7, 8):
+                for s in range(2, 41):
+                    if math.gcd(q, s) == 1:
+                        assert rank_of_apparition(SequenceParams(p, q), s, 10**12) == oracles.brute_rank(p, q, s)
+        assert streamed == []
+        # gcd(q, s) = 2 at (2, 2): the scan decides.
+        assert rank_of_apparition(SequenceParams(2, 2), 12, 10**12) == 6
+        assert streamed == [12]
 
     def test_matches_exact_scan(self, monkeypatch):
         """Against a scan of exact values to s^2; where a prime of s divides q but not p, no stream is read."""
