@@ -34,8 +34,9 @@ GRID60 = ("--pmin", "-60", "--pmax", "60", "--qmin", "-60", "--qmax", "60")
 # |p| near 10^6, whose r near 10^12 take up to about 120 blocks of 2^12 trial
 # divisors, with the budget hook called between them, rank queries down each
 # path of rank_of_apparition (the laws of apparition and repetition where
-# gcd(q, s) = 1 and s factors, the capped scan where gcd(q, s) > 1 or s does
-# not factor within a quarter of the scan), and a modular relaxed search of
+# gcd(q, s) = 1 and s factors first, the capped scan alone where
+# gcd(q, s) > 1, and the scan winning its race with the trial division of
+# s), and a modular relaxed search of
 # the equivalence, whose rank certificate meets primes of s that do not
 # divide r.
 EXTRA = (

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import InputError
-from .numtheory import divides, factorize, is_prime, valuation
+from .numtheory import divides, factorize, is_prime
 # g_is_zero is not called here; it stays importable because perfbench/tracer.py
 # wraps claims.g_is_zero.
 from .sequences import SequenceParams, _pair_mod, g_exact, g_is_zero, g_mod, g_pairs_mod
@@ -338,28 +338,20 @@ def _lifted_quotient(d: int, v: int, q_pow: int) -> int:
     return _pair_mod(v, -q_pow, d, d)[0]
 
 
-def _rank(params: SequenceParams, d: int, primes: list[tuple[int, int]], zero: int | None = None) -> int:
-    """alpha(d), the rank of apparition of d: the least n >= 1 with d | G_n.
+def _rank(params: SequenceParams, d: int, primes: list[tuple[int, int]], check=None) -> int:
+    """alpha(d), the least n >= 1 with d | G_n, where gcd(q, d) = 1; primes = factorize(d).
 
-    Requires gcd(q, d) = 1; primes are the (prime, exponent) pairs of a
-    number with the same primes as d (factorize).  If d | G_a, Cassini gives
-    G_{a+1}^2 = (-q)^a (mod d), so G_{a+1} is a unit and G_{a+n} =
-    G_{a+1}*G_n + q*G_a*G_{n-1} = G_{a+1}*G_n (mod d): the zeros of G mod d
-    are the multiples of alpha(d) (Lucas 1878; Carmichael 1913).  So from a
-    zero, dividing out each prime f while d | G_{zero/f} leaves alpha(d), one
-    g_mod per step.  Without a zero, the laws give one, the lcm over l^e || d
-    of alpha(l)*l^(e-1) (l*G_m | G_{l*m} where l | G_m: the Lucas product and
-    L(l) of conclusion_failures), where alpha(l) divides l if l | r (L(l)), 3
-    if l = 2 (p, q odd), else l - (r/l) (Euler's criterion), factored too.
+    The zeros of G mod d are the multiples of alpha(d) (law of apparition:
+    d | G_a makes G_{a+1} a unit, by Cassini, and G_{a+n} = G_{a+1}*G_n mod d).
+    By the law of repetition (Lucas 1878; Carmichael 1913) the lcm over l^e || d
+    of alpha(l)*l^(e-1) is one, alpha(l) dividing l if l | r, 3 if l = 2, else
+    l - (r/l) (factored with check); each prime is divided out while it leaves a zero.
     """
-    divisors = {ell for ell, _ in primes}
-    if zero is None:
-        zero, r = 1, params.r
-        for ell in list(divisors):
-            if e := valuation(d, ell).exponent:
-                known = ell if r % ell == 0 else 3 if ell == 2 else ell - 1 if pow(r, ell // 2, ell) == 1 else ell + 1
-                zero = math.lcm(zero, known * ell ** (e - 1))
-                divisors.update(f for f, _ in factorize(known))
+    zero, r, divisors = 1, params.r, set()
+    for ell, e in primes:
+        known = ell if r % ell == 0 else 3 if ell == 2 else ell - 1 if pow(r, ell // 2, ell) == 1 else ell + 1
+        zero = math.lcm(zero, known * ell ** (e - 1))
+        divisors.update([ell] if known == ell else [ell, *(f for f, _ in factorize(known, check=check))])
     for f in divisors:
         while zero % f == 0 and g_mod(params, zero // f, d) == 0:
             zero //= f
@@ -367,13 +359,13 @@ def _rank(params: SequenceParams, d: int, primes: list[tuple[int, int]], zero: i
 
 
 def _rank_is_modulus(params: SequenceParams, d: int, factors: list[tuple[int, int]]) -> bool:
-    """Whether alpha(d) = d, so d | n <=> d | G_n for all n; gcd(q, d) = 1, factors as for _rank.
+    """Whether alpha(d) = d (_rank), so d | n <=> d | G_n for all n; gcd(q, d) = 1.
 
-    _rank starts from d: a zero by the laws where every prime of d divides r,
-    and elsewhere once one g_mod finds d | G_d, so no l - (r/l) is factored.
+    factors share the primes of d.  d | G_d by the laws where each of them
+    divides r, else by one g_mod; then no G_{d/l} may vanish mod d.
     """
     d_is_zero = all(params.r % ell == 0 for ell, _ in factors) or g_mod(params, d, d) == 0
-    return d_is_zero and _rank(params, d, factors, d) == d
+    return d_is_zero and all(g_mod(params, d // ell, d) for ell, _ in factors)
 
 
 # Indices walked between two calls of conclusion_failures' check: one residue
@@ -405,9 +397,9 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
     apparition is certified (_rank_is_modulus): gcd(q, s) = 1 and s factors
     within len(ns) trial divisions.  So a certified point opens no stream, yet ks
     is still drawn, each k in turn.  Each modulus walks ns in blocks of
-    _BLOCK indices, so memory does not grow with max(ns).  check, where
-    given, is the caller's budget: check() runs while s is factored (factorize),
-    and check(k) before each k and between two blocks of its modulus.
+    _BLOCK indices, so memory does not grow with max(ns).  check, where given,
+    is the caller's budget: check() runs while s is factored, check(k) before
+    each k and between two blocks of its modulus.
     """
     if s < 1:
         raise InputError(f"s must be >= 1, got {s}")

@@ -9,6 +9,7 @@ count.  Every conclusion is decided by claims.conclusion_failures.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import time
@@ -32,7 +33,7 @@ from .claims import (
     _rank,
 )
 from .errors import InputError, ResourceLimitError
-from .numtheory import divides, factorize, positive_divisors
+from .numtheory import _TRIAL_BLOCK, divides, factorize, positive_divisors
 from .sequences import SequenceParams, ab_exact, g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
 
 
@@ -513,28 +514,41 @@ def search_counterexample(
 # ---------------------------------------------------------------------------
 
 
-def rank_of_apparition(params: SequenceParams, s: int, n_bound: int) -> int | None:
-    """Smallest n in [1, n_bound] with s | G_n.
+class _Scanned(Exception):
+    """rank_of_apparition's scan ended first; args[0] is its answer."""
 
-    Where gcd(q, s) = 1 and s factors within a quarter of the scan below, it
-    is alpha(s) from the laws of apparition and repetition (claims._rank).
-    Else None without a scan where a prime l | s divides q but not p (then
-    G_n = p^(n-1) != 0 mod l for n >= 1), else a modular linear scan to
-    n = s^2, losing nothing: the states (G_n, G_{n+1}) mod s, n >= 1, take at
-    most s^2 values and each fixes the next, so a rank, if any, is <= s^2.
+
+def rank_of_apparition(params: SequenceParams, s: int, n_bound: int) -> int | None:
+    """Smallest n in [1, n_bound] with s | G_n; None at once where a prime l | s divides q but not p.
+
+    (Then G_n = p^(n-1) != 0 mod l.)  Else a modular scan to n = s^2 decides:
+    the states (G_n, G_{n+1}) mod s take at most s^2 values, each fixing the
+    next.  Where gcd(q, s) = 1, alpha(s) (claims._rank) races it, four steps
+    per trial divisor (factorize's check; a divisor costs about a quarter of a
+    step, so a scan that wins pays a few percent), and the first to end answers.
     """
     if s < 2:
         raise InputError(f"rank of apparition needs s >= 2, got {s}")
-    ns = range(1, min(n_bound, s * s) + 1)
-    if math.gcd(params.q, s) == 1 and (primes := factorize(s, max_trials=len(ns) // 4)) is not None:
-        rank = _rank(params, s, primes)
-        return rank if rank <= n_bound else None
     g = math.gcd(s, params.q)
     while (shared := math.gcd(g, params.p)) > 1:
         g //= shared
     if g > 1:
         return None
-    return next((n for n, (g, _) in zip(ns, g_pairs_mod(params, ns, s)) if g == 0), None)
+    ns = range(1, min(n_bound, s * s) + 1)
+    steps = itertools.chain(zip(ns, g_pairs_mod(params, ns, s)), [(None, (0, 0))])  # None: no rank in ns
+    if math.gcd(params.q, s) > 1:
+        return next(n for n, (g, _) in steps if g == 0)
+
+    def race():
+        for n, (g, _) in itertools.islice(steps, 4 * _TRIAL_BLOCK):
+            if g == 0:
+                raise _Scanned(n)
+
+    try:
+        rank = _rank(params, s, factorize(s, check=race), race)
+    except _Scanned as ended:
+        return ended.args[0]
+    return rank if rank <= n_bound else None
 
 
 class SurveyRow(NamedTuple):

@@ -12,6 +12,7 @@ from gfibdiv import (
     ClaimId,
     InputError,
     Mode,
+    ResourceLimitError,
     SequenceParams,
     SweepConfig,
     Verdict,
@@ -653,6 +654,19 @@ class TestRankCertificate:
                         assert _rank(SequenceParams(p, q), d, factors[d]) == oracles.brute_rank(p, q, d), (p, q, d)
                         compared += 1
         assert compared == 73950
+
+    def test_rank_checks_while_l_minus_r_over_l_is_factored(self):
+        # l = 2P + 1, P = 10^12 + 799 prime, and (5/l) = 1: l - 1 = 2P takes
+        # about 5e5 trial divisors, so check runs between their blocks.
+        fibonacci, ell = SequenceParams(1, 1), 2000000001599
+        rank = _rank(fibonacci, ell, [(ell, 1)])
+        assert (ell - 1) % rank == 0 and oracles.mat_g_mod(1, 1, rank, ell) == 0
+
+        def over():
+            raise ResourceLimitError("over budget")
+
+        with pytest.raises(ResourceLimitError):
+            _rank(fibonacci, ell, [(ell, 1)], check=over)
 
     def test_certificate_factors_only_s(self, monkeypatch):
         # The certificate starts alpha's descent from d itself, so no l - (r/l)

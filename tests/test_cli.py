@@ -671,9 +671,25 @@ class TestRank:
         assert time.monotonic() - start < 1.0
         assert (proc.returncode, proc.stdout.strip()) == (0, "10000018")
 
+    @pytest.mark.parametrize(
+        "s, bound, want",
+        [
+            # F_53 is prime, and its scan would be longer than sys.maxsize.
+            ("53316291173", "10000000000000000000", "53"),
+            # F_83 is prime; trial division would take about 1.6e8 divisors.
+            ("99194853094755497", "1000000000000", "83"),
+        ],
+    )
+    def test_small_rank_of_a_large_prime_answers_at_once(self, capsys, s, bound, want):
+        # The scan races the trial division of s and ends first.
+        start = time.monotonic()
+        code, out, _ = run_main(["rank", "-p", "1", "-q", "1", "-s", s, "--bound", bound], capsys)
+        assert (code, out.strip()) == (0, want)
+        assert time.monotonic() - start < 1.0
+
     def test_unfactored_s_falls_back_to_the_scan(self, capsys):
-        # s = (10^9 + 7)(10^9 + 9) does not factor within a quarter of the 10^6
-        # indices of the default bound, so the capped scan decides.
+        # s = (10^9 + 7)(10^9 + 9): the scan ends at the 10^6 indices of the
+        # default bound long before trial division reaches 10^9 + 7.
         start = time.monotonic()
         code, out, _ = run_main(["rank", "-p", "1", "-q", "1", "-s", "1000000016000000063"], capsys)
         assert (code, out.strip()) == (0, "none")

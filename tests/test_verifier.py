@@ -919,10 +919,15 @@ class TestRankOfApparition:
                         assert rank_of_apparition(params, s, rank - 1) is None, (p, q, s)
 
 
-    def test_coprime_s_opens_no_stream(self, monkeypatch):
-        """Where gcd(q, s) = 1, alpha(s) comes from the laws of apparition and repetition, with no scan."""
+    def test_coprime_s_reads_no_residue(self, monkeypatch):
+        """Where gcd(q, s) = 1 and s factors within one block of trial divisors, alpha(s) answers before the scan steps."""
         streamed, stream = [], verify.g_pairs_mod
-        monkeypatch.setattr(verify, "g_pairs_mod", lambda params, ns, m: streamed.append(m) or stream(params, ns, m))
+
+        def spy(params, ns, m):  # records m at the first residue read
+            streamed.append(m)
+            yield from stream(params, ns, m)
+
+        monkeypatch.setattr(verify, "g_pairs_mod", spy)
         for p in range(-7, 8):
             for q in range(-7, 8):
                 for s in range(2, 41):
