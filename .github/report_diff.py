@@ -31,14 +31,13 @@ GRID60 = ("--pmin", "-60", "--pmax", "60", "--qmin", "-60", "--qmax", "60")
 # divisibility sweeps whose r have divisors s past 2^12 (certified by s | r
 # alone), a relaxed search of the lifted equivalence, whose lift
 # condition the grid walk decides before each conclusion walk, a sweep at
-# |p| near 10^6, whose r near 10^12 take up to about 120 blocks of 2^12 trial
-# divisors, with the budget hook called between them, rank queries down each
-# path of rank_of_apparition (the laws of apparition and repetition where
-# gcd(q, s) = 1 and s factors first, the capped scan alone where
-# gcd(q, s) > 1, and the scan winning its race with the trial division of
-# s), and a modular relaxed search of
-# the equivalence, whose rank certificate meets primes of s that do not
-# divide r.
+# |p| near 10^6, whose r near 10^12 are factored by Pollard's rho, rank
+# queries down each path of rank_of_apparition (the laws of apparition and
+# repetition once s is factored, gcd(q, s) > 1 included, the shortcut where a
+# prime of s divides q but not p, ahead of any factoring, and the capped scan
+# where s has a part past psi_12 that factorize leaves unsplit, such as the prime
+# F_131), and a modular relaxed search of the equivalence, whose rank
+# certificate meets primes of s that do not divide r.
 EXTRA = (
     ("search-multdiv-s-div-r", ("search", "--claim", "thm1.1-multdiv", "--relax", "s-div-r", "--all") + GRID4
      + ("--s-source", ",".join(map(str, range(1, 21))), "--kmax", "2", "--nmax", "12")),
@@ -61,8 +60,13 @@ EXTRA = (
      "1000014", "--qmin", "1", "--qmax", "14", "--mode", "modular")),
     ("rank-prime-10000019", ("rank", "-p", "1", "-q", "1", "-s", "10000019", "--bound", "1000000000000")),
     ("rank-6-not-dividing-r", ("rank", "-p", "3", "-q", "1", "-s", "6")),
-    ("rank-scan-gcd-q-s", ("rank", "-p", "2", "-q", "2", "-s", "12")),
-    ("rank-scan-unfactored", ("rank", "-p", "1", "-q", "1", "-s", "1000000016000000063")),
+    ("rank-laws-gcd-q-s", ("rank", "-p", "2", "-q", "2", "-s", "12")),
+    ("rank-laws-gcd-q-s-is-s", ("rank", "-p", "6", "-q", "12", "-s", "72")),
+    ("rank-rho-semiprime", ("rank", "-p", "1", "-q", "1", "-s", "1000000016000000063")),
+    ("rank-scan-past-psi12", ("rank", "-p", "1", "-q", "1", "-s", "1066340417491710595814572169", "--bound",
+     "1000000000000")),
+    ("rank-none-before-factoring", ("rank", "-p", "1", "-q", "2", "-s", "2132680834983421191629144338", "--bound",
+     "1000000000000")),
     ("search-equiv-s-div-r-modular", ("search", "--claim", "thm1.1-equiv", "--relax", "s-div-r", "--all") + GRID8
      + ("--s-source", ",".join(map(str, range(2, 31))), "--kmax", "2", "--nmax", "60", "--mode", "modular")),
 )

@@ -10,12 +10,14 @@ what makes relaxed-hypothesis counterexample search possible.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import math
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import InputError
+from .errors import DomainError, InputError
 from .numtheory import divides, factorize, is_prime
 # g_is_zero is not called here; it stays importable because perfbench/tracer.py
 # wraps claims.g_is_zero.
@@ -339,23 +341,32 @@ def _lifted_quotient(d: int, v: int, q_pow: int) -> int:
 
 
 def _rank(params: SequenceParams, d: int, primes: list[tuple[int, int]], check=None) -> int:
-    """alpha(d), the least n >= 1 with d | G_n, where gcd(q, d) = 1; primes = factorize(d).
+    """alpha(d), the least n >= 1 with d | G_n, where each prime of d that divides q divides p; primes = factorize(d).
 
-    The zeros of G mod d are the multiples of alpha(d) (law of apparition:
-    d | G_a makes G_{a+1} a unit, by Cassini, and G_{a+n} = G_{a+1}*G_n mod d).
-    By the law of repetition (Lucas 1878; Carmichael 1913) the lcm over l^e || d
-    of alpha(l)*l^(e-1) is one, alpha(l) dividing l if l | r, 3 if l = 2, else
-    l - (r/l) (factored with check); each prime is divided out while it leaves a zero.
+    Split d = L*t, L the l^e || d with l | q, E their largest e.  Mod t the
+    zeros of G are the multiples of alpha(t) (law of apparition: t | G_a makes
+    G_{a+1} a unit, by Cassini, and G_{a+n} = G_{a+1}*G_n mod t), the lcm over
+    l^e || t of alpha(l)*l^(e-1) is one (law of repetition; Lucas 1878,
+    Carmichael 1913), alpha(l) dividing l if l | r, 3 if l = 2, else l - (r/l)
+    (factored with check), and each prime is divided out while it leaves a
+    zero.  Each l | L divides p and q, so the term j of G_n = sum_j C(n-1-j, j)
+    *p^(n-1-2j)*q^j has l-adic valuation n-1-j >= (n-1)/2 or more: every
+    n > 2E is a zero mod L, and alpha(d) is the least multiple of alpha(t)
+    that is one, one g_mod each up to 2E.
     """
-    zero, r, divisors = 1, params.r, set()
+    zero, r, divisors, big_l, big_e = 1, params.r, set(), 1, 0
     for ell, e in primes:
+        if params.q % ell == 0:
+            big_l, big_e = big_l * ell**e, max(big_e, e)
+            continue
         known = ell if r % ell == 0 else 3 if ell == 2 else ell - 1 if pow(r, ell // 2, ell) == 1 else ell + 1
         zero = math.lcm(zero, known * ell ** (e - 1))
         divisors.update([ell] if known == ell else [ell, *(f for f, _ in factorize(known, check=check))])
     for f in divisors:
-        while zero % f == 0 and g_mod(params, zero // f, d) == 0:
+        while zero % f == 0 and g_mod(params, zero // f, d // big_l) == 0:
             zero //= f
-    return zero
+    below = (n for n in range(zero, 2 * big_e + 1, zero) if g_mod(params, n, big_l) == 0)
+    return next(below, -(-(2 * big_e + 1) // zero) * zero)
 
 
 def _rank_is_modulus(params: SequenceParams, d: int, factors: list[tuple[int, int]]) -> bool:
@@ -381,25 +392,20 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
     iterable of exponents, read once and in order; ns is an ascending
     sequence of indices; s >= 1.  The hypothesis need not hold, so relaxed
     searches can probe failures.  Each kind has a divisibility half, an
-    equivalence half, or both, and each half is decided from
-    (G_n, G_{n+1}) mod d, where d = s^k (s for the base equivalence), read
-    from one residue stream per modulus (g_pairs_mod) in both modes.  The
-    evidence is d, g = G_n mod d and w = W mod d, the Lucas quotient
-    (_lifted_quotient): w is nonzero exactly where the divisibility half
-    failed, and 0 at an equivalence failure.  Where a kind has both halves,
-    divisibility is checked first.  witness() states a failure with exact
-    values; the walk computes none.  The modes differ only in what may skip
-    the walk.  Exact mode walks every (k, n) through the Lucas quotient and
-    the equivalence test.  Modular mode certifies what it can first: where
-    s | r, the divisibility half holds for every k and n (Theorem 1.1(1); the
-    comment where it is dropped proves it) and is not walked, and a modulus
-    left with only an equivalence half is skipped where its rank of
-    apparition is certified (_rank_is_modulus): gcd(q, s) = 1 and s factors
-    within len(ns) trial divisions.  So a certified point opens no stream, yet ks
-    is still drawn, each k in turn.  Each modulus walks ns in blocks of
-    _BLOCK indices, so memory does not grow with max(ns).  check, where given,
-    is the caller's budget: check() runs while s is factored, check(k) before
-    each k and between two blocks of its modulus.
+    equivalence half, or both, each decided from (G_n, G_{n+1}) mod d, where
+    d = s^k (s for the base equivalence), read from one residue stream per
+    modulus (g_pairs_mod) in blocks of _BLOCK indices.  The evidence is d,
+    g = G_n mod d and w = W mod d, the Lucas quotient (_lifted_quotient): w
+    is nonzero exactly where the divisibility half failed (checked first),
+    and 0 at an equivalence failure; witness() states it with exact values.
+    Exact mode walks every (k, n).  Modular mode skips the divisibility half
+    where s | r (Theorem 1.1(1), proved where it is dropped), and a modulus
+    left with only an equivalence half where its rank of apparition is
+    certified (_rank_is_modulus): gcd(q, s) = 1 and factorize factors s, not
+    raising DomainError.  A certified point opens no stream, yet ks is still
+    drawn, each k in turn.  check, where given, is the caller's budget:
+    check() runs while s is factored, check(k) before each k and between two
+    blocks of its modulus.
     """
     if s < 1:
         raise InputError(f"s must be >= 1, got {s}")
@@ -419,15 +425,17 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
         divisibility = False
     factors = None  # the factorization of s, where a modulus may be certified
     if modular and equivalence and not divisibility and math.gcd(params.q, s) == 1:
-        factors = factorize(s, max_trials=len(ns), check=check)
+        with contextlib.suppress(DomainError):  # a part of s past psi_12 left unsplit
+            factors = factorize(s, check=check)
 
     def failures(d: int, k: int):
         if not (divisibility or equivalence) or factors is not None and _rank_is_modulus(params, d, factors):
             return
-        for i in range(0, len(ns), _BLOCK):
+        # Blocks are sliced from ns: len() fails on a range past sys.maxsize.
+        blocks = itertools.takewhile(len, (ns[i : i + _BLOCK] for i in itertools.count(0, _BLOCK)))
+        for i, block in enumerate(blocks):
             if i and check is not None:
                 check(k)
-            block = ns[i : i + _BLOCK]
             for n, (g, g_next) in zip(block, g_pairs_mod(params, block, d)):
                 if divisibility:
                     # W mod d on (d, V_n, (-q)^n by Cassini), all mod d

@@ -262,7 +262,7 @@ def _cmd_check(args) -> int:
         q_range=(args.q, args.q),
         s_source=(args.s,),
     )
-    return _report_out(verify_claim(spec.claim, config), args)
+    return _report_out(verify_claim(spec.claim, config, what="check"), args)
 
 
 def _cmd_sweep(args) -> int:

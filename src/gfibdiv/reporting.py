@@ -35,16 +35,7 @@ def config_to_dict(config: SweepConfig) -> dict:
 
 
 def counterexample_to_dict(ce: Counterexample) -> dict:
-    return {
-        "claim": ce.claim.value,
-        "p": ce.p,
-        "q": ce.q,
-        "s": ce.s,
-        "k": ce.k,
-        "n": ce.n,
-        "relaxed_condition": ce.relaxed_condition,
-        "witness": ce.witness,
-    }
+    return {**ce._asdict(), "claim": ce.claim.value}
 
 
 def report_to_dict(report: VerificationReport, *, include_timing: bool = False) -> dict:

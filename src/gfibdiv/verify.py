@@ -9,7 +9,6 @@ count.  Every conclusion is decided by claims.conclusion_failures.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import time
@@ -32,8 +31,8 @@ from .claims import (
     _evaluate_conditions,
     _rank,
 )
-from .errors import InputError, ResourceLimitError
-from .numtheory import _TRIAL_BLOCK, divides, factorize, positive_divisors
+from .errors import DomainError, InputError, ResourceLimitError
+from .numtheory import divides, factorize, positive_divisors
 from .sequences import SequenceParams, ab_exact, g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
 
 
@@ -165,14 +164,12 @@ def _grid(config: SweepConfig, what: str, claim: ClaimId, gate, ks, *, scan=Fals
     config.t_max.  Then failures is conclusion_failures(claim, params, s, ks,
     range(config.n_max + 1)), not yet started.  This is the one place that
     reads the clock: past config.time_budget_s since start (the first request
-    where start is None) it raises ResourceLimitError, checked before each
-    cell, every 2^12 trial divisors while a named s_source factors its r,
-    before each s, and at each call of check (the budget at this s: check()
-    names (p, q, s), check(k) names (p, q, s, k)), in whichever process walks
-    the part.  The lift condition calls check() and the conclusion check(k).
-    A sweep passes its own start, so the parts of a process pool share the
-    run's clock: time.monotonic is system-wide on Linux, so a forked worker
-    reads the clock its parent started.
+    where start is None) it raises ResourceLimitError "{what} stopped ...",
+    checked before each cell, while a named s_source factors its r, before
+    each s, and at each call of check (check() names (p, q, s), check(k)
+    (p, q, s, k)) by the lift condition and the conclusion.  A sweep passes
+    its own start, so the parts a pool's workers walk share the run's clock:
+    time.monotonic is system-wide on Linux, so a forked worker reads it too.
     """
     budget = config.time_budget_s
     if start is None:
@@ -202,11 +199,11 @@ def _grid(config: SweepConfig, what: str, claim: ClaimId, gate, ks, *, scan=Fals
 
 def _sweep_cell(args) -> tuple[int, list[Counterexample]]:
     """Sweep one part (lo, hi) of the grid: a part walked in-process, or a pool task."""
-    claim, config, start, part = args
+    claim, config, start, part, what = args
     points = 0
     violations: list[Counterexample] = []
     gate = functools.partial(hypothesis_gate, claim)
-    for params, s, failures, _ in _grid(config, "sweep", claim, gate, range(config.k_max + 1), start=start, part=part):
+    for params, s, failures, _ in _grid(config, what, claim, gate, range(config.k_max + 1), start=start, part=part):
         points += (config.k_max + 1) * (config.n_max + 1)
         violations.extend(
             Counterexample(claim, params.p, params.q, s, k, n, witness(claim, params, n, *evidence))
@@ -221,17 +218,17 @@ def _sweep_cell(args) -> tuple[int, list[Counterexample]]:
 _POOL_AFTER_S = 0.5
 
 
-def verify_claim(claim: ClaimId, config: SweepConfig) -> VerificationReport:
+def verify_claim(claim: ClaimId, config: SweepConfig, *, what: str = "sweep") -> VerificationReport:
     """Sweep the grid; evaluate the conclusion wherever the hypothesis holds.
 
     The sweep walks the cells in canonical order in this process.  With more
     than one worker, it checks before each cell whether the run has lasted
     _POOL_AFTER_S; once it has, the cells left go to a process pool as about
     four parts per worker.  Results merge in canonical order: this process's
-    cells, then the parts.
-    Past config.time_budget_s it raises ResourceLimitError; a pool's parts
-    that have not started are cancelled, and a budget shorter than
-    _POOL_AFTER_S stops the run before any pool starts.
+    cells, then the parts.  Past config.time_budget_s it raises
+    ResourceLimitError ("{what} stopped ..."); a pool's parts that have not
+    started are cancelled, and a budget shorter than _POOL_AFTER_S stops the
+    run before any pool starts.
     """
     start = time.monotonic()
     cells = math.prod(hi - lo + 1 for lo, hi in (config.p_range, config.q_range))
@@ -248,7 +245,7 @@ def verify_claim(claim: ClaimId, config: SweepConfig) -> VerificationReport:
     results = []
     lo = 0
     while lo < cells and time.monotonic() - start < handoff:
-        results.append(_sweep_cell((claim, config, start, (lo, lo + step))))
+        results.append(_sweep_cell((claim, config, start, (lo, lo + step), what)))
         lo += step
     if lo < cells:
         # Imported only here, so a run that ends before the hand-off does not load the pool's modules.
@@ -257,7 +254,7 @@ def verify_claim(claim: ClaimId, config: SweepConfig) -> VerificationReport:
         workers = min(workers, cells - lo)
         step = -(-(cells - lo) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            tasks = [(claim, config, start, (i, i + step)) for i in range(lo, cells, step)]
+            tasks = [(claim, config, start, (i, i + step), what) for i in range(lo, cells, step)]
             results.extend(pool.map(_sweep_cell, tasks))
     points = sum(part_points for part_points, _ in results)
     violations = [v for _, part_violations in results for v in part_violations]
@@ -514,18 +511,12 @@ def search_counterexample(
 # ---------------------------------------------------------------------------
 
 
-class _Scanned(Exception):
-    """rank_of_apparition's scan ended first; args[0] is its answer."""
-
-
 def rank_of_apparition(params: SequenceParams, s: int, n_bound: int) -> int | None:
     """Smallest n in [1, n_bound] with s | G_n; None at once where a prime l | s divides q but not p.
 
-    (Then G_n = p^(n-1) != 0 mod l.)  Else a modular scan to n = s^2 decides:
-    the states (G_n, G_{n+1}) mod s take at most s^2 values, each fixing the
-    next.  Where gcd(q, s) = 1, alpha(s) (claims._rank) races it, four steps
-    per trial divisor (factorize's check; a divisor costs about a quarter of a
-    step, so a scan that wins pays a few percent), and the first to end answers.
+    (Then G_n = p^(n-1) != 0 mod l.)  Else alpha(s) from the laws (claims._rank)
+    answers; where factorize raises, a modular scan to n = s^2 decides: the
+    states (G_n, G_{n+1}) mod s take at most s^2 values, each fixing the next.
     """
     if s < 2:
         raise InputError(f"rank of apparition needs s >= 2, got {s}")
@@ -534,20 +525,11 @@ def rank_of_apparition(params: SequenceParams, s: int, n_bound: int) -> int | No
         g //= shared
     if g > 1:
         return None
-    ns = range(1, min(n_bound, s * s) + 1)
-    steps = itertools.chain(zip(ns, g_pairs_mod(params, ns, s)), [(None, (0, 0))])  # None: no rank in ns
-    if math.gcd(params.q, s) > 1:
-        return next(n for n, (g, _) in steps if g == 0)
-
-    def race():
-        for n, (g, _) in itertools.islice(steps, 4 * _TRIAL_BLOCK):
-            if g == 0:
-                raise _Scanned(n)
-
     try:
-        rank = _rank(params, s, factorize(s, check=race), race)
-    except _Scanned as ended:
-        return ended.args[0]
+        rank = _rank(params, s, factorize(s))
+    except DomainError:  # a part of s past psi_12 left unsplit
+        ns = range(1, min(n_bound, s * s) + 1)
+        return next((n for n, (g, _) in zip(ns, g_pairs_mod(params, ns, s)) if g == 0), None)
     return rank if rank <= n_bound else None
 
 

@@ -64,15 +64,19 @@ def mat_g_mod(p: int, q: int, n: int, m: int) -> int:
 
 
 def brute_factorization(m: int) -> list[tuple[int, int]]:
-    """(d, e) for each d = 2, 3, ... dividing what is left of |m|, e times: d is prime, having no smaller factor left."""
-    m, pairs = abs(m), []
-    for d in range(2, m + 1):
+    """(d, e) for each d = 2, 3, ... dividing what is left of |m|, e times: d is prime, having no smaller factor left.
+
+    Once d^2 passes what is left, that is 1 or a prime.
+    """
+    m, pairs, d = abs(m), [], 2
+    while d * d <= m:
         e = 0
         while m % d == 0:
             m, e = m // d, e + 1
         if e:
             pairs.append((d, e))
-    return pairs
+        d += 1
+    return pairs + [(m, 1)] if m > 1 else pairs
 
 
 def brute_rank(p: int, q: int, m: int) -> int | None:

@@ -642,25 +642,27 @@ class TestRankCertificate:
         assert held == 5624
 
     def test_rank_matches_the_orbit_walk(self):
-        # alpha(d) from the laws of apparition and repetition, on |p|,|q| <= 12,
-        # 2 <= d < 200 and gcd(q, d) = 1: p = 0, r = 0, d = 2^e, odd prime
-        # powers, primes dividing r and primes that do not.
+        # alpha(d) from the laws of apparition and repetition, on |p|,|q| <= 12
+        # and 2 <= d < 200: p = 0, r = 0, d = 2^e, odd prime powers, primes
+        # dividing r and primes that do not, and gcd(q, d) > 1 where each
+        # prime of d that divides q divides p (else there is no rank).
         factors = {d: factorize(d) for d in range(2, 200)}
-        compared = 0
+        compared, shared = 0, 0
         for p in range(-12, 13):
             for q in range(-12, 13):
                 for d in range(2, 200):
-                    if math.gcd(q, d) == 1:
+                    if all(p % ell == 0 for ell, _ in factors[d] if q % ell == 0):
                         assert _rank(SequenceParams(p, q), d, factors[d]) == oracles.brute_rank(p, q, d), (p, q, d)
                         compared += 1
-        assert compared == 73950
+                        shared += math.gcd(q, d) > 1
+        assert (compared, shared) == (92788, 18838)
 
     def test_rank_checks_while_l_minus_r_over_l_is_factored(self):
-        # l = 2P + 1, P = 10^12 + 799 prime, and (5/l) = 1: l - 1 = 2P takes
-        # about 5e5 trial divisors, so check runs between their blocks.
-        fibonacci, ell = SequenceParams(1, 1), 2000000001599
+        # l = 46*(10^9 + 7)(10^9 + 9) - 1 is prime and (5/l) = -1: rho takes
+        # 12 blocks of 2^12 steps to split l + 1, so check runs between them.
+        fibonacci, ell = SequenceParams(1, 1), 46000000736000002897
         rank = _rank(fibonacci, ell, [(ell, 1)])
-        assert (ell - 1) % rank == 0 and oracles.mat_g_mod(1, 1, rank, ell) == 0
+        assert (ell + 1) % rank == 0 and oracles.mat_g_mod(1, 1, rank, ell) == 0
 
         def over():
             raise ResourceLimitError("over budget")
@@ -718,10 +720,9 @@ class TestRankCertificate:
 
     def test_unfactored_modulus_keeps_its_stream(self, monkeypatch):
         streams = self._streams(monkeypatch)
-        # s = 10^18 + 9 = r at (1, 250000000000000002) is prime, so its rank
-        # is certifiable, but trial division would take about 10^9 steps: far
-        # more than the 201 indices, so the stream decides it.
-        s = 10**18 + 9
+        # s = psi_12 = r at (1, (psi_12 - 1)/4) is a strong pseudoprime to
+        # every base, so factorize leaves it unsplit and the stream decides.
+        s = 318665857834031151167461
         params = SequenceParams(1, (s - 1) // 4)
         assert list(conclusion_failures(ClaimId.Thm1_1_Equiv, params, s, range(3), range(201), modular=True)) == []
         assert streams == [s, s * s]

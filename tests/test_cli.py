@@ -251,7 +251,7 @@ class TestCheck:
         )
         assert time.perf_counter() - start < 3.0
         assert (code, out) == (cli.EXIT_RESOURCE, "")
-        assert re.fullmatch(r"resource limit: sweep stopped after .* at \(p, q, s, k\) = \(1, 1, 5, \d+\), over .*\n", err)
+        assert re.fullmatch(r"resource limit: check stopped after .* at \(p, q, s, k\) = \(1, 1, 5, \d+\), over .*\n", err)
 
     def test_time_budget_stops_the_exact_table(self, capsys):
         # Exact mode walks all 3,000,001 indices, with no certificate, longer
@@ -264,7 +264,7 @@ class TestCheck:
         )
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (cli.EXIT_RESOURCE, "")
-        assert re.fullmatch(r"resource limit: sweep stopped after .* at \(p, q, s, k\) = \(1, 1, 5, 1\), over .*\n", err)
+        assert re.fullmatch(r"resource limit: check stopped after .* at \(p, q, s, k\) = \(1, 1, 5, 1\), over .*\n", err)
 
     def test_time_budget_stops_the_lift_condition(self, capsys):
         # The lift condition at s = 5 holds for every t <= 2 * 10^6, about a
@@ -277,7 +277,7 @@ class TestCheck:
         )
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (cli.EXIT_RESOURCE, "")
-        assert re.fullmatch(r"resource limit: sweep stopped after .* at \(p, q, s\) = \(1, 1, 5\), over .*\n", err)
+        assert re.fullmatch(r"resource limit: check stopped after .* at \(p, q, s\) = \(1, 1, 5\), over .*\n", err)
 
     def test_never_applicable(self, capsys):
         code, doc = run_json(
@@ -320,18 +320,17 @@ class TestCheck:
         assert doc["verdict"] == verdict
         assert code == (cli.EXIT_OK if verdict == "all-pass" else cli.EXIT_NEVER_APPLICABLE)
 
-    def test_large_prime_s_keeps_the_stream(self, capsys, monkeypatch):
-        # s = r = 10^18 + 9 is prime; factoring it by trial division would take
-        # about 10^9 steps, so the check gives up after len(ns) of them and
-        # streams residues.
+    def test_large_prime_s_is_certified(self, capsys, monkeypatch):
+        # s = r = 10^18 + 9 is prime: is_prime proves it at once, so its rank
+        # certificate holds and no residue stream is opened.
         factored = []
 
-        def recording(m, *, max_trials, check=None):
-            assert max_trials <= 201  # the check's indices 0..200
-            factored.append(factorize(m, max_trials=max_trials))
+        def recording(m, *, check=None):
+            factored.append(factorize(m, check=check))
             return factored[-1]
 
         monkeypatch.setattr(claims_mod, "factorize", recording)
+        monkeypatch.setattr(claims_mod, "g_pairs_mod", lambda *args: pytest.fail("a residue stream was opened"))
         s = 10**18 + 9
         start = time.perf_counter()
         code, doc = run_json(
@@ -341,7 +340,7 @@ class TestCheck:
         )
         assert time.perf_counter() - start < 2.0
         assert code == 0 and doc["verdict"] == "all-pass"
-        assert factored == [None]
+        assert factored == [[(s, 1)]]
 
     def test_sweep_option_defaults(self):
         parser = cli.build_parser()
@@ -598,12 +597,13 @@ def _src_env() -> dict:
 
 class TestBudgetWhileFactoring:
     def test_factoring_s_stops_at_the_budget(self):
-        # s = r = 10^18 + 9 is prime: trial division up to 20,000,001 divisors
-        # (the indices 0..--nmax) would take about 2 s, and the budget is
-        # checked every 2^12 of them.
-        p, q, s = 1, 250000000000000002, 1000000000000000009
+        # s = r = 400000000019 * 600000000031, a balanced semiprime just below
+        # psi_12: rho takes about a second to split it, and the budget is
+        # checked every 2^12 of its steps.
+        s = 400000000019 * 600000000031
+        p, q = 1, (s - 1) // 4
         argv = ["check", "--claim", "thm1.1-equiv", "-p", str(p), "-q", str(q), "-s", str(s), "--kmax", "1",
-                "--nmax", "20000000", "--mode", "modular", "--time-budget", "0.1"]
+                "--mode", "modular", "--time-budget", "0.1"]
         start = time.monotonic()
         proc = subprocess.run(
             [sys.executable, "-m", "gfibdiv.cli", *argv],
@@ -611,14 +611,15 @@ class TestBudgetWhileFactoring:
         )
         assert time.monotonic() - start < 1.0
         assert (proc.returncode, proc.stdout) == (cli.EXIT_RESOURCE, "")
-        assert re.fullmatch(rf"resource limit: sweep stopped after .* at \(p, q, s\) = \({p}, {q}, {s}\), over .*\n", proc.stderr)
+        assert re.fullmatch(rf"resource limit: check stopped after .* at \(p, q, s\) = \({p}, {q}, {s}\), over .*\n", proc.stderr)
 
     def test_divisor_search_of_r_stops_at_the_budget(self):
-        # At (10000000012, 1), r = 4 * 25000000060000000037 and that cofactor
-        # is prime: trial division would take about 9 minutes.  The budget is
-        # checked every 2^12 trial divisors, so each command exits 4 naming
-        # the cell.  The three run at once, each in its own process.
-        cell = ["--pmin", "10000000012", "--pmax", "10000000012", "--qmin", "1", "--qmax", "1", "--time-budget", "1"]
+        # At (0, q), q = 400000000019 * 600000000031, r = 4q, and rho takes
+        # about a second to split q.  The budget is checked every 2^12 rho
+        # steps, so each command exits 4 naming the cell.  The three run at
+        # once, each in its own process.
+        q = 400000000019 * 600000000031
+        cell = ["--pmin", "0", "--pmax", "0", "--qmin", str(q), "--qmax", str(q), "--time-budget", "0.2"]
         commands = [
             ["sweep", "--claim", "thm1.1-multdiv", "--mode", "modular"],
             ["survey"],
@@ -643,7 +644,37 @@ class TestBudgetWhileFactoring:
         assert time.monotonic() - start < 10.0
         for argv, proc, (out, err) in zip(commands, procs, results):
             assert (proc.returncode, out) == (cli.EXIT_RESOURCE, ""), (argv, err)
-            assert re.fullmatch(rf"resource limit: {argv[0]} stopped after .* at \(p, q\) = \(10000000012, 1\), over .*\n", err)
+            assert re.fullmatch(rf"resource limit: {argv[0]} stopped after .* at \(p, q\) = \(0, {q}\), over .*\n", err)
+
+    @pytest.mark.parametrize("command", ["sweep", "survey", "search"])
+    def test_divisor_search_of_r_names_a_part_past_psi12(self, capsys, command):
+        # At (0, F_131), r = 4 * F_131, and F_131 is prime and past psi_12:
+        # factorize leaves it unsplit, so the command exits 2 naming it,
+        # before any budget is reached.
+        f131 = "1066340417491710595814572169"
+        argv = {"sweep": ["sweep", "--claim", "thm1.1-multdiv", "--mode", "modular"], "survey": ["survey"],
+                "search": ["search", "--claim", "thm1.1-multdiv", "--relax", "s-div-r"]}[command]
+        code, out, err = run_main(
+            argv + ["--pmin", "0", "--pmax", "0", "--qmin", f131, "--qmax", f131, "--time-budget", "60"], capsys
+        )
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert f131 in err and err.startswith("error: ")
+
+    @pytest.mark.parametrize("mode", ["exact", "modular"])
+    def test_nmax_past_sys_maxsize_stops_at_the_budget(self, capsys, mode):
+        # s = r = psi_12 at (1, (psi_12 - 1)/4): factorize leaves it unsplit,
+        # so modular mode walks the stream as exact mode does.  The
+        # index range is past sys.maxsize, and its blocks are sliced.
+        s = 318665857834031151167461
+        argv = ["check", "--claim", "thm1.1-equiv", "-p", "1", "-q", str((s - 1) // 4), "-s", str(s), "--nmax",
+                str(2**63), "--mode", mode, "--time-budget", "1"]
+        code, out, err = run_main(argv, capsys)
+        assert (code, out) == (cli.EXIT_RESOURCE, "")
+        assert re.fullmatch(r"resource limit: check stopped after .* at \(p, q, s, k\) = \(1, .*, 1\), over .*\n", err)
+        # cor-fibonacci at s = 5 is certified whole in modular mode.
+        argv = ["check", "--claim", "cor-fibonacci", "-p", "1", "-q", "1", "-s", "5", "--nmax", str(2**63),
+                "--mode", mode, "--time-budget", "1"]
+        assert run_main(argv, capsys)[0] == (cli.EXIT_RESOURCE if mode == "exact" else cli.EXIT_OK)
 
 
 class TestRank:
@@ -676,24 +707,43 @@ class TestRank:
         [
             # F_53 is prime, and its scan would be longer than sys.maxsize.
             ("53316291173", "10000000000000000000", "53"),
-            # F_83 is prime; trial division would take about 1.6e8 divisors.
+            # F_83 is prime.
             ("99194853094755497", "1000000000000", "83"),
         ],
     )
     def test_small_rank_of_a_large_prime_answers_at_once(self, capsys, s, bound, want):
-        # The scan races the trial division of s and ends first.
+        # is_prime proves s prime, and the laws give its rank.
         start = time.monotonic()
         code, out, _ = run_main(["rank", "-p", "1", "-q", "1", "-s", s, "--bound", bound], capsys)
         assert (code, out.strip()) == (0, want)
         assert time.monotonic() - start < 1.0
 
-    def test_unfactored_s_falls_back_to_the_scan(self, capsys):
-        # s = (10^9 + 7)(10^9 + 9): the scan ends at the 10^6 indices of the
-        # default bound long before trial division reaches 10^9 + 7.
+    def test_semiprime_s_is_factored(self, capsys):
+        # s = (10^9 + 7)(10^9 + 9): rho splits s, and alpha(s) = 1,000,000,008
+        # is past the default bound of 10^6.
         start = time.monotonic()
         code, out, _ = run_main(["rank", "-p", "1", "-q", "1", "-s", "1000000016000000063"], capsys)
         assert (code, out.strip()) == (0, "none")
         assert time.monotonic() - start < 2
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            # F_131 is prime and past psi_12: factorize leaves it unsplit, and the scan finds 131.
+            (["-p", "1", "-q", "1", "-s", "1066340417491710595814572169", "--bound", "1000000000000"], "131"),
+            # s = 2^61 - 1: a linear scan would take about 2.6e17 steps.
+            (["-p", "1", "-q", "1", "-s", "2305843009213693951", "--bound", str(10**29)], "256204778801521550"),
+            # gcd(q, s) = s = 72: every prime of s divides p and q, so G_n is a zero from n = 2*3 + 1 at most.
+            (["-p", "6", "-q", "12", "-s", "72"], "4"),
+            # 2 | q and 2 does not divide p: none, found before s = 2 * F_131 would be factored.
+            (["-p", "1", "-q", "2", "-s", "2132680834983421191629144338", "--bound", "1000000000000"], "none"),
+        ],
+    )
+    def test_laws_answer_at_once(self, capsys, argv, want):
+        start = time.monotonic()
+        code, out, _ = run_main(["rank", *argv], capsys)
+        assert (code, out.strip()) == (0, want)
+        assert time.monotonic() - start < 1.0
 
     def test_text(self, capsys):
         code, out, _ = run_main(["rank", "-p", "3", "-q", "4", "-s", "5", "--bound", "100"], capsys)
@@ -820,6 +870,70 @@ class TestArgHandling:
         )
         assert code == 0
         assert doc["verdict"] == "all-pass"
+
+
+PSI12 = 318665857834031151167461
+F131 = 1066340417491710595814572169
+EXTREMES = (0, 1, -1, 2**63, -(2**63), 10**30, -(10**30))
+NEAR_PSI12 = (PSI12 - 2, PSI12, PSI12 + 6, F131)
+GRID = ["--pmin", "-1", "--pmax", "1", "--qmin", "-1", "--qmax", "1", "--kmax", "1", "--nmax", "20", "--tmax", "20",
+        "--workers", "1", "--time-budget", "1"]
+# Each command's small run, and the integer options set to each extreme value in turn.  Each grid
+# command also gets reversed ranges, one cell at each extreme value and odd --s-source lists;
+# sweep also gets ranges too large to walk.  A run that meets the budget takes 1 s.
+FUZZ_BASES = {
+    "compute": (["compute", "-p", "1", "-q", "1", "--range", "5"], ["-p", "-q", "--range", "--max-terms"]),
+    "compute-mod": (["compute", "-p", "1", "-q", "1", "-n", "5", "--mod", "7"],
+                    ["-p", "-q", "-n", "--mod", "--max-terms"]),
+    "check": (
+        ["check", "--claim", "thm1.2-lifted-equiv", "-p", "1", "-q", "1", "-s", "5", "--kmax", "1", "--nmax", "20",
+         "--tmax", "20", "--workers", "1", "--time-budget", "1"],
+        ["-p", "-q", "-s", "--kmax", "--nmax", "--tmax", "--workers"],
+    ),
+    # --kmax, --nmax and --tmax reach the same code from every grid command, so only check sets them.
+    "sweep": (["sweep", "--claim", "thm1.2-lifted-equiv", "--mode", "modular", *GRID], ["--workers"]),
+    "search": (["search", "--claim", "thm1.1-equiv", "--relax", "s-div-r", "--s-source", "2,3", *GRID], []),
+    "survey": (["survey", *GRID], []),
+    "rank": (["rank", "-p", "1", "-q", "1", "-s", "7", "--bound", "1000"], ["-p", "-q", "-s", "--bound"]),
+}
+ODD_S_SOURCES = ("", ",", "1,,2", "0", "-1", "3,2,1,1", f"2,{PSI12}", str(F131), "x", "divisors-of-r4")
+
+
+def _with(argv: list[str], option: str, value) -> list[str]:
+    """argv with option set to value, replacing the value it had."""
+    argv = list(argv)
+    if option in argv:
+        argv[argv.index(option) + 1] = str(value)
+    else:
+        argv += [option, str(value)]
+    return argv
+
+
+def fuzz_cases(command: str) -> list[list[str]]:
+    base, options = FUZZ_BASES[command]
+    cases = [_with(base, option, value) for option in options for value in EXTREMES]
+    cases += [_with(base, "-s", value) for value in NEAR_PSI12 if "-s" in options]
+    if "--pmin" in base:
+        ranges = [(1, 0), (2**63, -(2**63))] + [(-(2**63), 2**63), (-(10**30), 10**30)] * (command == "sweep")
+        for lo, hi in ranges:
+            cases += [_with(_with(base, f"--{axis}min", lo), f"--{axis}max", hi) for axis in "pq"]
+        for value in EXTREMES + NEAR_PSI12:  # one cell at an extreme value
+            cases.append(_with(_with(_with(base, "--pmin", value), "--pmax", value), "--qmin", "1"))
+        cases += [_with(base, "--s-source", source) for source in ODD_S_SOURCES]
+    return cases
+
+
+class TestFuzz:
+    """Extreme values of every integer option: an exit code of the contract, never a traceback."""
+
+    @pytest.mark.parametrize("command", list(FUZZ_BASES))
+    def test_extreme_values(self, capsys, command):
+        start = time.monotonic()
+        for argv in fuzz_cases(command):
+            code, _, err = run_main(argv, capsys)
+            assert code in (0, 1, 2, 3, 4), argv
+            assert "Traceback" not in err, argv
+        assert time.monotonic() - start < 15
 
 
 class TestEntryPoint:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from gfibdiv import DomainError, divides, is_prime, positive_divisors, valuation
+from gfibdiv import numtheory
 from gfibdiv.numtheory import INFINITE, Valuation, factorize
 
 
@@ -103,32 +104,63 @@ class TestFactorize:
         with pytest.raises(DomainError):
             factorize(0)
 
-    def test_budget_checked_once_per_block_of_trial_divisors(self):
-        # (10^6 + 3)(10^6 + 33) takes the 500,002 trial divisors 2, 3, ...,
-        # 10^6 + 3: 123 blocks of 2^12, so a check before each block but the first.
-        m = (10**6 + 3) * (10**6 + 33)
+    def test_agrees_with_brute_force_on_a_sample_below_1e9(self):
+        rng = random.Random(20260613)
+        sample = [rng.randrange(2, 10**9) for _ in range(100)]
+        prime_powers = [2**29, 3**18, 1021**3, 1031**2, 65537**2 * 3, 10007**2]
+        squares = [p * p for p in range(10**6 - 30, 10**6 + 40) if is_prime(p)]  # parts past trial division
+        carmichael = [561, 1105, 1729, 41041, 825265, 321197185, 5394826801, 232250619601]
+        for m in sample + prime_powers + squares + carmichael:
+            assert factorize(m) == oracles.brute_factorization(m), m
+
+    def test_large_values(self):
+        assert factorize(2**61 - 1) == [(2**61 - 1, 1)]
+        assert factorize(2**64 + 1) == [(274177, 1), (67280421310721, 1)]
+        assert factorize(10**18 + 9) == [(10**18 + 9, 1)]
+        assert factorize(-(2**10) * (10**9 + 7) ** 2 * (10**9 + 9)) == [(2, 10), (10**9 + 7, 2), (10**9 + 9, 1)]
+
+    def test_budget_checked_every_block_of_rho_steps(self):
+        # (10^9 + 7)(10^9 + 9) has no factor below 2^10, and rho takes 12
+        # blocks of 2^12 steps to split it, so check runs after each block.
+        m = (10**9 + 7) * (10**9 + 9)
         checks = []
-        assert factorize(m, check=lambda: checks.append(1)) == factorize(m) == [(10**6 + 3, 1), (10**6 + 33, 1)]
-        assert len(checks) == 122
-        assert positive_divisors(m, check=lambda: checks.append(1)) == [1, 10**6 + 3, 10**6 + 33, m]
-        assert len(checks) == 244
-        # No block after the first: no check.
-        assert factorize(8191**2, check=lambda: checks.append(1)) == [(8191, 2)] and len(checks) == 244
+        assert factorize(m, check=lambda: checks.append(1)) == factorize(m) == [(10**9 + 7, 1), (10**9 + 9, 1)]
+        assert len(checks) == 12
+        assert positive_divisors(m, check=lambda: checks.append(1)) == [1, 10**9 + 7, 10**9 + 9, m]
+        assert len(checks) == 24
+        # Rho splits 8191^2 within its first block: no check.
+        assert factorize(8191**2, check=lambda: checks.append(1)) == [(8191, 2)] and len(checks) == 24
 
         def stop():
             raise RuntimeError("over budget")
 
+        # A balanced semiprime just below psi_12, about a second of rho.
         with pytest.raises(RuntimeError, match="over budget"):
-            factorize(10**18 + 9, check=stop)
+            factorize(400000000019 * 600000000031, check=stop)
 
-    def test_trial_limit(self):
-        # The trial divisors are 2 and the odd numbers: 97 is settled by
-        # 2, 3, 5, 7, 9 (11^2 > 97), and 2^40 by 2 alone.
-        assert factorize(97, max_trials=5) == [(97, 1)]
-        assert factorize(97, max_trials=4) is None
-        assert factorize(2**40, max_trials=1) == [(2, 40)]
-        assert factorize(1, max_trials=0) == []
-        assert factorize(10**18 + 9, max_trials=1000) is None
+    def test_part_past_psi12_that_rho_does_not_split(self):
+        # F_131 is prime and past psi_12, where is_prime proves nothing: a
+        # strong probable prime there is left unsplit.  The error names the part.
+        f131 = 1066340417491710595814572169
+        for m in (f131, 3 * f131, -(2**5) * f131):
+            with pytest.raises(DomainError, match=str(f131)):
+                factorize(m)
+        # A composite part past psi_12 gets at most _RHO_CAP rho steps: far
+        # fewer than the 10^6 or so that split a product of two primes near 10^12.
+        m = (10**12 + 39) * (10**12 + 61)
+        with pytest.raises(DomainError, match=str(m)):
+            factorize(m)
+        assert is_prime(f131, proven=False) and not is_prime(m, proven=False)
+        # Past psi_12, rho still splits a part whose factors it reaches within the cap.
+        assert factorize((10**6 + 3) * (10**18 + 9) * (10**9 + 7)) == [(10**6 + 3, 1), (10**9 + 7, 1), (10**18 + 9, 1)]
+
+    def test_probable_prime_past_psi12_takes_no_rho_steps(self, monkeypatch):
+        # Rho cannot split a prime, so a strong probable prime past psi_12 is
+        # left unsplit at once; psi_12 itself is a strong pseudoprime to the bases.
+        monkeypatch.setattr(numtheory, "_rho", lambda n, check: pytest.fail(f"rho ran on {n}"))
+        for part in (1066340417491710595814572169, 318665857834031151167461):
+            with pytest.raises(DomainError, match=str(part)):
+                factorize(7 * part)
 
 
 class TestIsPrime:

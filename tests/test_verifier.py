@@ -553,7 +553,7 @@ class TestExactModeKeepsNoTable:
             ),
             converse_survey,
             lambda config: verify._sweep_cell(
-                (ClaimId.Thm1_1_Equiv, config._replace(s_source=(5,)), time.monotonic(), (0, 1))
+                (ClaimId.Thm1_1_Equiv, config._replace(s_source=(5,)), time.monotonic(), (0, 1), "sweep")
             ),
         ],
         ids=["sweep", "search", "survey", "pool-part"],
@@ -919,8 +919,8 @@ class TestRankOfApparition:
                         assert rank_of_apparition(params, s, rank - 1) is None, (p, q, s)
 
 
-    def test_coprime_s_reads_no_residue(self, monkeypatch):
-        """Where gcd(q, s) = 1 and s factors within one block of trial divisors, alpha(s) answers before the scan steps."""
+    @staticmethod
+    def _streams(monkeypatch):
         streamed, stream = [], verify.g_pairs_mod
 
         def spy(params, ns, m):  # records m at the first residue read
@@ -928,15 +928,37 @@ class TestRankOfApparition:
             yield from stream(params, ns, m)
 
         monkeypatch.setattr(verify, "g_pairs_mod", spy)
+        return streamed
+
+    def test_coprime_s_reads_no_residue(self, monkeypatch):
+        """Where gcd(q, s) = 1 and s is factored, alpha(s) from the laws answers without a scan."""
+        streamed = self._streams(monkeypatch)
         for p in range(-7, 8):
             for q in range(-7, 8):
                 for s in range(2, 41):
                     if math.gcd(q, s) == 1:
                         assert rank_of_apparition(SequenceParams(p, q), s, 10**12) == oracles.brute_rank(p, q, s)
+        # Large s below psi_12: 2^61 - 1, and psi_12 - 2 = 137 * 1619 * 111519523 * 12883006211.
+        assert rank_of_apparition(SequenceParams(1, 1), 2**61 - 1, 10**18) == 256204778801521550
+        s = 318665857834031151167459
+        rank = rank_of_apparition(SequenceParams(1, 1), s, s * s)
+        assert oracles.mat_g_mod(1, 1, rank, s) == 0 and rank_of_apparition(SequenceParams(1, 1), s, rank - 1) is None
         assert streamed == []
-        # gcd(q, s) = 2 at (2, 2): the scan decides.
+
+    def test_shared_primes_read_no_residue(self, monkeypatch):
+        """Where gcd(q, s) > 1 the laws answer too; only an s that factorize cannot factor is scanned."""
+        streamed = self._streams(monkeypatch)
+        for p in range(-7, 8):
+            for q in range(-7, 8):
+                for s in range(2, 41):
+                    if math.gcd(q, s) > 1:
+                        assert rank_of_apparition(SequenceParams(p, q), s, 10**12) == oracles.brute_rank(p, q, s)
         assert rank_of_apparition(SequenceParams(2, 2), 12, 10**12) == 6
-        assert streamed == [12]
+        assert streamed == []
+        # F_131 is prime and past psi_12: the scan finds its rank 131.
+        f131 = 1066340417491710595814572169
+        assert rank_of_apparition(SequenceParams(1, 1), f131, 10**12) == 131
+        assert streamed == [f131]
 
     def test_matches_exact_scan(self, monkeypatch):
         """Against a scan of exact values to s^2; where a prime of s divides q but not p, no stream is read."""
