@@ -36,8 +36,11 @@ GRID60 = ("--pmin", "-60", "--pmax", "60", "--qmin", "-60", "--qmax", "60")
 # repetition once s is factored, gcd(q, s) > 1 included, the shortcut where a
 # prime of s divides q but not p, ahead of any factoring, and the capped scan
 # where s has a part past psi_12 that factorize leaves unsplit, such as the prime
-# F_131), and a modular relaxed search of the equivalence, whose rank
-# certificate meets primes of s that do not divide r.
+# F_131), modular relaxed searches of the equivalence, whose s have primes
+# that do not divide r (the rank certificate leaves those moduli to their
+# residue streams), and a modular sweep of the one cell whose r is 4 times
+# two primes near 10^12, split once by rho, each divisor of r carrying its
+# factorization to the certificate.
 EXTRA = (
     ("search-multdiv-s-div-r", ("search", "--claim", "thm1.1-multdiv", "--relax", "s-div-r", "--all") + GRID4
      + ("--s-source", ",".join(map(str, range(1, 21))), "--kmax", "2", "--nmax", "12")),
@@ -69,6 +72,10 @@ EXTRA = (
      "1000000000000")),
     ("search-equiv-s-div-r-modular", ("search", "--claim", "thm1.1-equiv", "--relax", "s-div-r", "--all") + GRID8
      + ("--s-source", ",".join(map(str, range(2, 31))), "--kmax", "2", "--nmax", "60", "--mode", "modular")),
+    ("search-equiv-s-div-r-modular-s40", ("search", "--claim", "thm1.1-equiv", "--relax", "s-div-r", "--all") + GRID4
+     + ("--s-source", ",".join(map(str, range(2, 41))), "--kmax", "2", "--nmax", "400", "--mode", "modular")),
+    ("sweep-base-equiv-modular-two-large-primes", ("sweep", "--claim", "thm1.2-base-equiv", "--pmin", "2", "--pmax",
+     "2", "--qmin", "240000000023800000000588", "--qmax", "240000000023800000000588", "--mode", "modular")),
 )
 FORMATS = ("json", "text")
 FIELDS = ("report", "stdout", "stderr", "exit code")

@@ -369,23 +369,13 @@ def _rank(params: SequenceParams, d: int, primes: list[tuple[int, int]], check=N
     return next(below, -(-(2 * big_e + 1) // zero) * zero)
 
 
-def _rank_is_modulus(params: SequenceParams, d: int, factors: list[tuple[int, int]]) -> bool:
-    """Whether alpha(d) = d (_rank), so d | n <=> d | G_n for all n; gcd(q, d) = 1.
-
-    factors share the primes of d.  d | G_d by the laws where each of them
-    divides r, else by one g_mod; then no G_{d/l} may vanish mod d.
-    """
-    d_is_zero = all(params.r % ell == 0 for ell, _ in factors) or g_mod(params, d, d) == 0
-    return d_is_zero and all(g_mod(params, d // ell, d) for ell, _ in factors)
-
-
 # Indices walked between two calls of conclusion_failures' check: one residue
 # seed per block, and no check at all where ns fits in one block.
 # thm12_lift_condition checks as often.
 _BLOCK = 1 << 12
 
 
-def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, *, modular: bool = False, check=None):
+def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, *, modular=False, check=None, factors=None):
     """Yield (k, n, (d, g, w)) wherever the claim's conclusion fails, in (k, n) order.
 
     This is the one place a conclusion is decided.  ks is an ascending
@@ -400,12 +390,12 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
     and 0 at an equivalence failure; witness() states it with exact values.
     Exact mode walks every (k, n).  Modular mode skips the divisibility half
     where s | r (Theorem 1.1(1), proved where it is dropped), and a modulus
-    left with only an equivalence half where its rank of apparition is
-    certified (_rank_is_modulus): gcd(q, s) = 1 and factorize factors s, not
-    raising DomainError.  A certified point opens no stream, yet ks is still
-    drawn, each k in turn.  check, where given, is the caller's budget:
-    check() runs while s is factored, check(k) before each k and between two
-    blocks of its modulus.
+    d = s^j left with only an equivalence half where alpha(d) = d (_rank):
+    gcd(q, s) = 1, each prime of s divides r, and factors = factorize(s), here
+    computed only where the caller passes None, not raising DomainError.  A
+    certified point opens no stream, yet ks is still drawn, each k in turn.
+    check, where given, is the caller's budget: check() runs while s is
+    factored, check(k) before each k and between two blocks of its modulus.
     """
     if s < 1:
         raise InputError(f"s must be >= 1, got {s}")
@@ -423,13 +413,15 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
         # Applied k times, L(s) on the sequences <V_{s^j*n}, -(-q)^(s^j*n)>,
         # of discriminant r*G_{s^j*n}^2, gives s^k*G_n | G_{s^k*n}.
         divisibility = False
-    factors = None  # the factorization of s, where a modulus may be certified
-    if modular and equivalence and not divisibility and math.gcd(params.q, s) == 1:
+    # Certify where each prime l of s divides r (s | r^e, e its bit length): alpha(l) | l, so _rank factors no l - (r/l).
+    if not (modular and equivalence and not divisibility) or math.gcd(q, s) > 1 or pow(params.r, s.bit_length(), s):
+        factors = None
+    elif factors is None:
         with contextlib.suppress(DomainError):  # a part of s past psi_12 left unsplit
             factors = factorize(s, check=check)
 
-    def failures(d: int, k: int):
-        if not (divisibility or equivalence) or factors is not None and _rank_is_modulus(params, d, factors):
+    def failures(d: int, j: int, k: int):
+        if not (divisibility or equivalence) or factors and _rank(params, d, [(ell, e * j) for ell, e in factors]) == d:
             return
         # Blocks are sliced from ns: len() fails on a range past sys.maxsize.
         blocks = itertools.takewhile(len, (ns[i : i + _BLOCK] for i in itertools.count(0, _BLOCK)))
@@ -453,13 +445,13 @@ def conclusion_failures(claim: ClaimId, params: SequenceParams, s: int, ks, ns, 
         if check is not None:
             check(k)
         # The base equivalence asserts only the exponent-1 instance.
-        d = s ** min(k, 1) if kind is ConclusionKind.BASE_EQUIV else s**k
-        if d == last_d:
+        j = min(k, 1) if kind is ConclusionKind.BASE_EQUIV else k
+        if (d := s**j) == last_d:
             for n, evidence in last:
                 yield k, n, evidence
             continue
         last_d, last = d, []
-        for n, evidence in failures(d, k):
+        for n, evidence in failures(d, j, k):
             last.append((n, evidence))
             yield k, n, evidence
 

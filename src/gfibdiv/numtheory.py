@@ -107,12 +107,17 @@ def _rho(n: int, check) -> int | None:
                 check()
 
 
-def positive_divisors(m: int, *, check=None) -> list[int]:
-    """Sorted positive divisors of |m|, the products of the prime powers of factorize(m, check=check); m = 0 is an error."""
-    divisors = [1]
-    for prime, exponent in factorize(m, check=check):
-        divisors = [d * prime**e for e in range(exponent + 1) for d in divisors]
+def factored_divisors(m: int, *, check=None) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Ascending (d, factorize(d)) pairs of the positive divisors d of |m|, from one factorize(m, check=check)."""
+    divisors = [(1, [])]
+    for f, e in factorize(m, check=check):
+        divisors = [(d * f**i, pairs + [(f, i)] if i else pairs) for i in range(e + 1) for d, pairs in divisors]
     return sorted(divisors)
+
+
+def positive_divisors(m: int, *, check=None) -> list[int]:
+    """Sorted positive divisors of |m| (factored_divisors); m = 0 is an error."""
+    return [d for d, _ in factored_divisors(m, check=check)]
 
 
 # The first 12 primes as strong-probable-prime bases; psi_12 is the least

@@ -15,9 +15,9 @@ import time
 from enum import Enum
 from typing import NamedTuple
 
-# conclusion_holds, hypothesis_check, _applicable, g_mod and g_is_zero are
-# not called here; they stay importable because perfbench/tracer.py wraps
-# them under these names.
+# conclusion_holds, hypothesis_check, _applicable, positive_divisors, g_mod
+# and g_is_zero are not called here; they stay importable because
+# perfbench/tracer.py wraps them under these names.
 from .claims import (
     ClaimId,
     claim_spec,
@@ -32,7 +32,7 @@ from .claims import (
     _rank,
 )
 from .errors import DomainError, InputError, ResourceLimitError
-from .numtheory import divides, factorize, positive_divisors
+from .numtheory import divides, factored_divisors, factorize, positive_divisors
 from .sequences import SequenceParams, ab_exact, g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
 
 
@@ -47,11 +47,11 @@ class Verdict(Enum):
     NEVER_APPLICABLE = "hypothesis-never-applicable"
 
 
-# The named sources of s, each a map from r to the s values of a cell; check
-# is the budget, called while r is factored
+# The named sources of s, each a map from r to the (s, factorize(s)) pairs of
+# a cell; check is the budget, called while r is factored
 S_SOURCES = {
-    "divisors-of-r": lambda r, check: positive_divisors(r, check=check) if r != 0 else [],
-    "divisors-of-r4": lambda r, check: positive_divisors(r // 4, check=check) if r != 0 and r % 4 == 0 else [],
+    "divisors-of-r": lambda r, check: factored_divisors(r, check=check) if r != 0 else [],
+    "divisors-of-r4": lambda r, check: factored_divisors(r // 4, check=check) if r != 0 and r % 4 == 0 else [],
 }
 
 
@@ -148,9 +148,10 @@ def _cells(config: SweepConfig, *, scan: bool = False, part=(0, None)):
     return ((p_at(i // width), q_at(i % width)) for i in range((p_hi - p_lo + 1) * width)[slice(*part)])
 
 
-def _resolve_s(config: SweepConfig, params: SequenceParams, check=None) -> list[int] | tuple[int, ...]:
+def _resolve_s(config: SweepConfig, params: SequenceParams, check=None) -> list[tuple[int, list | None]]:
+    """The cell's ascending (s, factorize(s)) pairs from one factorization of r; an explicit s pairs with None."""
     source = config.s_source
-    return S_SOURCES[source](params.r, check) if isinstance(source, str) else source
+    return S_SOURCES[source](params.r, check) if isinstance(source, str) else [(s, None) for s in source]
 
 
 def _grid(config: SweepConfig, what: str, claim: ClaimId, gate, ks, *, scan=False, start=None, part=(0, None)):
@@ -162,14 +163,15 @@ def _grid(config: SweepConfig, what: str, claim: ClaimId, gate, ks, *, scan=Fals
     this order: the budget is checked, the predicate must hold, and, for the
     lifted equivalence at s >= 2, the lift condition must hold up to
     config.t_max.  Then failures is conclusion_failures(claim, params, s, ks,
-    range(config.n_max + 1)), not yet started.  This is the one place that
-    reads the clock: past config.time_budget_s since start (the first request
-    where start is None) it raises ResourceLimitError "{what} stopped ...",
-    checked before each cell, while a named s_source factors its r, before
-    each s, and at each call of check (check() names (p, q, s), check(k)
-    (p, q, s, k)) by the lift condition and the conclusion.  A sweep passes
-    its own start, so the parts a pool's workers walk share the run's clock:
-    time.monotonic is system-wide on Linux, so a forked worker reads it too.
+    range(config.n_max + 1), factors=...) with the factors _resolve_s gave s,
+    not yet started.  This is the one place that reads the clock: past
+    config.time_budget_s since start (the first request where start is None)
+    it raises ResourceLimitError "{what} stopped ...", checked before each
+    cell, while a named s_source factors its r, before each s, and at each
+    call of check (check() names (p, q, s), check(k) (p, q, s, k)) by the lift
+    condition and the conclusion.  A sweep passes its own start, so the parts
+    a pool's workers walk share the run's clock: time.monotonic is
+    system-wide on Linux, so a forked worker reads it too.
     """
     budget = config.time_budget_s
     if start is None:
@@ -190,11 +192,12 @@ def _grid(config: SweepConfig, what: str, claim: ClaimId, gate, ks, *, scan=Fals
         qualifies = gate(params) if s_values else None
         if qualifies is None:
             continue
-        for s in s_values:
+        for s, factors in s_values:
             check(p, q, s)
             at_s = functools.partial(check, p, q, s)
             if qualifies(s) and (not lifted or s < 2 or thm12_lift_condition(params, s, config.t_max, check=at_s).holds):
-                yield params, s, conclusion_failures(claim, params, s, ks, ns, modular=modular, check=at_s), at_s
+                failures = conclusion_failures(claim, params, s, ks, ns, modular=modular, check=at_s, factors=factors)
+                yield params, s, failures, at_s
 
 
 def _sweep_cell(args) -> tuple[int, list[Counterexample]]:

@@ -30,7 +30,6 @@ from gfibdiv.claims import (
     _S_FREE,
     _applicable,
     _rank,
-    _rank_is_modulus,
     DEFAULT_SCALE_FACTORS,
     REGISTRY,
     ConclusionKind,
@@ -591,8 +590,13 @@ class TestConclusionFailures:
 
 
 class TestRankCertificate:
-    """Modular mode skips the residue stream of an equivalence modulus d whose
-    rank of apparition it certifies to be d; exact mode never certifies."""
+    """Modular mode skips the residue stream of an equivalence modulus d = s^j
+    whose rank of apparition _rank finds to be d, where gcd(q, s) = 1 and each
+    prime of s divides r; exact mode never certifies."""
+
+    @staticmethod
+    def _certified(params, s, j, factors):
+        return _rank(params, s**j, [(ell, e * j) for ell, e in factors]) == s**j
 
     @pytest.mark.parametrize(
         "claim", [ClaimId.Thm1_1_Equiv, ClaimId.Thm1_2_BaseEquiv, ClaimId.Thm1_2_LiftedEquiv]
@@ -603,22 +607,22 @@ class TestRankCertificate:
 
         grid = [(p, q, s) for p in range(-6, 7) for q in range(-6, 7) for s in range(1, 25)]
         ks, ns = range(4), range(121)
-        monkeypatch.setattr(claims, "_rank_is_modulus", forbidden)
+        monkeypatch.setattr(claims, "_rank", forbidden)
         exact = {
             (p, q, s): list(conclusion_failures(claim, SequenceParams(p, q), s, ks, ns)) for p, q, s in grid
         }
-        asked = []  # (q, d, certified) for each modulus the certificate decided
+        asked = []  # (params, d, certified) for each modulus the certificate decided
 
         def recording(params, d, primes):
-            held = _rank_is_modulus(params, d, primes)
-            asked.append((params.q, d, held))
-            return held
+            rank = _rank(params, d, primes)
+            asked.append((params, d, rank == d))
+            return rank
 
-        monkeypatch.setattr(claims, "_rank_is_modulus", recording)
+        monkeypatch.setattr(claims, "_rank", recording)
         for p, q, s in grid:
             modular = list(conclusion_failures(claim, SequenceParams(p, q), s, ks, ns, modular=True))
             assert modular == exact[p, q, s], (p, q, s)
-        assert all(math.gcd(q, d) == 1 for q, d, _ in asked)
+        assert all(math.gcd(params.q, d) == 1 and pow(params.r, d, d) == 0 for params, d, _ in asked)
         assert {held for _, _, held in asked} == {True, False}
         # The grid holds failures at q = 0, at p = 0 and where gcd(q, s) > 1,
         # which the certificate never decides.
@@ -627,17 +631,18 @@ class TestRankCertificate:
         assert any(exact[p, q, s] for p, q, s in grid if math.gcd(q, s) > 1)
 
     def test_certificate_matches_the_orbit_walk_rank(self):
-        # On |p|,|q| <= 8, gcd(q, s) = 1 and d = s^k <= 1,000, the certificate
-        # holds exactly where the rank of d is d.  d | G_d is part of that, so
-        # the orbit walk runs only where it holds.
-        moduli = [(s, s**k) for s in range(2, 1001) for k in range(1, 10) if s**k <= 1000]
+        # On |p|,|q| <= 8, gcd(q, s) = 1 and d = s^k <= 1,000, _rank reads
+        # alpha(d) = d from the primes of s^k exactly where the rank of d is d.
+        # d | G_d is part of that, so the orbit walk runs only where it holds.
+        moduli = [(s, k) for s in range(2, 1001) for k in range(1, 10) if s**k <= 1000]
         held = 0
         for p in range(-8, 9):
             for q in range(-8, 9):
-                for s, d in moduli:
+                for s, k in moduli:
                     if math.gcd(q, s) == 1:
+                        d = s**k
                         rank_is_d = oracles.mat_g_mod(p, q, d, d) == 0 and oracles.brute_rank(p, q, d) == d
-                        assert _rank_is_modulus(SequenceParams(p, q), d, factorize(s)) == rank_is_d, (p, q, s, d)
+                        assert self._certified(SequenceParams(p, q), s, k, factorize(s)) == rank_is_d, (p, q, s, d)
                         held += rank_is_d
         assert held == 5624
 
@@ -671,20 +676,25 @@ class TestRankCertificate:
             _rank(fibonacci, ell, [(ell, 1)], check=over)
 
     def test_certificate_factors_only_s(self, monkeypatch):
-        # The certificate starts alpha's descent from d itself, so no l - (r/l)
-        # is factored, also where a prime of s does not divide r.
+        # Where each prime of s divides r, alpha's descent starts from d itself,
+        # so no l - (r/l) is factored, also where s does not divide r.
         def forbidden(*args, **kwargs):
             raise AssertionError("the certificate factored a number")
 
+        factors = {s: factorize(s) for s in range(2, 40)}
         monkeypatch.setattr(claims, "factorize", forbidden)
-        held = 0
+        held = declined = 0
         for p in range(-6, 7):
             for q in range(-6, 7):
+                r = SequenceParams(p, q).r
                 for s in range(2, 40):
-                    if math.gcd(q, s) == 1 and SequenceParams(p, q).r % s:
+                    if math.gcd(q, s) == 1 and r % s and all(r % ell == 0 for ell, _ in factors[s]):
                         for k in (1, 2):
-                            held += _rank_is_modulus(SequenceParams(p, q), s**k, factorize(s))
-        assert held > 0
+                            certified = self._certified(SequenceParams(p, q), s, k, factors[s])
+                            assert certified == (oracles.brute_rank(p, q, s**k) == s**k), (p, q, s, k)
+                            held += certified
+                            declined += not certified
+        assert held > 0 and declined > 0
 
     @staticmethod
     def _streams(monkeypatch):

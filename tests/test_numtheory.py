@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from gfibdiv import DomainError, divides, is_prime, positive_divisors, valuation
 from gfibdiv import numtheory
-from gfibdiv.numtheory import INFINITE, Valuation, factorize
+from gfibdiv.numtheory import INFINITE, Valuation, factored_divisors, factorize
 
 
 class TestDivides:
@@ -88,6 +88,29 @@ class TestPositiveDivisors:
             expected = [d for d in range(1, m + 1) if m % d == 0]
             assert positive_divisors(m) == expected, m
             assert positive_divisors(-m) == expected, m
+
+
+class TestFactoredDivisors:
+    def test_each_divisor_carries_its_factorization_below_2000(self):
+        for m in range(1, 2000):
+            pairs = factored_divisors(m)
+            assert [d for d, _ in pairs] == [d for d in range(1, m + 1) if m % d == 0], m
+            assert all(factors == oracles.brute_factorization(d) for d, factors in pairs), m
+            assert factored_divisors(-m) == pairs, m
+
+    def test_divisors_of_a_discriminant_with_two_large_primes(self):
+        # r = 4*400000000019*600000000031, the discriminant at (p, q) = (2, 240000000023800000000588).
+        big, bigger = 400000000019, 600000000031
+        assert is_prime(big) and is_prime(bigger)
+        exponents = [(a, b, c) for a in range(3) for b in range(2) for c in range(2)]
+        expected = sorted(
+            (2**a * big**b * bigger**c, [(f, e) for f, e in ((2, a), (big, b), (bigger, c)) if e]) for a, b, c in exponents
+        )
+        assert factored_divisors(4 * big * bigger) == expected
+
+    def test_zero(self):
+        with pytest.raises(DomainError):
+            factored_divisors(0)
 
 
 class TestFactorize:

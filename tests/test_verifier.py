@@ -36,7 +36,7 @@ from gfibdiv import (
     search_counterexample,
     verify_claim,
 )
-from gfibdiv import claims, reporting, verify
+from gfibdiv import claims, numtheory, reporting, verify
 from gfibdiv.claims import conclusion_failures
 from gfibdiv.numtheory import factorize
 
@@ -85,6 +85,22 @@ class TestVerifyClaim:
         for mode in Mode:
             report = verify_claim(ClaimId.Thm1_1_MultDiv, small_config(mode=mode))
             assert report.verdict is Verdict.ALL_PASS and report.points_checked == 17640, mode
+
+    def test_each_divisor_of_r_is_factored_with_r(self, monkeypatch):
+        # r = 4*400000000019*600000000031 at (2, q): rho splits r/4 = q + 1
+        # once, and each s | r carries its primes to the rank certificate, so
+        # no s is factored again.
+        q, rho = 240000000023800000000588, numtheory._rho
+        split = []
+        monkeypatch.setattr(numtheory, "_rho", lambda n, check: split.append(n) or rho(n, check))
+        config = SweepConfig(p_range=(2, 2), q_range=(q, q), k_max=3, n_max=2000, mode=Mode.MODULAR)
+        report = verify_claim(ClaimId.Thm1_2_BaseEquiv, config)
+        assert split == [q + 1]
+        assert (report.verdict, report.points_checked, report.violations) == (Verdict.ALL_PASS, 32016, ())
+        # With no certificate every modulus walks its residue stream, to the same report.
+        monkeypatch.setattr(claims, "_rank", lambda params, d, primes: 0)
+        streamed = verify_claim(ClaimId.Thm1_2_BaseEquiv, config)
+        assert (streamed.verdict, streamed.points_checked, streamed.violations) == (Verdict.ALL_PASS, 32016, ())
 
     def test_cell_without_s_evaluates_no_condition(self):
         # r = psi_12 is odd, so the cell has no divisor of r/4 to try, and the
@@ -367,7 +383,7 @@ class TestGrid:
         with_s = [(p, q) for p, q in verify._cells(config) if verify._resolve_s(config, SequenceParams(p, q))]
         assert called == with_s and len(with_s) < 49
         assert walked == [
-            (p, q, s) for p, q in with_s for s in verify._resolve_s(config, SequenceParams(p, q))
+            (p, q, s) for p, q in with_s for s, _ in verify._resolve_s(config, SequenceParams(p, q))
         ]
 
     def test_walk_is_handed_out_only_where_the_gate_and_lift_hold(self):
