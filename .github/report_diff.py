@@ -4,10 +4,11 @@ Usage: python3 .github/report_diff.py BASE_TREE HEAD_TREE
 
 Each job of the benchmark (perfbench/jobs.py's WORKLOADS, read from
 HEAD_TREE) and each job in EXTRA below runs as `python3 -m gfibdiv.cli` on the
-src/ of both trees, at --workers 1, once with --format json and once with
---format text.  Each run's report file, stdout, stderr and exit code must be
-the same on both trees, save for lines that start with "elapsed: ".  One
-SAME or DIFF line is printed per job; the exit code is 1 if any job differs.
+src/ of both trees, once with --format json and once with --format text, at
+--workers 1 where the command takes it (cli_argv).  Each run's report file,
+stdout, stderr and exit code must be the same on both trees, save for lines
+that start with "elapsed: ".  One SAME or DIFF line is printed per job; the
+exit code is 1 if any job differs.
 """
 
 from __future__ import annotations
@@ -94,6 +95,16 @@ def without_elapsed(data: bytes) -> bytes:
     return b"".join(line for line in data.splitlines(keepends=True) if not line.startswith(b"elapsed: "))
 
 
+# The commands that take --workers; rank, examples, compute and claims do not.
+POOLED = ("check", "sweep", "search", "survey")
+
+
+def cli_argv(argv: tuple[str, ...], fmt: str, output: Path) -> list[str]:
+    """A job's command line, at --workers 1 where its command takes that option."""
+    workers = ["--workers", "1"] if argv[0] in POOLED else []
+    return [*argv, *workers, "--format", fmt, "--output", str(output)]
+
+
 def run(tree: Path, argv: tuple[str, ...], fmt: str, output: Path) -> tuple:
     """(report, stdout, stderr, exit code) of one CLI run on tree's src/."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("GFIBDIV_")}
@@ -101,7 +112,7 @@ def run(tree: Path, argv: tuple[str, ...], fmt: str, output: Path) -> tuple:
     env["PYTHONHASHSEED"] = "0"
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     output.unlink(missing_ok=True)
-    cmd = [sys.executable, "-m", "gfibdiv.cli", *argv, "--workers", "1", "--format", fmt, "--output", str(output)]
+    cmd = [sys.executable, "-m", "gfibdiv.cli", *cli_argv(argv, fmt, output)]
     proc = subprocess.run(cmd, env=env, capture_output=True, stdin=subprocess.DEVNULL)
     report = without_elapsed(output.read_bytes()) if output.exists() else None
     return report, without_elapsed(proc.stdout), without_elapsed(proc.stderr), proc.returncode

@@ -8,6 +8,7 @@ from .claims import (
     claim_by_name,
     conclusion_holds,
     hypothesis_check,
+    rank_of_apparition,
     thm12_lift_condition,
 )
 from .errors import DomainError, InputError, ResourceLimitError
@@ -22,7 +23,6 @@ from .verify import (
     converse_survey,
     identity_suite,
     iter_counterexamples,
-    rank_of_apparition,
     reproduce_examples,
     search_counterexample,
     verify_claim,

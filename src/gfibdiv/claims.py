@@ -5,7 +5,8 @@ a positive integer s.  Hypotheses are conjunctions of named atomic conditions
 arranged in "or"-separated cases, mirroring the case structure of the source
 statements; conclusions are predicates over an additional exponent k and
 index n.  Conclusions are evaluable even when the hypothesis fails, which is
-what makes relaxed-hypothesis counterexample search possible.
+what makes relaxed-hypothesis counterexample search possible.  Modular mode
+decides some from the rank of apparition (_rank; rank_of_apparition reads it).
 """
 
 from __future__ import annotations
@@ -340,20 +341,27 @@ def _lifted_quotient(d: int, v: int, q_pow: int) -> int:
     return _pair_mod(v, -q_pow, d, d)[0]
 
 
-def _rank(params: SequenceParams, d: int, primes: list[tuple[int, int]], check=None) -> int:
-    """alpha(d), the least n >= 1 with d | G_n, where each prime of d that divides q divides p; primes = factorize(d).
+def _rank(params: SequenceParams, d: int, primes: list[tuple[int, int]] | None = None, check=None) -> int | None:
+    """alpha(d), the least n >= 1 with d | G_n, or None where d divides no G_n; primes = factorize(d).
 
-    Split d = L*t, L the l^e || d with l | q, E their largest e.  Mod t the
-    zeros of G are the multiples of alpha(t) (law of apparition: t | G_a makes
-    G_{a+1} a unit, by Cassini, and G_{a+n} = G_{a+1}*G_n mod t), the lcm over
-    l^e || t of alpha(l)*l^(e-1) is one (law of repetition; Lucas 1878,
-    Carmichael 1913), alpha(l) dividing l if l | r, 3 if l = 2, else l - (r/l)
-    (factored with check), and each prime is divided out while it leaves a
-    zero.  Each l | L divides p and q, so the term j of G_n = sum_j C(n-1-j, j)
-    *p^(n-1-2j)*q^j has l-adic valuation n-1-j >= (n-1)/2 or more: every
-    n > 2E is a zero mod L, and alpha(d) is the least multiple of alpha(t)
-    that is one, one g_mod each up to 2E.
+    None where a prime l | d divides q but not p (G_n = p^(n-1) mod l): then
+    gcd(d, q) does not divide p^e, e its bit length.  That is read before d is
+    factored (with check, where no primes are given; a part left unsplit
+    raises DomainError).  Else split d = L*t, L the l^e || d with l | q, E
+    their largest e.  Mod t the zeros of G are the multiples of alpha(t) (law
+    of apparition: t | G_a makes G_{a+1} a unit, by Cassini, and G_{a+n} =
+    G_{a+1}*G_n mod t), the lcm over l^e || t of alpha(l)*l^(e-1) is one (law
+    of repetition; Lucas 1878, Carmichael 1913), alpha(l) dividing l if l | r,
+    3 if l = 2, else l - (r/l) (factored with check), and each prime is
+    divided out while it leaves a zero.  Each l | L divides p and q, so the
+    term j of G_n = sum_j C(n-1-j, j)*p^(n-1-2j)*q^j has l-adic valuation
+    n-1-j >= (n-1)/2 or more: every n > 2E is a zero mod L, and alpha(d) is
+    the least multiple of alpha(t) that is one, one g_mod each up to 2E.
     """
+    if pow(params.p, (shared := math.gcd(d, params.q)).bit_length(), shared):
+        return None
+    if primes is None:
+        primes = factorize(d, check=check)
     zero, r, divisors, big_l, big_e = 1, params.r, set(), 1, 0
     for ell, e in primes:
         if params.q % ell == 0:
@@ -367,6 +375,22 @@ def _rank(params: SequenceParams, d: int, primes: list[tuple[int, int]], check=N
             zero //= f
     below = (n for n in range(zero, 2 * big_e + 1, zero) if g_mod(params, n, big_l) == 0)
     return next(below, -(-(2 * big_e + 1) // zero) * zero)
+
+
+def rank_of_apparition(params: SequenceParams, s: int, n_bound: int) -> int | None:
+    """Smallest n in [1, n_bound] with s | G_n: alpha(s) (_rank), or None where it is past n_bound or there is none.
+
+    Where factorize leaves a part past psi_12 unsplit, a modular scan to n = s^2 decides: the states
+    (G_n, G_{n+1}) mod s take at most s^2 values, each fixing the next.
+    """
+    if s < 2:
+        raise InputError(f"rank of apparition needs s >= 2, got {s}")
+    try:
+        rank = _rank(params, s)
+    except DomainError:  # a part of s past psi_12 left unsplit
+        ns = range(1, min(n_bound, s * s) + 1)
+        return next((n for n, (g, _) in zip(ns, g_pairs_mod(params, ns, s)) if g == 0), None)
+    return None if rank is None or rank > n_bound else rank
 
 
 # Indices walked between two calls of conclusion_failures' check: one residue
@@ -460,11 +484,11 @@ def witness(claim: ClaimId, params: SequenceParams, n: int, d: int, g: int, w: i
     """A failure of conclusion_failures at index n, from its evidence (d, g, w), with exact values.
 
     A divisibility failure (w != 0) gives {divisor, index, g_n, remainder}:
-    a*G_{d*n} = a*G_n*W with W = w (mod d), so modulo the divisor a*d*G_n
-    its remainder is a*G_n*w, where a is the first scale of the scaled kind
+    a*G_{d*n} = a*G_n*W with W = w (mod d), so modulo the divisor a*d*G_n its
+    remainder is a*G_n*w, where a is the first scale of the scaled kind
     (a*d*G_n | a*G_{d*n} does not depend on a != 0) and 1 otherwise.  An
     equivalence failure gives {s_pow, s_pow_divides_n, s_pow_divides_g,
-    g_residue}.
+    g_residue}.  A search states its failures with _search_witness.
     """
     if w:
         scale = DEFAULT_SCALE_FACTORS[0] if _BY_ID[claim].conclusion is ConclusionKind.SCALED else 1
@@ -472,6 +496,19 @@ def witness(claim: ClaimId, params: SequenceParams, n: int, d: int, g: int, w: i
         divisor = scale * d * g_n
         return {"divisor": divisor, "index": d * n, "g_n": g_n, "remainder": scale * g_n * w % abs(divisor)}
     return {"s_pow": d, "s_pow_divides_n": n % d == 0, "s_pow_divides_g": g == 0, "g_residue": g}
+
+
+def _search_witness(params: SequenceParams, n: int, d: int, g: int, w: int) -> dict:
+    """A search's failure at index n from the walk's evidence (d, g, w), with exact values.
+
+    w != 0 is a divisibility failure, {divisor, index, g_n, dividend_g}, with d = s^k (only the base
+    equivalence clamps d, and it has no divisibility half); else the equivalence failed at d, {s_pow,
+    s_pow_divides_n, s_pow_divides_g, g_n}.
+    """
+    g_n = g_exact(params, n)
+    if w:
+        return {"divisor": d * g_n, "index": d * n, "g_n": g_n, "dividend_g": g_exact(params, d * n)}
+    return {"s_pow": d, "s_pow_divides_n": n % d == 0, "s_pow_divides_g": g == 0, "g_n": g_n}
 
 
 def conclusion_holds(

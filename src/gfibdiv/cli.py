@@ -37,7 +37,6 @@ from .verify import (
     Verdict,
     converse_survey,
     iter_counterexamples,
-    rank_of_apparition,
     reproduce_examples,
     search_counterexample,
     verify_claim,
@@ -329,7 +328,7 @@ def _cmd_survey(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    rank = rank_of_apparition(SequenceParams(args.p, args.q), args.s, args.bound)
+    rank = claims_mod.rank_of_apparition(SequenceParams(args.p, args.q), args.s, args.bound)
     doc = {"kind": "rank-of-apparition", "p": args.p, "q": args.q, "s": args.s, "bound": args.bound, "rank": rank}
     fields = ["p", "q", "s", "bound", "rank"]
     _render(

@@ -67,7 +67,7 @@ def factorize(m: int, *, check=None) -> list[tuple[int, int]]:
     while parts:
         if (part := parts.pop()) < _PSI_12 and is_prime(part):
             primes.append(part)
-        elif part >= _PSI_12 and is_prime(part, proven=False) or (d := _rho(part, check)) is None:
+        elif part >= _PSI_12 and _strong_probable_prime(part) or (d := _rho(part, check)) is None:
             raise DomainError(f"cannot factor {part}: primality is proven only below {_PSI_12}")
         else:
             parts += [d, part // d]
@@ -131,19 +131,20 @@ _SMALL_PRIMES = _MR_BASES + tuple(d for d in range(38, 1 << 10) if math.gcd(d, m
 _RHO_BATCH, _RHO_BLOCK, _RHO_CAP = 1 << 7, 1 << 12, 1 << 16
 
 
-def is_prime(s: int, *, proven: bool = True) -> bool:
-    """Deterministic primality for s < psi_12 (Miller-Rabin, fixed bases).
-
-    Above that it answers for s with a factor among the bases; for another s it
-    raises DomainError, or with proven=False answers whether s is a strong probable prime.
-    """
+def is_prime(s: int) -> bool:
+    """Deterministic primality below psi_12 (Miller-Rabin, fixed bases); past it, DomainError unless a base divides s."""
     if s < 2:
         return False
     for p in _MR_BASES:
         if s % p == 0:
             return s == p
-    if s >= _PSI_12 and proven:
+    if s >= _PSI_12:
         raise DomainError(f"primality of {s} is not decided: the test is proven only below {_PSI_12}")
+    return _strong_probable_prime(s)
+
+
+def _strong_probable_prime(s: int) -> bool:
+    """Whether s, with no factor among the bases, is a strong probable prime to each: exactly the primes below psi_12."""
     d, r = s - 1, 0
     while d % 2 == 0:
         d //= 2

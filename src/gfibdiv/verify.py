@@ -1,9 +1,9 @@
-"""Grid sweeps, identity checks, golden examples, counterexample search,
-rank of apparition, and the exploratory converse survey.
+"""Grid sweeps, identity checks, golden examples, counterexample search and
+the exploratory converse survey.
 
 Sweeps are embarrassingly parallel over (p, q) cells; results are merged in
 canonical cell order so reports are byte-identical regardless of worker
-count.  Every conclusion is decided by claims.conclusion_failures.
+count.  Every conclusion is decided, and each failure stated, in claims.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import os
 import time
 from enum import Enum
 from typing import NamedTuple
+
+from . import claims
 
 # conclusion_holds, hypothesis_check, _applicable, positive_divisors, g_mod
 # and g_is_zero are not called here; they stay importable because
@@ -26,14 +28,12 @@ from .claims import (
     hypothesis_check,
     hypothesis_gate,
     thm12_lift_condition,
-    witness,
     _applicable,
     _evaluate_conditions,
-    _rank,
 )
-from .errors import DomainError, InputError, ResourceLimitError
-from .numtheory import divides, factored_divisors, factorize, positive_divisors
-from .sequences import SequenceParams, ab_exact, g_exact, g_is_zero, g_mod, g_pairs_mod, g_range
+from .errors import InputError, ResourceLimitError
+from .numtheory import divides, factored_divisors, positive_divisors
+from .sequences import SequenceParams, ab_exact, g_exact, g_is_zero, g_mod, g_range
 
 
 class Mode(Enum):
@@ -209,7 +209,7 @@ def _sweep_cell(args) -> tuple[int, list[Counterexample]]:
     for params, s, failures, _ in _grid(config, what, claim, gate, range(config.k_max + 1), start=start, part=part):
         points += (config.k_max + 1) * (config.n_max + 1)
         violations.extend(
-            Counterexample(claim, params.p, params.q, s, k, n, witness(claim, params, n, *evidence))
+            Counterexample(claim, params.p, params.q, s, k, n, claims.witness(claim, params, n, *evidence))
             for k, n, evidence in failures
         )
     return points, violations
@@ -468,7 +468,7 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
     lift condition must hold up to bounds.t_max, as in a sweep.  Each s is
     decided by _grid, the sweep's too, and each s's counterexamples
     are yielded as soon as it is decided, each witness written with exact G
-    values (_search_witness) only as it is drawn.  Past
+    values (claims._search_witness) only as it is drawn.  Past
     bounds.time_budget_s, checked by _grid before each cell, each s and each
     k, and before each witness is written, it raises ResourceLimitError.
     """
@@ -483,23 +483,8 @@ def iter_counterexamples(claim: ClaimId, relaxed_condition: str, bounds: SweepCo
     for params, s, failures, check in _grid(bounds, "search", claim, gate, range(bounds.k_max + 1), scan=True):
         for k, n, evidence in sorted(failures, key=lambda f: (f[1], f[0])):
             check(k)
-            yield Counterexample(
-                claim, params.p, params.q, s, k, n, _search_witness(params, n, *evidence), relaxed_condition
-            )
-
-
-def _search_witness(params: SequenceParams, n: int, d: int, g: int, w: int) -> dict:
-    """A search's failure at index n from the walk's evidence (d, g, w), with exact values.
-
-    w != 0 is a divisibility failure, {divisor, index, g_n, dividend_g}, and
-    there d = s^k (only the base equivalence clamps d, and it has no
-    divisibility half); else the equivalence failed at d, {s_pow,
-    s_pow_divides_n, s_pow_divides_g, g_n}.
-    """
-    g_n = g_exact(params, n)
-    if w:
-        return {"divisor": d * g_n, "index": d * n, "g_n": g_n, "dividend_g": g_exact(params, d * n)}
-    return {"s_pow": d, "s_pow_divides_n": n % d == 0, "s_pow_divides_g": g == 0, "g_n": g_n}
+            stated = claims._search_witness(params, n, *evidence)
+            yield Counterexample(claim, params.p, params.q, s, k, n, stated, relaxed_condition)
 
 
 def search_counterexample(
@@ -510,30 +495,8 @@ def search_counterexample(
 
 
 # ---------------------------------------------------------------------------
-# Rank of apparition and converse survey
+# Converse survey
 # ---------------------------------------------------------------------------
-
-
-def rank_of_apparition(params: SequenceParams, s: int, n_bound: int) -> int | None:
-    """Smallest n in [1, n_bound] with s | G_n; None at once where a prime l | s divides q but not p.
-
-    (Then G_n = p^(n-1) != 0 mod l.)  Else alpha(s) from the laws (claims._rank)
-    answers; where factorize raises, a modular scan to n = s^2 decides: the
-    states (G_n, G_{n+1}) mod s take at most s^2 values, each fixing the next.
-    """
-    if s < 2:
-        raise InputError(f"rank of apparition needs s >= 2, got {s}")
-    g = math.gcd(s, params.q)
-    while (shared := math.gcd(g, params.p)) > 1:
-        g //= shared
-    if g > 1:
-        return None
-    try:
-        rank = _rank(params, s, factorize(s))
-    except DomainError:  # a part of s past psi_12 left unsplit
-        ns = range(1, min(n_bound, s * s) + 1)
-        return next((n for n, (g, _) in zip(ns, g_pairs_mod(params, ns, s)) if g == 0), None)
-    return rank if rank <= n_bound else None
 
 
 class SurveyRow(NamedTuple):

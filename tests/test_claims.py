@@ -649,18 +649,18 @@ class TestRankCertificate:
     def test_rank_matches_the_orbit_walk(self):
         # alpha(d) from the laws of apparition and repetition, on |p|,|q| <= 12
         # and 2 <= d < 200: p = 0, r = 0, d = 2^e, odd prime powers, primes
-        # dividing r and primes that do not, and gcd(q, d) > 1 where each
-        # prime of d that divides q divides p (else there is no rank).
-        factors = {d: factorize(d) for d in range(2, 200)}
-        compared, shared = 0, 0
+        # dividing r and primes that do not, and gcd(q, d) > 1, where a prime
+        # of d that divides q but not p leaves no rank (None).
+        compared, shared, none = 0, 0, 0
         for p in range(-12, 13):
             for q in range(-12, 13):
                 for d in range(2, 200):
-                    if all(p % ell == 0 for ell, _ in factors[d] if q % ell == 0):
-                        assert _rank(SequenceParams(p, q), d, factors[d]) == oracles.brute_rank(p, q, d), (p, q, d)
-                        compared += 1
-                        shared += math.gcd(q, d) > 1
-        assert (compared, shared) == (92788, 18838)
+                    rank = _rank(SequenceParams(p, q), d)
+                    assert rank == oracles.brute_rank(p, q, d), (p, q, d)
+                    compared += 1
+                    shared += math.gcd(q, d) > 1
+                    none += rank is None
+        assert (compared, shared, none) == (123750, 49800, 30962)
 
     def test_rank_checks_while_l_minus_r_over_l_is_factored(self):
         # l = 46*(10^9 + 7)(10^9 + 9) - 1 is prime and (5/l) = -1: rho takes

@@ -1,5 +1,6 @@
 import ast
 import csv
+import importlib.util
 import json
 import os
 import re
@@ -21,6 +22,7 @@ from gfibdiv.numtheory import factorize
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 GOLDEN = Path(__file__).resolve().parent / "cli_golden"
+REPORT_DIFF = Path(__file__).resolve().parents[1] / ".github" / "report_diff.py"
 
 
 def load_schema():
@@ -820,6 +822,30 @@ class TestWriters:
         # The text report's elapsed time is the one line that is not reproducible.
         out = re.sub(r"^elapsed: \d+\.\d\ds$", "elapsed: <seconds>", out, flags=re.M)
         assert out == (GOLDEN / f"{case}.{fmt}").read_text(encoding="utf-8")
+
+
+def load_report_diff():
+    """.github/report_diff.py, loaded by path: it is a script, not a module of the package."""
+    spec = importlib.util.spec_from_file_location("report_diff", REPORT_DIFF)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestReportDiffJobs:
+    """Each extra job of report_diff.py, as its cli_argv builds it, is a command line the CLI accepts."""
+
+    report_diff = load_report_diff()
+
+    @pytest.mark.parametrize("argv", [argv for _, argv in report_diff.EXTRA], ids=[name for name, _ in report_diff.EXTRA])
+    def test_job_parses(self, argv, tmp_path):
+        for fmt in self.report_diff.FORMATS:
+            line = self.report_diff.cli_argv(argv, fmt, tmp_path / "report")
+            try:
+                args = cli.build_parser().parse_args(line)
+            except SystemExit:
+                pytest.fail(f"the CLI rejects {line}")
+            assert (args.command, args.format) == (argv[0], fmt)
 
 
 class TestArgHandling:

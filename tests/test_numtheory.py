@@ -173,7 +173,7 @@ class TestFactorize:
         m = (10**12 + 39) * (10**12 + 61)
         with pytest.raises(DomainError, match=str(m)):
             factorize(m)
-        assert is_prime(f131, proven=False) and not is_prime(m, proven=False)
+        assert numtheory._strong_probable_prime(f131) and not numtheory._strong_probable_prime(m)
         # Past psi_12, rho still splits a part whose factors it reaches within the cap.
         assert factorize((10**6 + 3) * (10**18 + 9) * (10**9 + 7)) == [(10**6 + 3, 1), (10**9 + 7, 1), (10**18 + 9, 1)]
 

@@ -818,8 +818,8 @@ class TestCounterexampleSearch:
 
     def test_search_restates_only_the_witness_it_returns(self, monkeypatch):
         restated = []
-        restate = verify._search_witness
-        monkeypatch.setattr(verify, "_search_witness", lambda *args: restated.append(args) or restate(*args))
+        restate = claims._search_witness
+        monkeypatch.setattr(claims, "_search_witness", lambda *args: restated.append(args) or restate(*args))
         first = search_counterexample(ClaimId.Thm1_1_Equiv, "gcd-pq", self.BOUNDS)
         assert len(restated) == 1
         # The s that gave it failed at more points than the one restated.
@@ -937,13 +937,13 @@ class TestRankOfApparition:
 
     @staticmethod
     def _streams(monkeypatch):
-        streamed, stream = [], verify.g_pairs_mod
+        streamed, stream = [], claims.g_pairs_mod
 
         def spy(params, ns, m):  # records m at the first residue read
             streamed.append(m)
             yield from stream(params, ns, m)
 
-        monkeypatch.setattr(verify, "g_pairs_mod", spy)
+        monkeypatch.setattr(claims, "g_pairs_mod", spy)
         return streamed
 
     def test_coprime_s_reads_no_residue(self, monkeypatch):
@@ -979,13 +979,13 @@ class TestRankOfApparition:
     def test_matches_exact_scan(self, monkeypatch):
         """Against a scan of exact values to s^2; where a prime of s divides q but not p, no stream is read."""
         streamed = []
-        stream = verify.g_pairs_mod
+        stream = claims.g_pairs_mod
 
         def spy(params, ns, m):
             streamed.append((params, m))
             return stream(params, ns, m)
 
-        monkeypatch.setattr(verify, "g_pairs_mod", spy)
+        monkeypatch.setattr(claims, "g_pairs_mod", spy)
         unscanned = 0
         for p in range(-7, 8):
             for q in range(-7, 8):
