@@ -39,9 +39,13 @@ GRID60 = ("--pmin", "-60", "--pmax", "60", "--qmin", "-60", "--qmax", "60")
 # where s has a part past psi_12 that factorize leaves unsplit, such as the prime
 # F_131), modular relaxed searches of the equivalence, whose s have primes
 # that do not divide r (the rank certificate leaves those moduli to their
-# residue streams), and a modular sweep of the one cell whose r is 4 times
+# residue streams), a modular sweep of the one cell whose r is 4 times
 # two primes near 10^12, split once by rho, each divisor of r carrying its
-# factorization to the certificate.
+# factorization to the certificate, and relaxed searches of a global
+# condition that does not read s, a branch of the hypothesis gate that no
+# benchmark job takes: q-eq-1, which finds counterexamples, and r-nonzero,
+# which finds none (its relaxed points on GRID8 are (+-2, -1), where
+# G_n = +-n).
 EXTRA = (
     ("search-multdiv-s-div-r", ("search", "--claim", "thm1.1-multdiv", "--relax", "s-div-r", "--all") + GRID4
      + ("--s-source", ",".join(map(str, range(1, 21))), "--kmax", "2", "--nmax", "12")),
@@ -77,6 +81,11 @@ EXTRA = (
      + ("--s-source", ",".join(map(str, range(2, 41))), "--kmax", "2", "--nmax", "400", "--mode", "modular")),
     ("sweep-base-equiv-modular-two-large-primes", ("sweep", "--claim", "thm1.2-base-equiv", "--pmin", "2", "--pmax",
      "2", "--qmin", "240000000023800000000588", "--qmax", "240000000023800000000588", "--mode", "modular")),
+    ("search-cor-q1-q-eq-1", ("search", "--claim", "cor-q1", "--relax", "q-eq-1", "--all", "--pmin", "-6", "--pmax",
+     "6", "--qmin", "-6", "--qmax", "6", "--s-source", ",".join(map(str, range(1, 11))), "--kmax", "2", "--nmax",
+     "30")),
+    ("search-equiv-r-nonzero", ("search", "--claim", "thm1.1-equiv", "--relax", "r-nonzero", "--all") + GRID8
+     + ("--s-source", ",".join(map(str, range(1, 13))), "--kmax", "2", "--nmax", "40")),
 )
 FORMATS = ("json", "text")
 FIELDS = ("report", "stdout", "stderr", "exit code")

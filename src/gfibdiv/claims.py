@@ -277,14 +277,14 @@ def _applicable(spec: ClaimSpec, values: dict[str, bool]) -> bool:
 
 
 def hypothesis_check(claim: ClaimId, params: SequenceParams, s: int) -> HypothesisReport:
-    """Evaluate every atomic condition of the claim and its case structure."""
+    """Evaluate every atomic condition of the claim and its case structure.
+
+    Unlike hypothesis_gate it skips none, so a primality condition at a value
+    >= psi_12 raises DomainError even where the other conditions decide the case.
+    """
     spec = _BY_ID[claim]
     values = _evaluate_conditions(spec, params.p, params.q, s)
-    return HypothesisReport(
-        claim=claim,
-        conditions=tuple(values.items()),
-        applicable=_applicable(spec, values),
-    )
+    return HypothesisReport(claim=claim, conditions=tuple(values.items()), applicable=_applicable(spec, values))
 
 
 def hypothesis_gate(claim: ClaimId, params: SequenceParams, relaxed: str | None = None):
@@ -294,34 +294,28 @@ def hypothesis_gate(claim: ClaimId, params: SequenceParams, relaxed: str | None 
     hypothesis_check(...).applicable.  With a relaxed condition, s qualifies
     where that condition fails and the hypothesis fails, but holds once the
     condition is forced true: the points a relaxed search probes.  The gate
-    reads the claim's folded cases (_CASES, the global conditions first in
-    each).  It decides each case's conditions that do not read s here, once
-    per case of the cell, and drops a case where one fails; the predicate
-    evaluates only the conditions on s of the cases left, lazily and in
-    declared order, and never a condition that does not read s.
+    decides the conditions of each case of _CASES (the folded cases, global
+    conditions first) that do not read s here, once per case of the cell, and
+    drops a case where one fails.  A case left answers yes where it names
+    relaxed (every case does without relaxed); the others, and the relaxed
+    condition where it reads s, answer no, since each makes the hypothesis
+    hold, and come first.  The predicate answers with the first case whose
+    conditions on s all hold (no if none does), evaluating them lazily, and
+    never a condition that does not read s.
     """
     p, q = params.p, params.q
     if relaxed in _S_FREE and _CONDITIONS[relaxed](p, q):
         return None
-    # A relaxed case (every case without relaxed, else one that names it)
-    # must hold.  Any other case holding makes the hypothesis hold, and so
-    # does a relaxed condition on s holding: it is the first other case.
-    relaxed_cases, other_cases = [], []
-    if relaxed is not None and relaxed not in _S_FREE:
-        other_cases.append([_CONDITIONS[relaxed]])
+    cases = [([_CONDITIONS[relaxed]], False)] if relaxed is not None and relaxed not in _S_FREE else []
     for case in _CASES[claim]:
         names = [name for name in case if name != relaxed]  # relaxed is forced true
         if all(_CONDITIONS[name](p, q) for name in names if name in _S_FREE):
             on_s = [_CONDITIONS[name] for name in names if name not in _S_FREE]
-            (relaxed_cases if relaxed is None or relaxed in case else other_cases).append(on_s)
-    if not relaxed_cases:
+            cases.append((on_s, relaxed is None or relaxed in case))
+    cases.sort(key=lambda case: case[1])  # stable: each group keeps its declared order
+    if not cases or not cases[-1][1]:
         return None
-
-    def qualifies(s: int) -> bool:
-        holds = lambda case: all(condition(p, q, s) for condition in case)
-        return not any(map(holds, other_cases)) and any(map(holds, relaxed_cases))
-
-    return qualifies
+    return lambda s: next((answer for on_s, answer in cases if all(condition(p, q, s) for condition in on_s)), False)
 
 
 @functools.lru_cache(maxsize=1 << 15)

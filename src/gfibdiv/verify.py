@@ -194,8 +194,10 @@ def _grid(config: SweepConfig, what: str, claim: ClaimId, gate, ks, *, scan=Fals
             continue
         for s, factors in s_values:
             check(p, q, s)
+            if not qualifies(s):
+                continue
             at_s = functools.partial(check, p, q, s)
-            if qualifies(s) and (not lifted or s < 2 or thm12_lift_condition(params, s, config.t_max, check=at_s).holds):
+            if not lifted or s < 2 or thm12_lift_condition(params, s, config.t_max, check=at_s).holds:
                 failures = conclusion_failures(claim, params, s, ks, ns, modular=modular, check=at_s, factors=factors)
                 yield params, s, failures, at_s
 

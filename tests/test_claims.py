@@ -181,6 +181,21 @@ class TestHypothesisGate:
         gate = hypothesis_gate(ClaimId.Thm1_1_Equiv, SequenceParams(2, 2))  # gcd(2, 2) = 2
         assert gate(1) and not gate(318665857834031151167461)  # s | r/4 = 3 decides
 
+    def test_a_case_answering_no_is_tried_first(self, monkeypatch):
+        # Relaxing s-ge-3, case 3 answers yes, and s-prime is its first
+        # condition on s after mod3-guard; case 2 does not name s-ge-3, so it
+        # answers no, and it is tried first.
+        def no_primality(m):
+            raise AssertionError(f"is_prime({m}) reached")
+
+        monkeypatch.setattr(claims, "is_prime", no_primality)
+        gate = hypothesis_gate(ClaimId.Thm1_1_Equiv, SequenceParams(2, 1), "s-ge-3")
+        assert gate(1) is False and gate(2) is False  # s | r/4 = 2: case 2 holds
+        # At (1, 1) p is odd, so case 2 is dropped with the cell; case 1 fails
+        # at s = 2 (2 does not divide r = 5), and case 3 reaches s-prime.
+        with pytest.raises(AssertionError, match="is_prime"):
+            hypothesis_gate(ClaimId.Thm1_1_Equiv, SequenceParams(1, 1), "s-ge-3")(2)
+
 
     @pytest.mark.parametrize("claim", list(ClaimId))
     def test_predicate_never_calls_an_s_free_condition(self, claim, monkeypatch):
@@ -760,36 +775,6 @@ class TestResidueLemma:
             gs = g_range(SequenceParams(2 * c, -c * c), 40)
             assert gs == [n * c ** (n - 1) if n else 0 for n in range(41)], c
 
-    def test_every_s_dividing_r_is_certified(self, monkeypatch):
-        def no_stream(*args):
-            raise AssertionError("a residue stream was opened")
-
-        monkeypatch.setattr(claims, "g_pairs_mod", no_stream)
-        # s = r at each cell, up to the prime 10^18 + 9: s is neither factored
-        # nor bounded.
-        for s, params in (
-            (2**13, SequenceParams(0, 2**11)),
-            (3 * 2**13, SequenceParams(0, 3 * 2**11)),
-            (65537, SequenceParams(1, 16384)),
-            (10**18 + 9, SequenceParams(1, (10**18 + 8) // 4)),
-        ):
-            assert params.r == s
-            for claim in (ClaimId.Thm1_1_MultDiv, ClaimId.Remark_Scaled):
-                assert list(conclusion_failures(claim, params, s, range(4), range(201), modular=True)) == [], s
-
-    def test_r_zero_cells_hold_in_both_modes(self, monkeypatch):
-        # At r = 0 every s divides r, so the certificate covers every s; the
-        # r-nonzero search probes just those cells, here (2, -1) and (4, -4).
-        streams = []
-        monkeypatch.setattr(claims, "g_pairs_mod", lambda params, ns, m: streams.append(m) or g_pairs_mod(params, ns, m))
-        bounds = SweepConfig(p_range=(2, 4), q_range=(-4, -1), s_source=(2, 4096, 8192, 65537), k_max=2, n_max=40)
-        assert list(iter_counterexamples(ClaimId.Thm1_1_MultDiv, "r-nonzero", bounds)) == []
-        assert len(streams) == 2 * 4 * 2  # exact mode walks each cell, s and k >= 1
-        streams.clear()
-        modular = bounds._replace(mode=Mode.MODULAR)
-        assert list(iter_counterexamples(ClaimId.Thm1_1_MultDiv, "r-nonzero", modular)) == []
-        assert streams == []
-
     def test_lucas_product(self):
         """G_{s^k*n} = G_n * W_0 ... W_{k-1}, exactly, where W_j is G_s of
         <V_m, -(-q)^m>, m = s^j*n, V_m = 2*G_{m+1} - p*G_m, a sequence of
@@ -856,6 +841,42 @@ class TestResidueLemma:
         ks = (drawn.append(k) or k for k in range(6))
         assert list(conclusion_failures(claim, SequenceParams(1, 1), 5, ks, range(100), modular=True)) == []
         assert drawn == list(range(6))
+
+
+class TestDivisibilityCertificate:
+    """Modular mode's divisibility certificate where s | r: L(s)
+    (TestResidueLemma) gives the divisibility half for every k and n, so
+    modular mode walks no stream there, while exact mode walks every point."""
+
+    def test_every_s_dividing_r_is_certified(self, monkeypatch):
+        def no_stream(*args):
+            raise AssertionError("a residue stream was opened")
+
+        monkeypatch.setattr(claims, "g_pairs_mod", no_stream)
+        # s = r at each cell, up to the prime 10^18 + 9: s is neither factored
+        # nor bounded.
+        for s, params in (
+            (2**13, SequenceParams(0, 2**11)),
+            (3 * 2**13, SequenceParams(0, 3 * 2**11)),
+            (65537, SequenceParams(1, 16384)),
+            (10**18 + 9, SequenceParams(1, (10**18 + 8) // 4)),
+        ):
+            assert params.r == s
+            for claim in (ClaimId.Thm1_1_MultDiv, ClaimId.Remark_Scaled):
+                assert list(conclusion_failures(claim, params, s, range(4), range(201), modular=True)) == [], s
+
+    def test_r_zero_cells_hold_in_both_modes(self, monkeypatch):
+        # At r = 0 every s divides r, so the certificate covers every s; the
+        # r-nonzero search probes just those cells, here (2, -1) and (4, -4).
+        streams = []
+        monkeypatch.setattr(claims, "g_pairs_mod", lambda params, ns, m: streams.append(m) or g_pairs_mod(params, ns, m))
+        bounds = SweepConfig(p_range=(2, 4), q_range=(-4, -1), s_source=(2, 4096, 8192, 65537), k_max=2, n_max=40)
+        assert list(iter_counterexamples(ClaimId.Thm1_1_MultDiv, "r-nonzero", bounds)) == []
+        assert len(streams) == 2 * 4 * 2  # exact mode walks each cell, s and k >= 1
+        streams.clear()
+        modular = bounds._replace(mode=Mode.MODULAR)
+        assert list(iter_counterexamples(ClaimId.Thm1_1_MultDiv, "r-nonzero", modular)) == []
+        assert streams == []
 
     def test_relaxed_search_keeps_its_counterexamples(self):
         # Where s does not divide r, the lemma says nothing, so the stream decides.
