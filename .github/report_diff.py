@@ -35,9 +35,11 @@ GRID60 = ("--pmin", "-60", "--pmax", "60", "--qmin", "-60", "--qmax", "60")
 # |p| near 10^6, whose r near 10^12 are factored by Pollard's rho, rank
 # queries down each path of rank_of_apparition (the laws of apparition and
 # repetition once s is factored, gcd(q, s) > 1 included, the shortcut where a
-# prime of s divides q but not p, ahead of any factoring, and the capped scan
-# where s has a part past psi_12 that factorize leaves unsplit, such as the prime
-# F_131), modular relaxed searches of the equivalence, whose s have primes
+# prime of s divides q but not p, ahead of any factoring, and the scan to
+# --bound where s has a part past psi_12 that factorize leaves unsplit, such as
+# the prime F_131, or the prime 2^89 - 1, whose scan runs to the default --bound),
+# the check refused at s = psi_12, a strong pseudoprime to all twelve bases,
+# modular relaxed searches of the equivalence, whose s have primes
 # that do not divide r (the rank certificate leaves those moduli to their
 # residue streams), a modular sweep of the one cell whose r is 4 times
 # two primes near 10^12, split once by rho, each divisor of r carrying its
@@ -73,6 +75,9 @@ EXTRA = (
     ("rank-rho-semiprime", ("rank", "-p", "1", "-q", "1", "-s", "1000000016000000063")),
     ("rank-scan-past-psi12", ("rank", "-p", "1", "-q", "1", "-s", "1066340417491710595814572169", "--bound",
      "1000000000000")),
+    ("rank-scan-past-psi12-default-bound", ("rank", "-p", "1", "-q", "1", "-s", "618970019642690137449562111")),
+    ("check-psi12-refused", ("check", "--claim", "thm1.1-equiv", "-p", "1", "-q", "1", "-s",
+     "318665857834031151167461", "--kmax", "1", "--nmax", "10")),
     ("rank-none-before-factoring", ("rank", "-p", "1", "-q", "2", "-s", "2132680834983421191629144338", "--bound",
      "1000000000000")),
     ("search-equiv-s-div-r-modular", ("search", "--claim", "thm1.1-equiv", "--relax", "s-div-r", "--all") + GRID8

@@ -63,12 +63,10 @@ _CONDITIONS = {
     "s2-div-r": lambda p, q, s: divides(s * s, p * p + 4 * q),
     "s2-div-r4": lambda p, q, s: (p * p + 4 * q) % 4 == 0 and divides(s * s, (p * p + 4 * q) // 4),
     "4-div-r": lambda p, q: (p * p + 4 * q) % 4 == 0,
-    "s-prime": lambda p, q, s: s >= 0 and is_prime(s),
+    "s-prime": lambda p, q, s: is_prime(s),
     "s-ge-3": lambda p, q, s: s >= 3,
-    "r-prime": lambda p, q: p * p + 4 * q >= 2 and is_prime(p * p + 4 * q),
-    "r4-prime": lambda p, q: (p * p + 4 * q) % 4 == 0
-    and (p * p + 4 * q) // 4 >= 2
-    and is_prime((p * p + 4 * q) // 4),
+    "r-prime": lambda p, q: is_prime(p * p + 4 * q),
+    "r4-prime": lambda p, q: (p * p + 4 * q) % 4 == 0 and is_prime((p * p + 4 * q) // 4),
     "s-eq-r": lambda p, q, s: s == p * p + 4 * q,
     "s-eq-r4": lambda p, q, s: (p * p + 4 * q) % 4 == 0 and s == (p * p + 4 * q) // 4,
     "s-eq-2": lambda p, q, s: s == 2,
@@ -279,8 +277,9 @@ def _applicable(spec: ClaimSpec, values: dict[str, bool]) -> bool:
 def hypothesis_check(claim: ClaimId, params: SequenceParams, s: int) -> HypothesisReport:
     """Evaluate every atomic condition of the claim and its case structure.
 
-    Unlike hypothesis_gate it skips none, so a primality condition at a value
-    >= psi_12 raises DomainError even where the other conditions decide the case.
+    Unlike hypothesis_gate it skips none, so a primality condition at a strong
+    probable prime >= psi_12 (is_prime) raises DomainError even where the other
+    conditions decide the case.
     """
     spec = _BY_ID[claim]
     values = _evaluate_conditions(spec, params.p, params.q, s)
@@ -374,15 +373,14 @@ def _rank(params: SequenceParams, d: int, primes: list[tuple[int, int]] | None =
 def rank_of_apparition(params: SequenceParams, s: int, n_bound: int) -> int | None:
     """Smallest n in [1, n_bound] with s | G_n: alpha(s) (_rank), or None where it is past n_bound or there is none.
 
-    Where factorize leaves a part past psi_12 unsplit, a modular scan to n = s^2 decides: the states
-    (G_n, G_{n+1}) mod s take at most s^2 values, each fixing the next.
+    Where factorize leaves a part past psi_12 unsplit, a modular scan of n = 1, ..., n_bound decides.
     """
     if s < 2:
         raise InputError(f"rank of apparition needs s >= 2, got {s}")
     try:
         rank = _rank(params, s)
     except DomainError:  # a part of s past psi_12 left unsplit
-        ns = range(1, min(n_bound, s * s) + 1)
+        ns = range(1, n_bound + 1)
         return next((n for n, (g, _) in zip(ns, g_pairs_mod(params, ns, s)) if g == 0), None)
     return None if rank is None or rank > n_bound else rank
 

@@ -1,6 +1,7 @@
 """Integer utilities: divisibility (with the 0|0 convention), s-adic
 valuation, factorization by trial division and Pollard's rho and the divisors
-built from it, deterministic primality below psi_12 (about 3.2e23)."""
+built from it, and primality (is_prime): exact below psi_12 (about 3.2e23),
+and past it decided wherever a strong-probable-prime base shows s composite."""
 
 from __future__ import annotations
 
@@ -48,9 +49,10 @@ def valuation(m: int, s: int) -> Valuation:
 def factorize(m: int, *, check=None) -> list[tuple[int, int]]:
     """Ascending (prime, exponent) pairs of |m|: trial division below 2^10, then Pollard's rho (_rho).
 
-    is_prime proves each part left below psi_12 prime, and rho splits the others.  Past psi_12 a strong
-    probable prime is not split, rho takes at most _RHO_CAP steps on any other part, and a part left
-    unsplit raises DomainError naming it.  check(), where given, runs every _RHO_BLOCK rho steps.
+    is_prime decides each part left, and rho splits those it calls composite.  A strong probable prime
+    past psi_12 raises is_prime's DomainError; rho takes at most _RHO_CAP steps on a composite part past
+    psi_12, and one left unsplit raises DomainError naming it.  check(), where given, runs every
+    _RHO_BLOCK rho steps.
     """
     if m == 0:
         raise DomainError("0 has no prime factorization")
@@ -65,9 +67,9 @@ def factorize(m: int, *, check=None) -> list[tuple[int, int]]:
             pairs.append((d, e))
     primes, parts = [], [m] if m > 1 else []
     while parts:
-        if (part := parts.pop()) < _PSI_12 and is_prime(part):
+        if is_prime(part := parts.pop()):
             primes.append(part)
-        elif part >= _PSI_12 and _strong_probable_prime(part) or (d := _rho(part, check)) is None:
+        elif (d := _rho(part, check)) is None:
             raise DomainError(f"cannot factor {part}: primality is proven only below {_PSI_12}")
         else:
             parts += [d, part // d]
@@ -132,19 +134,13 @@ _RHO_BATCH, _RHO_BLOCK, _RHO_CAP = 1 << 7, 1 << 12, 1 << 16
 
 
 def is_prime(s: int) -> bool:
-    """Deterministic primality below psi_12 (Miller-Rabin, fixed bases); past it, DomainError unless a base divides s."""
+    """Whether s is prime: exact below psi_12 (Miller-Rabin, fixed bases); past it, False where a base shows
+    s composite, and DomainError where s is a strong probable prime to every base."""
     if s < 2:
         return False
     for p in _MR_BASES:
         if s % p == 0:
             return s == p
-    if s >= _PSI_12:
-        raise DomainError(f"primality of {s} is not decided: the test is proven only below {_PSI_12}")
-    return _strong_probable_prime(s)
-
-
-def _strong_probable_prime(s: int) -> bool:
-    """Whether s, with no factor among the bases, is a strong probable prime to each: exactly the primes below psi_12."""
     d, r = s - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -159,4 +155,6 @@ def _strong_probable_prime(s: int) -> bool:
                 break
         else:
             return False
+    if s >= _PSI_12:
+        raise DomainError(f"primality of {s} is not decided: the test is proven only below {_PSI_12}")
     return True

@@ -101,6 +101,12 @@ class TestHypothesisCheck:
         report = hypothesis_check(ClaimId.Thm1_2_BaseEquiv, SequenceParams(2, 1), 2)
         assert report.applicable
 
+    def test_composite_past_psi12_is_not_prime(self):
+        # psi_12 + 6 has no factor among the bases, but a base shows it composite.
+        report = hypothesis_check(ClaimId.Thm1_1_Equiv, SequenceParams(1, 1), 318665857834031151167467)
+        assert dict(report.conditions)["s-prime"] is False
+        assert not report.applicable
+
     def test_conditions_cover_exactly_the_claims_names(self):
         for spec in REGISTRY:
             report = hypothesis_check(spec.claim, SequenceParams(1, 1), 5)
@@ -800,6 +806,42 @@ class TestResidueLemma:
                             assert gs[s**k * n] == product, (p, q, s, k, n)
         assert divisible > 0
 
+
+class TestDivisibilityCertificate:
+    """Modular mode's divisibility certificate where s | r: L(s)
+    (TestResidueLemma) gives the divisibility half for every k and n, so
+    modular mode walks no stream there, while exact mode walks every point."""
+
+    def test_every_s_dividing_r_is_certified(self, monkeypatch):
+        def no_stream(*args):
+            raise AssertionError("a residue stream was opened")
+
+        monkeypatch.setattr(claims, "g_pairs_mod", no_stream)
+        # s = r at each cell, up to the prime 10^18 + 9: s is neither factored
+        # nor bounded.
+        for s, params in (
+            (2**13, SequenceParams(0, 2**11)),
+            (3 * 2**13, SequenceParams(0, 3 * 2**11)),
+            (65537, SequenceParams(1, 16384)),
+            (10**18 + 9, SequenceParams(1, (10**18 + 8) // 4)),
+        ):
+            assert params.r == s
+            for claim in (ClaimId.Thm1_1_MultDiv, ClaimId.Remark_Scaled):
+                assert list(conclusion_failures(claim, params, s, range(4), range(201), modular=True)) == [], s
+
+    def test_r_zero_cells_hold_in_both_modes(self, monkeypatch):
+        # At r = 0 every s divides r, so the certificate covers every s; the
+        # r-nonzero search probes just those cells, here (2, -1) and (4, -4).
+        streams = []
+        monkeypatch.setattr(claims, "g_pairs_mod", lambda params, ns, m: streams.append(m) or g_pairs_mod(params, ns, m))
+        bounds = SweepConfig(p_range=(2, 4), q_range=(-4, -1), s_source=(2, 4096, 8192, 65537), k_max=2, n_max=40)
+        assert list(iter_counterexamples(ClaimId.Thm1_1_MultDiv, "r-nonzero", bounds)) == []
+        assert len(streams) == 2 * 4 * 2  # exact mode walks each cell, s and k >= 1
+        streams.clear()
+        modular = bounds._replace(mode=Mode.MODULAR)
+        assert list(iter_counterexamples(ClaimId.Thm1_1_MultDiv, "r-nonzero", modular)) == []
+        assert streams == []
+
     # The acceptance gate's grids: criterion 2's sweeps, and criterion 4's checks.
     GATES = [
         (claim, SweepConfig(p_range=(-8, 8), q_range=(-8, 8), s_source=source, k_max=3, n_max=40))
@@ -841,42 +883,6 @@ class TestResidueLemma:
         ks = (drawn.append(k) or k for k in range(6))
         assert list(conclusion_failures(claim, SequenceParams(1, 1), 5, ks, range(100), modular=True)) == []
         assert drawn == list(range(6))
-
-
-class TestDivisibilityCertificate:
-    """Modular mode's divisibility certificate where s | r: L(s)
-    (TestResidueLemma) gives the divisibility half for every k and n, so
-    modular mode walks no stream there, while exact mode walks every point."""
-
-    def test_every_s_dividing_r_is_certified(self, monkeypatch):
-        def no_stream(*args):
-            raise AssertionError("a residue stream was opened")
-
-        monkeypatch.setattr(claims, "g_pairs_mod", no_stream)
-        # s = r at each cell, up to the prime 10^18 + 9: s is neither factored
-        # nor bounded.
-        for s, params in (
-            (2**13, SequenceParams(0, 2**11)),
-            (3 * 2**13, SequenceParams(0, 3 * 2**11)),
-            (65537, SequenceParams(1, 16384)),
-            (10**18 + 9, SequenceParams(1, (10**18 + 8) // 4)),
-        ):
-            assert params.r == s
-            for claim in (ClaimId.Thm1_1_MultDiv, ClaimId.Remark_Scaled):
-                assert list(conclusion_failures(claim, params, s, range(4), range(201), modular=True)) == [], s
-
-    def test_r_zero_cells_hold_in_both_modes(self, monkeypatch):
-        # At r = 0 every s divides r, so the certificate covers every s; the
-        # r-nonzero search probes just those cells, here (2, -1) and (4, -4).
-        streams = []
-        monkeypatch.setattr(claims, "g_pairs_mod", lambda params, ns, m: streams.append(m) or g_pairs_mod(params, ns, m))
-        bounds = SweepConfig(p_range=(2, 4), q_range=(-4, -1), s_source=(2, 4096, 8192, 65537), k_max=2, n_max=40)
-        assert list(iter_counterexamples(ClaimId.Thm1_1_MultDiv, "r-nonzero", bounds)) == []
-        assert len(streams) == 2 * 4 * 2  # exact mode walks each cell, s and k >= 1
-        streams.clear()
-        modular = bounds._replace(mode=Mode.MODULAR)
-        assert list(iter_counterexamples(ClaimId.Thm1_1_MultDiv, "r-nonzero", modular)) == []
-        assert streams == []
 
     def test_relaxed_search_keeps_its_counterexamples(self):
         # Where s does not divide r, the lemma says nothing, so the stream decides.

@@ -322,6 +322,30 @@ class TestCheck:
         assert doc["verdict"] == verdict
         assert code == (cli.EXIT_OK if verdict == "all-pass" else cli.EXIT_NEVER_APPLICABLE)
 
+    def test_composite_past_psi12_is_not_prime(self, capsys):
+        # psi_12 + 6 has no factor among the bases, but a base shows it
+        # composite: s-prime fails, and no case of the hypothesis holds at (1, 1).
+        code, doc = run_json(
+            ["check", "--claim", "thm1.1-equiv", "-p", "1", "-q", "1", "-s", "318665857834031151167467",
+             "--kmax", "1", "--nmax", "10", "--workers", "1"],
+            capsys,
+        )
+        assert (code, doc["verdict"]) == (cli.EXIT_NEVER_APPLICABLE, "hypothesis-never-applicable")
+
+    def test_thousand_digit_composite_s_is_decided(self, capsys):
+        # s = 41 * (10^998 + 1) has 1,000 digits and no factor among the bases:
+        # Miller-Rabin rounds at that size decide it composite well within 2 s.
+        s = 41 * (10**998 + 1)
+        assert len(str(s)) == 1000
+        start = time.monotonic()
+        code, out, err = run_main(
+            ["check", "--claim", "thm1.1-equiv", "-p", "1", "-q", "1", "-s", str(s), "--kmax", "1", "--nmax", "10",
+             "--workers", "1"],
+            capsys,
+        )
+        assert time.monotonic() - start < 2.0
+        assert (code, err) == (cli.EXIT_NEVER_APPLICABLE, "")
+
     def test_large_prime_s_is_certified(self, capsys, monkeypatch):
         # s = r = 10^18 + 9 is prime: is_prime proves it at once, so its rank
         # certificate holds and no residue stream is opened.

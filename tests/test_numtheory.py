@@ -162,7 +162,7 @@ class TestFactorize:
             factorize(400000000019 * 600000000031, check=stop)
 
     def test_part_past_psi12_that_rho_does_not_split(self):
-        # F_131 is prime and past psi_12, where is_prime proves nothing: a
+        # F_131 is prime and past psi_12, where is_prime proves no prime: a
         # strong probable prime there is left unsplit.  The error names the part.
         f131 = 1066340417491710595814572169
         for m in (f131, 3 * f131, -(2**5) * f131):
@@ -173,7 +173,9 @@ class TestFactorize:
         m = (10**12 + 39) * (10**12 + 61)
         with pytest.raises(DomainError, match=str(m)):
             factorize(m)
-        assert numtheory._strong_probable_prime(f131) and not numtheory._strong_probable_prime(m)
+        with pytest.raises(DomainError, match=str(f131)):
+            is_prime(f131)
+        assert not is_prime(m)
         # Past psi_12, rho still splits a part whose factors it reaches within the cap.
         assert factorize((10**6 + 3) * (10**18 + 9) * (10**9 + 7)) == [(10**6 + 3, 1), (10**9 + 7, 1), (10**18 + 9, 1)]
 
@@ -215,8 +217,8 @@ class TestIsPrime:
         assert psi12 == 399165290221 * 798330580441
         with pytest.raises(DomainError, match=str(psi12)):
             is_prime(psi12)
-        with pytest.raises(DomainError):
-            is_prime(psi12 + 6)  # no factor among the bases
+        # Past psi_12 a base that shows s composite decides, though none divides s.
+        assert not is_prime(psi12 + 6)
         assert not is_prime(psi12 - 2)
         assert not is_prime(psi12 + 1)  # even: decided by a base
         assert not is_prime(3 * psi12)
