@@ -47,7 +47,10 @@ GRID60 = ("--pmin", "-60", "--pmax", "60", "--qmin", "-60", "--qmax", "60")
 # condition that does not read s, a branch of the hypothesis gate that no
 # benchmark job takes: q-eq-1, which finds counterexamples, and r-nonzero,
 # which finds none (its relaxed points on GRID8 are (+-2, -1), where
-# G_n = +-n).
+# G_n = +-n), and the two callers that fall back to the residue stream where
+# rho leaves a composite s past psi_12 unsplit at its step cap, s being
+# (10^12 + 39)(10^12 + 61): the rank scan to the default --bound, and a modular
+# check at r = 3s, whose rank certificate is not tried.
 EXTRA = (
     ("search-multdiv-s-div-r", ("search", "--claim", "thm1.1-multdiv", "--relax", "s-div-r", "--all") + GRID4
      + ("--s-source", ",".join(map(str, range(1, 21))), "--kmax", "2", "--nmax", "12")),
@@ -91,6 +94,9 @@ EXTRA = (
      "30")),
     ("search-equiv-r-nonzero", ("search", "--claim", "thm1.1-equiv", "--relax", "r-nonzero", "--all") + GRID8
      + ("--s-source", ",".join(map(str, range(1, 13))), "--kmax", "2", "--nmax", "40")),
+    ("rank-scan-rho-capped-composite", ("rank", "-p", "1", "-q", "1", "-s", "1000000000100000000002379")),
+    ("check-rho-capped-s-walks", ("check", "--claim", "thm1.2-base-equiv", "-p", "1", "-q", "750000000075000000001784",
+     "-s", "1000000000100000000002379", "--kmax", "2", "--nmax", "200", "--mode", "modular")),
 )
 FORMATS = ("json", "text")
 FIELDS = ("report", "stdout", "stderr", "exit code")

@@ -1,7 +1,8 @@
 """Integer utilities: divisibility (with the 0|0 convention), s-adic
 valuation, factorization by trial division and Pollard's rho and the divisors
-built from it, and primality (is_prime): exact below psi_12 (about 3.2e23),
-and past it decided wherever a strong-probable-prime base shows s composite."""
+built from it, and primality (is_prime), exact below psi_12 (about 3.2e23).
+Past it, is_prime refuses a strong probable prime to every base, and _rho a
+composite it does not split within its cap, each naming it (DomainError)."""
 
 from __future__ import annotations
 
@@ -49,10 +50,9 @@ def valuation(m: int, s: int) -> Valuation:
 def factorize(m: int, *, check=None) -> list[tuple[int, int]]:
     """Ascending (prime, exponent) pairs of |m|: trial division below 2^10, then Pollard's rho (_rho).
 
-    is_prime decides each part left, and rho splits those it calls composite.  A strong probable prime
-    past psi_12 raises is_prime's DomainError; rho takes at most _RHO_CAP steps on a composite part past
-    psi_12, and one left unsplit raises DomainError naming it.  check(), where given, runs every
-    _RHO_BLOCK rho steps.
+    is_prime decides each part left, and rho splits those it calls composite.  Either may raise the
+    DomainError that names a part past psi_12: is_prime for a strong probable prime, _rho for a composite
+    it does not split within its cap.  check(), where given, runs every _RHO_BLOCK rho steps.
     """
     if m == 0:
         raise DomainError("0 has no prime factorization")
@@ -69,15 +69,13 @@ def factorize(m: int, *, check=None) -> list[tuple[int, int]]:
     while parts:
         if is_prime(part := parts.pop()):
             primes.append(part)
-        elif (d := _rho(part, check)) is None:
-            raise DomainError(f"cannot factor {part}: primality is proven only below {_PSI_12}")
         else:
-            parts += [d, part // d]
+            parts += [d := _rho(part, check), part // d]
     return pairs + sorted((f, primes.count(f)) for f in set(primes))
 
 
-def _rho(n: int, check) -> int | None:
-    """A proper divisor of n by Pollard's rho, Brent's form (BIT 20 (1980)); None after _RHO_CAP steps past psi_12.
+def _rho(n: int, check) -> int:
+    """A proper divisor of n by Pollard's rho, Brent's form (BIT 20 (1980)); DomainError after _RHO_CAP steps past psi_12.
 
     y steps by y^2 + c mod n from 2, for c = 1, 2, ... in turn.  x jumps to y at each power of 2 of the
     steps, and from 3/4 of the way to the next jump the products of x - y are taken, a batch at a time.
@@ -102,7 +100,7 @@ def _rho(n: int, check) -> int | None:
             if 1 < g < n:
                 return g
             if (steps := steps + _RHO_BATCH) == cap:
-                return None
+                raise DomainError(f"cannot factor {n}: it is composite, but rho found no divisor within its cap of {cap} steps")
             if g == n:
                 break
             if check is not None and steps % _RHO_BLOCK == 0:

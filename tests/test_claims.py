@@ -758,6 +758,19 @@ class TestRankCertificate:
         assert list(conclusion_failures(ClaimId.Thm1_1_Equiv, params, s, range(3), range(201), modular=True)) == []
         assert streams == [s, s * s]
 
+    def test_rho_capped_modulus_keeps_its_stream(self, monkeypatch):
+        streams = self._streams(monkeypatch)
+        # s = m = (10^12 + 39)(10^12 + 61) = r/3 at (1, (3m - 1)/4): m is
+        # composite and past psi_12, and rho does not split it within its cap,
+        # so factorize refuses it and the streams decide, as in exact mode.
+        m = (10**12 + 39) * (10**12 + 61)
+        params = SequenceParams(1, 750000000075000000001784)
+        assert params.r == 3 * m
+        exact = list(conclusion_failures(ClaimId.Thm1_1_Equiv, params, m, range(3), range(201)))
+        streams.clear()  # exact mode streams every modulus; count the modular call's alone
+        assert list(conclusion_failures(ClaimId.Thm1_1_Equiv, params, m, range(3), range(201), modular=True)) == exact
+        assert streams == [m, m * m]
+
 
 class TestResidueLemma:
     """L(s): G_s(a, b) = 0 (mod s) for every residue pair (a, b) mod s with

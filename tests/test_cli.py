@@ -622,6 +622,10 @@ def _src_env() -> dict:
 
 
 class TestBudgetWhileFactoring:
+    # The commands that factor the cell's r for their s values.
+    DIVISOR_SEARCHES = {"sweep": ["sweep", "--claim", "thm1.1-multdiv", "--mode", "modular"], "survey": ["survey"],
+                        "search": ["search", "--claim", "thm1.1-multdiv", "--relax", "s-div-r"]}
+
     def test_factoring_s_stops_at_the_budget(self):
         # s = r = 400000000019 * 600000000031, a balanced semiprime just below
         # psi_12: rho takes about a second to split it, and the budget is
@@ -678,13 +682,25 @@ class TestBudgetWhileFactoring:
         # factorize leaves it unsplit, so the command exits 2 naming it,
         # before any budget is reached.
         f131 = "1066340417491710595814572169"
-        argv = {"sweep": ["sweep", "--claim", "thm1.1-multdiv", "--mode", "modular"], "survey": ["survey"],
-                "search": ["search", "--claim", "thm1.1-multdiv", "--relax", "s-div-r"]}[command]
+        argv = self.DIVISOR_SEARCHES[command]
         code, out, err = run_main(
             argv + ["--pmin", "0", "--pmax", "0", "--qmin", f131, "--qmax", f131, "--time-budget", "60"], capsys
         )
         assert (code, out) == (cli.EXIT_INPUT, "")
         assert f131 in err and err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["sweep", "survey", "search"])
+    def test_divisor_search_of_r_names_a_composite_past_psi12_that_rho_does_not_split(self, capsys, command):
+        # At (0, m), m = (10^12 + 39)(10^12 + 61), r = 4m, and m is composite
+        # and past psi_12: rho does not split it within its cap of 2^16 steps,
+        # so the command exits 2 naming m and the cap, not is_prime's bound.
+        m = "1000000000100000000002379"
+        argv = self.DIVISOR_SEARCHES[command]
+        code, out, err = run_main(
+            argv + ["--pmin", "0", "--pmax", "0", "--qmin", m, "--qmax", m, "--time-budget", "60"], capsys
+        )
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert re.fullmatch(rf"error: cannot factor {m}: .* cap of 65536 steps\n", err)
 
     @pytest.mark.parametrize("mode", ["exact", "modular"])
     def test_nmax_past_sys_maxsize_stops_at_the_budget(self, capsys, mode):
@@ -770,6 +786,13 @@ class TestRank:
         code, out, _ = run_main(["rank", *argv], capsys)
         assert (code, out.strip()) == (0, want)
         assert time.monotonic() - start < 1.0
+
+    def test_composite_past_psi12_that_rho_does_not_split_is_scanned(self, capsys):
+        # s = (10^12 + 39)(10^12 + 61): factorize refuses it at rho's cap, and
+        # the scan to --bound finds no n with s | F_n.
+        code, out, _ = run_main(["rank", "-p", "1", "-q", "1", "-s", "1000000000100000000002379", "--bound", "1000"],
+                                capsys)
+        assert (code, out.strip()) == (0, "none")
 
     def test_text(self, capsys):
         code, out, _ = run_main(["rank", "-p", "3", "-q", "4", "-s", "5", "--bound", "100"], capsys)

@@ -166,13 +166,16 @@ class TestFactorize:
         # strong probable prime there is left unsplit.  The error names the part.
         f131 = 1066340417491710595814572169
         for m in (f131, 3 * f131, -(2**5) * f131):
-            with pytest.raises(DomainError, match=str(f131)):
+            with pytest.raises(DomainError, match=f"primality of {f131} is not decided"):
                 factorize(m)
         # A composite part past psi_12 gets at most _RHO_CAP rho steps: far
         # fewer than the 10^6 or so that split a product of two primes near 10^12.
+        # Rho's refusal names the part and its cap, not the bound of is_prime.
         m = (10**12 + 39) * (10**12 + 61)
-        with pytest.raises(DomainError, match=str(m)):
-            factorize(m)
+        for n in (m, 12 * m):
+            with pytest.raises(DomainError, match=rf"cannot factor {m}: .* cap of 65536 steps") as refused:
+                factorize(n)
+            assert "primality is proven only below" not in str(refused.value)
         with pytest.raises(DomainError, match=str(f131)):
             is_prime(f131)
         assert not is_prime(m)
